@@ -7,7 +7,6 @@ average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
 from .channels import ChannelMoments, FadingKind, moments, pdf, sample
-from .kernels import backend, compiled_available, use_backend
 from .montecarlo import (
     McConfig,
     McEstimate,
@@ -39,7 +38,6 @@ from .specfun import (
     QuadratureSpec,
     bessel_k0,
     erf,
-    hyp2f1_special,
     integrate_semi_infinite,
 )
 
@@ -47,13 +45,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelMoments", "FadingKind", "moments", "pdf", "sample",
-    "backend", "compiled_available", "use_backend",
     "McConfig", "McEstimate", "mc_asc", "mc_gain_sum_stats", "mc_sop",
     "sample_snr_pair", "sample_snr_pairs",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
     "asc_approx", "asc_exact", "asc_exact_clamped", "avg_capacity",
     "capacity_upper_bound", "link_mgf", "secrecy_report", "snr_scale", "sop",
     "DEFAULT_QUADRATURE", "QuadratureError", "QuadratureSpec",
-    "bessel_k0", "erf", "hyp2f1_special", "integrate_semi_infinite",
+    "bessel_k0", "erf", "integrate_semi_infinite",
     "__version__",
 ]

@@ -12,8 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import kernels
-from .specfun import QuadratureSpec, integrate_semi_infinite
+from .specfun import QuadratureSpec, bessel_k0, integrate, integrate_semi_infinite
 
 
 class FadingKind(Enum):
@@ -47,6 +46,10 @@ PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF = math.pi ** 3 / (2.0 * math.sqrt(2.0))
 
 _PDF_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=2000)
 _RAYLEIGH_CUTOFF = 8.7  # exp(-y^2/2) < 4e-17 beyond this
+# Conditioning integral of the triple-cascade MGF over the Rayleigh factor;
+# the absolute floor only matters for values that underflow anyway.
+_TRIPLE_BREAKS = (0.0, 1.0, _RAYLEIGH_CUTOFF)
+_TRIPLE_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=400)
 
 
 def moments(kind: FadingKind) -> ChannelMoments:
@@ -72,7 +75,7 @@ def _pdf_scalar(kind: FadingKind, g: float) -> float:
     if kind is FadingKind.RAYLEIGH:
         return g * math.exp(-0.5 * g * g)
     if kind is FadingKind.DOUBLE_RAYLEIGH:
-        return g * kernels.bessel_k0(g)
+        return g * bessel_k0(g)
     return _pdf_triple(g)
 
 
@@ -83,19 +86,75 @@ def _pdf_triple(g: float) -> float:
         r = g / y
         if r > 740.0:  # K0 underflows; integrand is identically zero there
             return 0.0
-        return math.exp(-0.5 * y * y) * r * kernels.bessel_k0(r)
+        return math.exp(-0.5 * y * y) * r * bessel_k0(r)
 
     return integrate_semi_infinite(integrand, _PDF_QUAD, cutoff=_RAYLEIGH_CUTOFF)
 
 
-def mgf_double_rayleigh(s: float) -> float:
-    """E[exp(-s*g)] for the double-Rayleigh gain, s >= 0."""
-    return kernels.mgf_double_rayleigh(s)
+# Near s = 1 the elementary form cancels; there the MGF is evaluated as
+# (4/3) 2F1(2, 1/2; 5/2; x)/(1+s)^2 with x = (s-1)/(s+1), summing the series
+# whose n-th coefficient is 3(n+1)/((2n+1)(2n+3)) (17 terms reach 1e-17 for
+# |x| <= 0.1). Past s = 1e8 the tail (ln 2s - 1)/s^2 is exact to 1e-16.
+_SERIES_X = 0.1
+_SERIES = tuple(3.0 * (n + 1) / ((2 * n + 1) * (2 * n + 3)) for n in range(16, -1, -1))
+_TAIL_S = 1e8
 
 
-def mgf_triple_cascade(s: float) -> float:
-    """E[exp(-s*g)] for the triple-cascade gain, s >= 0."""
-    return kernels.mgf_triple_cascade(s)
+def _as_arguments(s, name: str):
+    arr = np.asarray(s, dtype=float)
+    if not np.all(arr >= 0.0):
+        raise ValueError(f"{name} requires s >= 0")
+    return arr
+
+
+def _mgf_dbl(s):
+    # Elementary Laplace transform of g*K0(g) (Gradshteyn & Ryzhik 6.611):
+    # (s*A(s) - 1)/(s^2 - 1) with A = acosh(s)/sqrt(s^2-1) for s > 1 and
+    # acos(s)/sqrt(1-s^2) for s < 1.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = s * s - 1.0
+        a = np.where(s < 1.0, np.arccos(np.minimum(s, 1.0)), np.arccosh(np.maximum(s, 1.0)))
+        out = (s * a / np.sqrt(np.abs(u)) - 1.0) / u
+        x = (s - 1.0) / (s + 1.0)
+    near = np.abs(x) <= _SERIES_X
+    if near.any():
+        xn = x[near]
+        out[near] = (4.0 / 3.0) * np.polyval(_SERIES, xn) / ((1.0 + s[near]) ** 2)
+    far = s > _TAIL_S
+    if far.any():
+        sf = np.minimum(s[far], 1e300)  # the MGF underflows to 0 past here
+        out[far] = (np.log(2.0 * sf) - 1.0) / sf / sf
+    return out
+
+
+def mgf_double_rayleigh(s):
+    """E[exp(-s*g)] for the double-Rayleigh gain, s >= 0.
+
+    Accepts a scalar (returns a float) or an array (returns an array of the
+    same shape).
+    """
+    arr = _as_arguments(s, "mgf_double_rayleigh")
+    out = _mgf_dbl(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def mgf_triple_cascade(s):
+    """E[exp(-s*g)] for the triple-cascade gain, s >= 0.
+
+    Conditioning on the Rayleigh factor y reduces the MGF to one quadrature
+    of y*exp(-y^2/2)*M_dbl(s*y); all arguments share one adaptive run.
+    Accepts a scalar (returns a float) or an array (returns an array).
+    """
+    arr = _as_arguments(s, "mgf_triple_cascade")
+    flat = arr.ravel()
+    out = np.where(flat == 0.0, 1.0, 0.0)
+    live = (flat > 0.0) & (flat <= 1e300)
+    if live.any():
+        sl = flat[live]
+        out[live] = integrate(
+            lambda y: (y * np.exp(-0.5 * y * y))[:, None] * _mgf_dbl(np.multiply.outer(y, sl)),
+            _TRIPLE_BREAKS, _TRIPLE_QUAD)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _rayleigh(rng: np.random.Generator, size):

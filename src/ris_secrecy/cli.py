@@ -6,6 +6,7 @@ failure.
 """
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
@@ -52,6 +53,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEPABLE:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, got {self.param!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep start and stop must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep requires start < stop")
         if self.steps < 2:
@@ -107,18 +110,18 @@ def _parse_base(doc: dict) -> SystemParams:
         model = Model(doc["model"])
     except ValueError:
         raise ConfigError(f"unknown model {doc['model']!r}") from None
+    if model is Model.V2V_RIS_AP and "r_s" in doc:
+        raise ConfigError("r_s applies only to the relay model")
     fields = dict(_BASE_DEFAULTS)
     for key in _BASE_DEFAULTS:
         if key in doc:
             fields[key] = doc[key]
-    fields["n_cells"] = int(fields["n_cells"])
-    if model is Model.VANET_RIS_RELAY:
-        fields["r_s"] = float(doc.get("r_s", DEFAULT_RELAY_R_S))
-    elif "r_s" in doc:
-        raise ConfigError("r_s applies only to the relay model")
     try:
+        fields["n_cells"] = int(fields["n_cells"])
+        if model is Model.VANET_RIS_RELAY:
+            fields["r_s"] = float(doc.get("r_s", DEFAULT_RELAY_R_S))
         return SystemParams(model=model, **fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 
@@ -213,7 +216,10 @@ def _point(cfg: RunConfig, value=None):
         return cfg.base, cfg.c_th
     if cfg.sweep.param == "c_th":
         return cfg.base, float(value)
-    return replace(cfg.base, **{cfg.sweep.param: value}), cfg.c_th
+    try:
+        return replace(cfg.base, **{cfg.sweep.param: value}), cfg.c_th
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.sweep.param}={value!r}: {exc}") from None
 
 
 def _columns(outputs):

@@ -6,18 +6,21 @@ source reaches mobile receivers via an N-cell RIS relay, so each link is a
 triple cascade (Rayleigh source leg times a double-Rayleigh receiver leg).
 
 Average capacities come from the MGF integral identity
-C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz; the average secrecy
+C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, evaluated a whole
+quadrature panel of z values at a time; the average secrecy
 capacity is the difference of per-link capacities, with a closed-form
 upper-bound approximation and an erf-form outage probability obtained from
 a Gaussian approximation of the summed gains.
 """
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
+
+import numpy as np
 
 from . import channels
 from .channels import FadingKind
-from .specfun import QuadratureSpec, erf, integrate_semi_infinite
+from .specfun import QuadratureSpec, erf, integrate, semi_infinite_breaks
 
 
 class Model(Enum):
@@ -54,22 +57,28 @@ class SystemParams:
     r_s: float | None = None
 
     def __post_init__(self):
-        if not self.p_s > 0.0:
-            raise ValueError("p_s must be > 0")
-        if not self.n_0 > 0.0:
-            raise ValueError("n_0 must be > 0")
-        if not self.beta > 0.0:
-            raise ValueError("beta must be > 0")
-        if int(self.n_cells) != self.n_cells or self.n_cells < 1:
+        if not 0.0 < self.p_s < math.inf:
+            raise ValueError("p_s must be finite and > 0")
+        if not 0.0 < self.n_0 < math.inf:
+            raise ValueError("n_0 must be finite and > 0")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta must be finite and > 0")
+        if not (math.isfinite(self.n_cells) and int(self.n_cells) == self.n_cells >= 1):
             raise ValueError("n_cells must be an integer >= 1")
-        if not (self.r_d > 0.0 and self.r_e > 0.0):
-            raise ValueError("distances must be > 0")
+        if not (0.0 < self.r_d < math.inf and 0.0 < self.r_e < math.inf):
+            raise ValueError("distances must be finite and > 0")
         if self.model is Model.V2V_RIS_AP:
             if self.r_s is not None:
                 raise ValueError("r_s applies only to the relay model")
         else:
-            if self.r_s is None or not self.r_s > 0.0:
-                raise ValueError("the relay model requires r_s > 0")
+            if self.r_s is None or not 0.0 < self.r_s < math.inf:
+                raise ValueError("the relay model requires a finite r_s > 0")
+        try:
+            scales = [snr_scale(self, link) for link in Link]
+        except OverflowError:
+            scales = [math.inf]
+        if not all(0.0 < v < math.inf for v in scales):
+            raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
 
     @property
     def fading_kind(self) -> FadingKind:
@@ -90,6 +99,8 @@ class SecrecyReport:
     sop_paper_literal: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError("report fields must be finite")
         if self.c_d < 0.0 or self.c_e < 0.0:
             raise ValueError("average capacities must be nonnegative")
         for p in (self.sop_corrected, self.sop_paper_literal):
@@ -110,33 +121,33 @@ def snr_scale(params: SystemParams, link: Link) -> float:
     return scale
 
 
-def link_mgf(params: SystemParams, link: Link, z: float) -> float:
-    """MGF of the link SNR at z: the per-element MGF at z*scale raised to the
-    N-th power (cells fade independently)."""
-    if z < 0.0:
-        raise ValueError("link_mgf requires z >= 0")
-    if z == 0.0:
-        return 1.0
+def _cell_mgf(params: SystemParams, link: Link, z):
     s = z * snr_scale(params, link)
     if params.model is Model.V2V_RIS_AP:
-        per = channels.mgf_double_rayleigh(s)
-    else:
-        per = channels.mgf_triple_cascade(s)
-    return per ** params.n_cells
+        return channels.mgf_double_rayleigh(s)
+    return channels.mgf_triple_cascade(s)
+
+
+def link_mgf(params: SystemParams, link: Link, z):
+    """MGF of the link SNR at z >= 0 (scalar or array): the per-element MGF at
+    z*scale raised to the N-th power (cells fade independently)."""
+    if not np.all(np.asarray(z) >= 0.0):
+        raise ValueError("link_mgf requires z >= 0")
+    return _cell_mgf(params, link, z) ** params.n_cells
 
 
 def avg_capacity(params: SystemParams, link: Link, spec: QuadratureSpec | None = None) -> float:
     """Average link capacity in bits/s/Hz via the MGF integral identity."""
-    scale = snr_scale(params, link)
-    mean_gain = channels.moments(params.fading_kind).mean
-    limit0 = params.n_cells * scale * mean_gain  # (1 - M(z))/z -> E[gamma] as z -> 0
+    n = params.n_cells
 
     def integrand(z):
-        if z < 1e-12:
-            return limit0
-        return (1.0 - link_mgf(params, link, z)) * math.exp(-z) / z
+        # 1 - M^N as -expm1(N log M), which skips rounding M^N where it is
+        # near 1; M = 0 (underflow) gives log M = -inf and exactly 1
+        with np.errstate(divide="ignore"):
+            log_m = np.log(_cell_mgf(params, link, z))
+        return -np.expm1(n * log_m) * np.exp(-z) / z
 
-    return integrate_semi_infinite(integrand, spec) / math.log(2.0)
+    return integrate(integrand, semi_infinite_breaks(), spec) / math.log(2.0)
 
 
 def capacity_upper_bound(params: SystemParams, link: Link) -> float:
@@ -189,14 +200,12 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     nu = 2.0 ** c_th
     ratio = (params.r_e / params.r_d) ** -params.beta  # r_e^-beta / r_d^-beta
     n = params.n_cells
-    rd = params.r_d ** -params.beta
+    # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta]), from the validated scale
+    noise_term = (nu - 1.0) / snr_scale(params, Link.DESTINATION)
     if params.model is Model.V2V_RIS_AP:
-        noise_term = params.n_0 * (nu - 1.0) / (params.p_s * rd)
         mean_coeff = n * math.pi / 2.0
         variance = n * channels.moments(FadingKind.DOUBLE_RAYLEIGH).variance
     else:
-        rs = params.r_s ** -params.beta
-        noise_term = params.n_0 * (nu - 1.0) / (params.p_s * rs * rd)
         if mode is SopMode.CORRECTED:
             mean_coeff = n * channels.moments(FadingKind.TRIPLE_CASCADE).mean
             variance = n * channels.moments(FadingKind.TRIPLE_CASCADE).variance

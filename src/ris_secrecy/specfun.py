@@ -1,15 +1,16 @@
-"""Scalar special functions and the semi-infinite quadrature engine.
+"""Scalar special functions and the Gauss-Kronrod quadrature engine.
 
 Every analytic secrecy expression in the package is built from these
-primitives. The scalar functions dispatch to the active kernel backend;
-the quadrature engine is deterministic Gauss-Kronrod with adaptive
-subdivision over (0, cutoff].
+primitives: the modified Bessel function K0, the error function and one
+deterministic adaptive GK15 engine. The engine evaluates all 15 nodes of a
+panel in one call and accepts vector-valued integrands, so a family of
+integrals over the same range (one per MGF argument, say) shares its panels.
 """
 import heapq
 import math
 from dataclasses import dataclass
 
-from . import kernels
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -37,9 +38,11 @@ DEFAULT_CUTOFF = 40.0
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive subdivision exhausted before reaching tolerance.
+    """Adaptive subdivision exhausted before reaching tolerance, or the
+    integrand was not finite.
 
-    Carries the best available estimate and its error bound.
+    Carries the best available estimate and its error bound (for a vector
+    integrand, those of the component furthest from convergence).
     """
 
     def __init__(self, message: str, best_estimate: float, error_bound: float):
@@ -48,24 +51,79 @@ class QuadratureError(ArithmeticError):
         self.error_bound = error_bound
 
 
+_EULER_GAMMA = 0.5772156649015328606
+
+# Chebyshev coefficients of exp(x)*sqrt(x)*K0(x) in t = 4/x - 1 on x in [2, inf),
+# generated from a 64-node Chebyshev projection at 40 decimal digits
+# (max fit error ~8e-20 over x in [2, 700]).
+_K0_CHEB = (
+    1.2201515410329777273,
+    -0.031448101311964500543,
+    0.0015698838857300533749,
+    -0.00012849549581627802638,
+    1.3949813718876499364e-05,
+    -1.8317555227191194848e-06,
+    2.7668136394450150761e-07,
+    -4.6604898976879476656e-08,
+    8.5740340174142260858e-09,
+    -1.6975345093890615156e-09,
+    3.5773972814003284472e-10,
+    -7.9574892444773970377e-11,
+    1.855949114954926555e-11,
+    -4.5145978833745191751e-12,
+    1.1403405882073442347e-12,
+    -2.9800969231481783548e-13,
+    8.0328907750683743694e-14,
+    -2.2275133267462963604e-14,
+    6.3400764762766459661e-15,
+    -1.8485933779209071694e-15,
+    5.5120559994043333649e-16,
+    -1.6782311257549006383e-16,
+    5.2103917776435541125e-17,
+    -1.6475805939842632815e-17,
+    5.300433771177335771e-18,
+    -1.7331712005821000278e-18,
+    5.7551092028827293794e-19,
+    -1.939095605318355466e-19,
+)
+
+
 def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind, order zero (x > 0)."""
-    return kernels.bessel_k0(x)
+    """Modified Bessel function of the second kind, order zero, for x > 0."""
+    if not x > 0.0:
+        raise ValueError(f"bessel_k0 requires x > 0, got {x!r}")
+    if x <= 2.0:
+        # K0 = A(x) - ln(x/2) I0(x) with A = sum (x^2/4)^k/(k!)^2 (H_k - gamma);
+        # all cancellation is confined to the explicit log term.
+        y = 0.25 * x * x
+        i0 = 1.0
+        a = -_EULER_GAMMA
+        term = 1.0
+        hk = 0.0
+        k = 1
+        while term > 1e-19:
+            term *= y / (k * k)
+            hk += 1.0 / k
+            i0 += term
+            a += term * (hk - _EULER_GAMMA)
+            k += 1
+        return a - math.log(0.5 * x) * i0
+    t = 4.0 / x - 1.0
+    b1 = 0.0
+    b2 = 0.0
+    for c in _K0_CHEB[:0:-1]:
+        b1, b2 = 2.0 * t * b1 - b2 + c, b1
+    return (t * b1 - b2 + _K0_CHEB[0]) * math.exp(-x) / math.sqrt(x)
 
 
-def hyp2f1_special(x: float) -> float:
-    """The Gauss hypergeometric instance 2F1(2, 1/2; 5/2; x), x in [-1, 1)."""
-    return kernels.hyp2f1_special(x)
+# Error function: odd, saturating to +-1, and NaN for NaN.
+erf = math.erf
 
 
-def erf(x: float) -> float:
-    """Error function, odd and bounded in [-1, 1]."""
-    return kernels.erf(x)
-
-
-# 15-point Gauss-Kronrod rule (QUADPACK dqk15 constants); Gauss nodes sit at
-# indices 1, 3, 5 plus the centre.
-_XGK = (
+# 15-point Gauss-Kronrod rule (QUADPACK dqk15 constants, Piessens et al. 1983):
+# Kronrod abscissae on [0, 1] with their weights; the 7-point Gauss rule uses
+# abscissae 1, 3, 5 and the centre.
+_XGK = np.array([
     0.9914553711208126,
     0.9491079123427585,
     0.8648644233597691,
@@ -74,8 +132,8 @@ _XGK = (
     0.4058451513773972,
     0.2077849550078985,
     0.0,
-)
-_WGK = (
+])
+_WGK = np.array([
     0.0229353220105292,
     0.0630920926299785,
     0.1047900103222502,
@@ -84,86 +142,106 @@ _WGK = (
     0.1903505780647854,
     0.2044329400752989,
     0.2094821410847278,
-)
+])
 _WG = (
     0.1294849661688697,
     0.2797053914892766,
     0.3818300505051189,
     0.4179591836734694,
 )
+# The whole rule on [-1, 1]: 15 nodes in increasing order, their Kronrod
+# weights, and the Gauss weights (zero at the Kronrod-only nodes).
+_NODES = np.concatenate((-_XGK, _XGK[-2::-1]))
+_KRONROD = np.concatenate((_WGK, _WGK[-2::-1]))
+_GAUSS = np.zeros(15)
+_GAUSS[1:7:2] = _WG[:3]
+_GAUSS[13:7:-2] = _WG[:3]
+_GAUSS[7] = _WG[3]
 
 
 def _gk15(f, a: float, b: float):
-    """One Gauss-Kronrod panel; returns (value, error estimate)."""
+    """One Gauss-Kronrod panel over [a, b]: (value, error estimate), each a
+    scalar or, for a vector integrand, one entry per component."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    fc = f(c)
-    resk = _WGK[7] * fc
-    resg = _WG[3] * fc
-    fv = [fc]
-    for i in range(7):
-        dx = h * _XGK[i]
-        f1 = f(c - dx)
-        f2 = f(c + dx)
-        resk += _WGK[i] * (f1 + f2)
-        if i & 1:
-            resg += _WG[i >> 1] * (f1 + f2)
-        fv.append(f1)
-        fv.append(f2)
-    reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(fc - reskh)
-    for i in range(7):
-        resasc += _WGK[i] * (abs(fv[1 + 2 * i] - reskh) + abs(fv[2 + 2 * i] - reskh))
-    resasc *= h
-    err = abs((resk - resg) * h)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    fv = np.asarray(f(c + h * _NODES), dtype=float)
+    resk = _KRONROD @ fv
+    err = np.abs(resk - _GAUSS @ fv) * h
+    resasc = (_KRONROD @ np.abs(fv - 0.5 * resk)) * h
+    # QUADPACK's rescaling of the raw Kronrod-Gauss difference
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
+    err = np.where((resasc != 0.0) & (err != 0.0), scaled, err)
     return resk * h, err
 
 
-def integrate_semi_infinite(f, spec: QuadratureSpec | None = None, *, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Integrate f over (0, inf) for integrands decaying at least like exp(-z).
+def semi_infinite_breaks(cutoff: float = DEFAULT_CUTOFF) -> tuple:
+    """Initial panels for an integrand over (0, cutoff] decaying like exp(-z),
+    graded towards the origin."""
+    return (0.0, cutoff / 64.0, cutoff / 16.0, cutoff / 4.0, cutoff)
 
-    The integral is truncated at ``cutoff`` and refined by adaptive
-    Gauss-Kronrod subdivision until the accumulated error estimate drops
-    below max(abs_tol, rel_tol*|result|). Deterministic: identical inputs
-    produce bit-identical output. Raises QuadratureError when
-    ``max_subdivisions`` is exhausted first.
+
+def integrate(f, breaks, spec: QuadratureSpec | None = None):
+    """Integrate f over [breaks[0], breaks[-1]] by adaptive GK15 subdivision.
+
+    ``f`` receives the 15 nodes of a panel as a 1-D array and returns one
+    value per node, or a (15, m) array for an m-component integrand. The
+    panel with the largest error (relative to each component's initial
+    tolerance) is bisected until every component's accumulated error is
+    below max(abs_tol, rel_tol*|value|). Deterministic: identical inputs
+    produce bit-identical output. Returns a float, or an array of m values.
+    Raises QuadratureError when ``max_subdivisions`` is exhausted first or
+    the integrand is not finite.
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
-    breaks = (0.0, cutoff / 64.0, cutoff / 16.0, cutoff / 4.0, cutoff)
-    heap = []
-    total = 0.0
-    toterr = 0.0
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        v, e = _gk15(f, a, b)
-        heapq.heappush(heap, (-e, a, b, v))
-        total += v
-        toterr += e
+    first = [_gk15(f, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
+    total = sum(v for v, _e in first)
+    toterr = sum(e for _v, e in first)
+    norm = 1.0 / np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)),
+                            np.finfo(float).tiny)
+    heap = [(-np.max(e * norm), a, b, v, e) for (v, e), a, b in zip(first, breaks[:-1], breaks[1:])]
+    heapq.heapify(heap)
     unsplittable = []
     splits = 0
-    while toterr > max(spec.abs_tol, spec.rel_tol * abs(total)):
-        if splits >= spec.max_subdivisions or not heap:
+    while not np.all(toterr <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))):
+        finite = np.all(np.isfinite(toterr))
+        if splits >= spec.max_subdivisions or not heap or not finite:
+            worst = np.argmax(np.atleast_1d(toterr))
+            reason = (f"did not converge within {spec.max_subdivisions} subdivisions"
+                      if finite else "met a non-finite integrand value")
             raise QuadratureError(
-                "integrate_semi_infinite did not converge within "
-                f"{spec.max_subdivisions} subdivisions",
-                best_estimate=total,
-                error_bound=toterr,
+                f"adaptive quadrature {reason}",
+                best_estimate=float(np.atleast_1d(total)[worst]),
+                error_bound=float(np.atleast_1d(toterr)[worst]),
             )
-        nege, a, b, v = heapq.heappop(heap)
+        panel = heapq.heappop(heap)
+        _key, a, b, v, e = panel
         m = 0.5 * (a + b)
         if m <= a or m >= b:
-            unsplittable.append((nege, a, b, v))
+            unsplittable.append(panel)
             continue
         v1, e1 = _gk15(f, a, m)
         v2, e2 = _gk15(f, m, b)
-        total += v1 + v2 - v
-        toterr += e1 + e2 + nege
-        heapq.heappush(heap, (-e1, a, m, v1))
-        heapq.heappush(heap, (-e2, m, b, v2))
+        total = total + (v1 + v2 - v)
+        toterr = toterr + (e1 + e2 - e)
+        heapq.heappush(heap, (-np.max(e1 * norm), a, m, v1, e1))
+        heapq.heappush(heap, (-np.max(e2 * norm), m, b, v2, e2))
         splits += 1
     # re-sum in interval order so the result does not carry the accumulated
     # rounding of the incremental updates
-    panels = sorted(heap + unsplittable, key=lambda p: p[1])
-    return math.fsum(p[3] for p in panels)
+    values = np.array([p[3] for p in sorted(heap + unsplittable, key=lambda p: p[1])])
+    if values.ndim == 1:
+        return math.fsum(values)
+    return np.array([math.fsum(col) for col in values.T])
+
+
+def integrate_semi_infinite(f, spec: QuadratureSpec | None = None, *, cutoff: float = DEFAULT_CUTOFF) -> float:
+    """Integrate a scalar function f over (0, inf) for integrands decaying at
+    least like exp(-z).
+
+    The integral is truncated at ``cutoff``; ``f`` is called once per
+    quadrature node with a float. See ``integrate`` for the tolerance,
+    determinism and QuadratureError contracts.
+    """
+    return integrate(lambda z: [f(x) for x in z.tolist()], semi_infinite_breaks(cutoff), spec)

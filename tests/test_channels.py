@@ -3,6 +3,7 @@ against an oracle that does not share code with the implementation."""
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as sint
@@ -25,14 +26,15 @@ from ris_secrecy.specfun import QuadratureSpec, integrate_semi_infinite
 # (conditioning integral evaluated at 30 decimal digits)
 M3_ORACLE = {0.5: 0.50146064410475098, 1.0: 0.32739299663738908, 5.0: 0.070826141606182181}
 
-# elementary Laplace-transform forms, derived independently of the
-# hypergeometric route used by the implementation
-def _mgf_dbl_elementary(s: float) -> float:
-    if s == 1.0:
-        return 1.0 / 3.0
-    if s > 1.0:
-        return (s * np.arccosh(s) - math.sqrt(s * s - 1.0)) / (s * s - 1.0) ** 1.5
-    return (math.sqrt(1.0 - s * s) - s * math.acos(s)) / (1.0 - s * s) ** 1.5
+# The paper's hypergeometric form of the double-Rayleigh MGF,
+# (4/3) 2F1(2, 1/2; 5/2; (s-1)/(s+1))/(1+s)^2, in arbitrary precision; it
+# shares no code with the elementary form used by the implementation. The
+# working precision grows with s so that (s-1)/(s+1) stays distinct from 1.
+def _mgf_dbl_hypergeometric(s: float) -> float:
+    with mp.workdps(30 + max(0, int(math.log10(s)))):
+        sm = mp.mpf(s)
+        return float(mp.mpf(4) / 3 * mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, (sm - 1) / (sm + 1))
+                     / (1 + sm) ** 2)
 
 
 def _mgf_triple_2d_quadrature(s: float) -> float:
@@ -141,13 +143,18 @@ class TestMgfDoubleRayleigh:
                                   epsabs=1e-13, epsrel=1e-11, limit=300)
             assert mgf_double_rayleigh(s) == pytest.approx(oracle, rel=1e-8)
 
-    def test_against_elementary_form(self):
-        for s in (0.01, 0.5, 5.0, 10.0, 250.0):
-            assert mgf_double_rayleigh(s) == pytest.approx(_mgf_dbl_elementary(s), rel=1e-12)
-        # the elementary form itself cancels catastrophically near s = 1,
-        # so the comparison is looser there
-        for s in (0.999, 1.001):
-            assert mgf_double_rayleigh(s) == pytest.approx(_mgf_dbl_elementary(s), rel=1e-9)
+    def test_against_hypergeometric_form(self):
+        # every regime: the acos and acosh branches, the series around s = 1
+        # and the large-s tail (the reference slows down as s grows, so the
+        # grid thins out there)
+        grid = np.concatenate([np.logspace(-8, 8, 65), [1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.1],
+                               [1e12, 1e16, 1e20, 1e30, 1e50, 1e100]])
+        for s in grid:
+            ref = _mgf_dbl_hypergeometric(float(s))
+            assert mgf_double_rayleigh(float(s)) == pytest.approx(ref, rel=1e-13), s
+        # past s ~ 1e162 the MGF, about ln(2s)/s^2, rounds to zero
+        assert mgf_double_rayleigh(1e200) == 0.0
+        assert mgf_double_rayleigh(1e300) == 0.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -174,6 +181,8 @@ class TestMgfTripleCascade:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             mgf_triple_cascade(-1.0)
+        with pytest.raises(ValueError):
+            mgf_triple_cascade(np.array([1.0, math.nan]))
 
 
 class TestMgfProperties:
@@ -193,6 +202,19 @@ class TestMgfProperties:
         h = 1e-5
         slope = (1.0 - mgf(h)) / h
         assert slope == pytest.approx(moments(kind).mean, rel=1e-4)
+
+    @pytest.mark.parametrize("mgf", [mgf_double_rayleigh, mgf_triple_cascade])
+    def test_array_call_matches_scalar_calls(self, mgf):
+        s = np.array([[0.0, 1e-3, 0.5, 1.0], [1.0 + 1e-9, 7.0, 1e6, 1e12]])
+        arr = mgf(s)
+        assert arr.shape == s.shape
+        scalar = np.array([[mgf(float(v)) for v in row] for row in s])
+        if mgf is mgf_double_rayleigh:
+            assert np.array_equal(arr, scalar)
+        else:
+            # one adaptive run shares its panels across the arguments, so it
+            # refines differently from per-argument runs
+            assert arr == pytest.approx(scalar, rel=1e-10)
 
     def test_three_way_equivalence_with_sampling(self):
         # closed form vs 2-D quadrature vs Monte-Carlo, per the channel contract

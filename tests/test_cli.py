@@ -1,6 +1,7 @@
 """CLI behaviour: config handling, CSV output, validation runs, exit codes,
 byte-level determinism."""
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ris_secrecy import channels
 from ris_secrecy.cli import (
     ConfigError,
     RunConfig,
@@ -76,6 +78,14 @@ class TestConfigParsing:
             {"base": {"model": "v2v_ris_ap"},
              "sweep": {"param": "n_0", "start": 0.0, "stop": 2, "steps": 4, "scale": "log"}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": 0}},
+            {"base": {"model": "v2v_ris_ap", "p_s": math.inf}},
+            {"base": {"model": "v2v_ris_ap", "n_0": math.nan}},
+            {"base": {"model": "v2v_ris_ap", "n_cells": math.inf}},
+            {"base": {"model": "v2v_ris_ap", "n_cells": "many"}},
+            {"base": {"model": "vanet_ris_relay", "r_s": math.inf}},
+            {"base": {"model": "vanet_ris_relay", "r_s": "far"}},
+            {"base": {"model": "v2v_ris_ap"},
+             "sweep": {"param": "p_s", "start": 1, "stop": math.inf, "steps": 4}},
         ],
     )
     def test_rejects_bad_documents(self, doc):
@@ -134,6 +144,27 @@ class TestEval:
     def test_mc_output_without_mc_block(self, tmp_path):
         cfg = _write(tmp_path, _v2v_doc(outputs=["mc_asc"]))
         assert main(["eval", "--config", cfg]) == 2
+
+    def test_sweep_point_outside_domain_is_a_config_error(self, tmp_path):
+        # the SNR scale overflows at the last sweep value
+        doc = _v2v_doc(base={"model": "v2v_ris_ap", "r_d": 1e-10},
+                       sweep={"param": "p_s", "start": 1.0, "stop": 1e300, "steps": 3})
+        assert main(["sweep", "--config", _write(tmp_path, doc)]) == 2
+
+    def test_high_snr_points_succeed(self, tmp_path, capsys):
+        for base in ({"model": "v2v_ris_ap", "p_s": 1e12, "r_d": 0.001},
+                     {"model": "vanet_ris_relay", "p_s": 1e6, "r_s": 0.01, "r_d": 0.01}):
+            cfg = _write(tmp_path, {"base": base, "outputs": ["asc_exact"]})
+            assert main(["eval", "--config", cfg, "--csv"]) == 0
+            _header, value = capsys.readouterr().out.splitlines()
+            assert math.isfinite(float(value))
+
+    def test_cascade_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(channels, "_TRIPLE_QUAD",
+                            channels.QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))
+        cfg = _write(tmp_path, {"base": {"model": "vanet_ris_relay"}, "outputs": ["asc_exact"]})
+        assert main(["eval", "--config", cfg]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_bad_seed_override(self, tmp_path):
         cfg = _write(tmp_path, _v2v_doc())

@@ -1,9 +1,14 @@
-"""Analytic secrecy metrics: closed-form values, symmetries, orderings."""
+"""Analytic secrecy metrics: closed-form values, symmetries, orderings, and
+accuracy against references that share no code with the package."""
 import math
 from dataclasses import replace
 
+import mpmath as mp
+import numpy as np
 import pytest
+import scipy.integrate as sint
 
+from ris_secrecy import channels
 from ris_secrecy.channels import FadingKind, moments
 from ris_secrecy.secrecy import (
     Link,
@@ -29,6 +34,65 @@ ASC_APPROX_V2V_DEFAULT = 1.8593708133970917
 ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
 
 
+# Adaptive scalar reference for the average link capacity: QUADPACK (scipy)
+# over z of (1 - M^N) e^-z / z, with the elementary double-Rayleigh MGF in
+# double precision (mpmath where it cancels, near s = 1) and, for the relay
+# model, a second QUADPACK integral over the Rayleigh factor.
+def _mgf_dbl_ref(s: float) -> float:
+    if abs(s - 1.0) < 1e-3:
+        return float(_mgf_dbl_mp(mp.mpf(s)))
+    if s < 1.0:
+        r = math.sqrt(1.0 - s * s)
+        return (r - s * math.acos(s)) / r ** 3
+    if s > 1e100:
+        return (math.log(2.0 * s) - 1.0) / s / s
+    r = math.sqrt(s * s - 1.0)
+    return (s * math.acosh(s) - r) / r ** 3
+
+
+def _mgf_triple_ref(s: float) -> float:
+    val, _ = sint.quad(lambda y: y * math.exp(-0.5 * y * y) * _mgf_dbl_ref(s * y), 0.0, 9.0,
+                       points=(1.0, 3.0), epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+def _capacity_ref(params: SystemParams, link: Link) -> float:
+    scale = snr_scale(params, link)
+    mgf = _mgf_dbl_ref if params.model is Model.V2V_RIS_AP else _mgf_triple_ref
+
+    def f(z):
+        m = mgf(z * scale)
+        return -math.expm1(params.n_cells * math.log(m)) * math.exp(-z) / z if m > 0.0 else math.exp(-z) / z
+
+    val, _ = sint.quad(f, 0.0, 50.0, points=[10.0 ** k for k in range(-8, 2)], epsabs=0.0,
+                       epsrel=1e-11, limit=400)
+    return val / math.log(2.0)
+
+
+def _mgf_dbl_mp(s):
+    with mp.workdps(40):
+        if s == 1:
+            return mp.mpf(1) / 3
+        if s < 1:
+            r = mp.sqrt(1 - s * s)
+            return (r - s * mp.acos(s)) / r ** 3
+        r = mp.sqrt(s * s - 1)
+        return (s * mp.acosh(s) - r) / r ** 3
+
+
+def _capacity_mp(params: SystemParams, link: Link) -> float:
+    # the whole identity in 40-digit arithmetic, split into decades of z so
+    # that the 1/z stretch of a high-SNR link is resolved
+    scale = mp.mpf(snr_scale(params, link))
+    with mp.workdps(40):
+        def f(z):
+            m = _mgf_dbl_mp(z * scale)
+            return -mp.expm1(params.n_cells * mp.log(m)) * mp.exp(-z) / z
+
+        cuts = [mp.mpf(0)] + [mp.mpf(10) ** k for k in range(-30, 2)] + [mp.mpf(60)]
+        return float(mp.quad(f, cuts) / mp.log(2))
+
+
 class TestSystemParams:
     def test_defaults_are_valid(self, v2v_params, relay_params):
         assert v2v_params.n_cells == 16
@@ -45,6 +109,16 @@ class TestSystemParams:
             {"r_d": 0.0},
             {"r_e": -3.0},
             {"r_s": 5.0},  # not allowed on the access-point model
+            {"p_s": math.inf},
+            {"p_s": math.nan},
+            {"n_0": math.inf},
+            {"beta": math.inf},
+            {"n_cells": math.inf},
+            {"r_d": math.inf},
+            {"r_e": math.nan},
+            {"p_s": 1e300, "r_d": 1e-10},  # the SNR scale overflows
+            {"r_d": 1e-200},  # r_d^-beta overflows
+            {"r_e": 1e200},  # r_e^-beta underflows to 0
         ],
     )
     def test_v2v_validation(self, kwargs):
@@ -56,6 +130,8 @@ class TestSystemParams:
             SystemParams(model=Model.VANET_RIS_RELAY)
         with pytest.raises(ValueError):
             SystemParams(model=Model.VANET_RIS_RELAY, r_s=0.0)
+        with pytest.raises(ValueError):
+            SystemParams(model=Model.VANET_RIS_RELAY, r_s=math.inf)
 
 
 class TestSnrScale:
@@ -95,6 +171,12 @@ class TestLinkMgf:
         with pytest.raises(ValueError):
             link_mgf(v2v_params, Link.DESTINATION, -0.5)
 
+    def test_array_of_z_matches_scalar_calls(self, relay_params):
+        z = np.array([0.0, 0.01, 1.0, 30.0])
+        vals = link_mgf(relay_params, Link.DESTINATION, z)
+        for zi, v in zip(z, vals):
+            assert v == pytest.approx(link_mgf(relay_params, Link.DESTINATION, float(zi)), rel=1e-10)
+
 
 class TestAvgCapacity:
     def test_zero_power_limit(self, v2v_params):
@@ -114,6 +196,20 @@ class TestAvgCapacity:
                 assert avg_capacity(p, link) < capacity_upper_bound(p, link)
 
 
+    @pytest.mark.parametrize("kwargs", [
+        {"model": Model.V2V_RIS_AP, "p_s": 10.0},
+        {"model": Model.V2V_RIS_AP, "p_s": 1e4},
+        {"model": Model.VANET_RIS_RELAY, "r_s": 10.0, "p_s": 10.0},
+        {"model": Model.VANET_RIS_RELAY, "r_s": 10.0, "p_s": 1e3},
+        # the cascade MGF argument reaches ~1e18 here
+        {"model": Model.VANET_RIS_RELAY, "r_s": 0.01, "r_d": 0.01, "p_s": 1e6},
+    ])
+    def test_against_adaptive_scalar_reference(self, kwargs):
+        p = SystemParams(**kwargs)
+        for link in Link:
+            assert avg_capacity(p, link) == pytest.approx(_capacity_ref(p, link), rel=1e-8)
+
+
 class TestAscExact:
     def test_symmetric_links_cancel(self):
         p = SystemParams(model=Model.V2V_RIS_AP, r_d=5.0, r_e=5.0)
@@ -126,6 +222,14 @@ class TestAscExact:
     def test_defaults_positive(self, v2v_params, relay_params):
         assert asc_exact(v2v_params) > 0.0
         assert asc_exact(relay_params) > 0.0
+
+    def test_high_snr_point_against_mpmath(self):
+        # 1 - M^N must not cancel, and the z -> 0 limit of the integrand must
+        # not stand in for it, when the SNR scale is ~1e20
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e12, r_d=0.001)
+        ref = _capacity_mp(p, Link.DESTINATION) - _capacity_mp(p, Link.EAVESDROPPER)
+        assert ref == pytest.approx(35.0076, abs=1e-3)
+        assert asc_exact(p) == pytest.approx(ref, rel=1e-9)
 
     def test_clamped_accessor(self, v2v_params):
         worse = replace(v2v_params, r_d=8.0, r_e=4.0)
@@ -182,7 +286,9 @@ class TestSop:
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_bounds(self, v2v_params, relay_params):
-        for p in (v2v_params, relay_params):
+        # the last point has a valid SNR scale although p_s r_s^-beta underflows
+        extreme = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1e-200, n_0=1e-200, r_s=1e55)
+        for p in (v2v_params, relay_params, extreme):
             for c_th in (0.1, 1.0, 5.0):
                 for mode in SopMode:
                     assert 0.0 <= sop(p, c_th, mode) <= 1.0
@@ -218,6 +324,15 @@ class TestSecrecyReport:
         with pytest.raises(ValueError):
             SecrecyReport(c_d=1.0, c_e=0.0, asc_exact=1.0, asc_approx=1.0,
                           sop_corrected=1.5, sop_paper_literal=0.5)
+        for field in ("c_d", "asc_exact", "asc_approx"):
+            fields = dict(c_d=1.0, c_e=0.0, asc_exact=1.0, asc_approx=1.0,
+                          sop_corrected=0.5, sop_paper_literal=0.5)
+            fields[field] = math.nan
+            with pytest.raises(ValueError):
+                SecrecyReport(**fields)
+        with pytest.raises(ValueError):
+            SecrecyReport(c_d=math.inf, c_e=0.0, asc_exact=math.inf, asc_approx=1.0,
+                          sop_corrected=0.5, sop_paper_literal=0.5)
 
     def test_jensen_bound_dominates_per_link_capacity(self, v2v_params):
         # the closed-form approximation is built from per-link upper bounds

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ris_secrecy.channels import mgf_double_rayleigh
 from ris_secrecy.specfun import (
     QuadratureError,
     QuadratureSpec,
     bessel_k0,
     erf,
-    hyp2f1_special,
+    integrate,
     integrate_semi_infinite,
 )
 
@@ -24,6 +25,21 @@ K0_AT_1 = 0.42102443824070833
 # 2F1(2, 1/2; 5/2; .) from arbitrary-precision summation (mpmath)
 HYP_AT_0p999 = 5.4756385061780335
 HYP_AT_MINUS_1 = 0.75
+
+
+
+def hyp2f1_special(x: float) -> float:
+    """The paper's instance 2F1(2, 1/2; 5/2; x), -1 <= x < 1, as realised by the
+    package's double-Rayleigh MGF: M(s) = (4/3) 2F1(x)/(1+s)^2, s = (1+x)/(1-x).
+
+    Arguments past x = 1 map to s < 0, which the MGF rejects; x = 1 itself
+    maps to s = inf and is rejected here.
+    """
+    if x == 1.0:
+        raise ValueError("x = 1 maps to s = inf")
+    s = (1.0 + x) / (1.0 - x)
+    return 0.75 * (1.0 + s) ** 2 * mgf_double_rayleigh(s)
+
 
 # erf(1) from the alternating series 2/sqrt(pi) sum (-1)^n/(n!(2n+1))
 ERF_AT_1 = 0.84270079294971487
@@ -68,6 +84,9 @@ class TestBesselK0:
 
 
 class TestHyp2F1Special:
+    """The double-Rayleigh MGF is the paper's 2F1 instance in elementary form;
+    these pin it to the hypergeometric values through the map above."""
+
     def test_at_zero(self):
         assert hyp2f1_special(0.0) == 1.0
 
@@ -185,3 +204,31 @@ class TestIntegrateSemiInfinite:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ValueError):
             QuadratureSpec(**kwargs)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(lambda z: math.nan)
+
+
+class TestIntegrateVector:
+    def test_components_match_scalar_runs(self):
+        # every component of a shared run meets its own tolerance
+        ks = np.array([1.0, 2.0, 3.0, 5.0])
+        vec = integrate(lambda z: z[:, None] ** (ks - 1.0) * np.exp(-z)[:, None],
+                        (0.0, 0.625, 2.5, 10.0, 40.0))
+        assert vec.shape == (4,)
+        for k, v in zip(ks, vec):
+            assert v == pytest.approx(math.gamma(k), rel=1e-9)
+
+    def test_scalar_integrand_returns_float(self):
+        val = integrate(lambda y: y * np.exp(-0.5 * y * y), (0.0, 1.0, 8.7))
+        assert isinstance(val, float)
+        assert val == pytest.approx(1.0, rel=1e-12)
+
+    def test_nonconvergence_reports_worst_component(self):
+        spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=2)
+        with pytest.raises(QuadratureError) as exc_info:
+            integrate(lambda z: np.stack([np.exp(-z), np.cos(50.0 * z) * np.exp(-z)], axis=1),
+                      (0.0, 40.0), spec)
+        assert math.isfinite(exc_info.value.best_estimate)
+        assert exc_info.value.error_bound > 0.0
