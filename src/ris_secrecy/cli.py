@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channels
-from .montecarlo import McConfig, mc_asc, mc_gain_sum_stats, mc_sop
+from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
 from .secrecy import (
     Link,
     Model,
@@ -239,8 +239,7 @@ def _columns(outputs):
     return cols + se_cols
 
 
-def evaluate_point(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
-    """Every requested metric at one parameter point, keyed by column name."""
+def _analytic_row(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
     row = {}
     if "asc_exact" in cfg.outputs:
         c_d = avg_capacity(params, Link.DESTINATION)
@@ -254,16 +253,54 @@ def evaluate_point(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
         row["sop_corrected"] = sop(params, c_th, SopMode.CORRECTED)
     if "sop_paper_literal" in cfg.outputs:
         row["sop_paper_literal"] = sop(params, c_th, SopMode.PAPER_LITERAL)
+    return row
+
+
+def _mc_row(res: McPointResult, cfg: RunConfig) -> dict:
+    row = {}
     if "mc_asc" in cfg.outputs:
-        diff, pos = mc_asc(params, cfg.mc)
-        row["mc_asc_diff"] = diff.value
-        row["mc_asc_pos"] = pos.value
-        row["mc_asc_diff_se"] = diff.std_error
-        row["mc_asc_pos_se"] = pos.std_error
+        row["mc_asc_diff"] = res.asc_diff.value
+        row["mc_asc_pos"] = res.asc_pos.value
+        row["mc_asc_diff_se"] = res.asc_diff.std_error
+        row["mc_asc_pos_se"] = res.asc_pos.std_error
     if "mc_sop" in cfg.outputs:
-        est = mc_sop(params, c_th, cfg.mc)
-        row["mc_sop"] = est.value
-        row["mc_sop_se"] = est.std_error
+        row["mc_sop"] = res.sop.value
+        row["mc_sop_se"] = res.sop.std_error
+    return row
+
+
+def _run_mc(points, mc: McConfig, moments_for: SystemParams | None = None):
+    """Monte-Carlo results at every (params, c_th) point, in order.
+
+    Points with the same cell count share one engine pass, so every block is
+    drawn once per distinct n_cells. With ``moments_for``, the pass at its
+    cell count also returns the (mean, variance) estimates of its destination
+    gain sum. Returns (results, gain_sum).
+    """
+    groups = {}
+    for k, (params, _c_th) in enumerate(points):
+        groups.setdefault(params.n_cells, []).append(k)
+    if moments_for is not None:
+        groups.setdefault(moments_for.n_cells, [])
+    results = [None] * len(points)
+    gain_sum = None
+    for n_cells, members in groups.items():
+        wants_moments = moments_for is not None and n_cells == moments_for.n_cells
+        run = mc_points([points[k] for k in members] or [(moments_for, None)], mc,
+                        gain_moments=Link.DESTINATION if wants_moments else None)
+        for k, res in zip(members, run.points):
+            results[k] = res
+        if wants_moments:
+            gain_sum = run.gain_sum
+    return results, gain_sum
+
+
+def evaluate_point(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
+    """Every requested metric at one parameter point, keyed by column name."""
+    row = _analytic_row(params, c_th, cfg)
+    if MC_OUTPUTS.intersection(cfg.outputs):
+        (res,), _gain_sum = _run_mc([(params, c_th)], cfg.mc)
+        row.update(_mc_row(res, cfg))
     return row
 
 
@@ -294,34 +331,48 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
         out.write(f"{k:<{width}}  {sval}\n")
 
 
+def _resolve_points(cfg: RunConfig):
+    """(sweep values, [(params, c_th)]) for the whole run, resolved before any
+    work so that an out-of-domain point fails before any output."""
+    values = cfg.sweep.values() if cfg.sweep is not None else [None]
+    return values, [_point(cfg, value) for value in values]
+
+
 def run_sweep(cfg: RunConfig, out) -> None:
+    values, points = _resolve_points(cfg)
+    mc_results = [None] * len(points)
+    if MC_OUTPUTS.intersection(cfg.outputs):
+        mc_results, _gain_sum = _run_mc(points, cfg.mc)
     cols = _columns(cfg.outputs)
     out.write(",".join([cfg.sweep.param] + cols) + "\n")
-    for index, value in enumerate(cfg.sweep.values()):
-        params, c_th = _point(cfg, value)
+    for index, (value, (params, c_th), res) in enumerate(zip(values, points, mc_results)):
         try:
-            row = evaluate_point(params, c_th, cfg)
+            row = _analytic_row(params, c_th, cfg)
         except QuadratureError as exc:
             raise QuadratureError(
                 f"sweep row {index} ({cfg.sweep.param}={value!r}) failed: {exc}",
                 exc.best_estimate, exc.error_bound) from exc
+        row.update(_mc_row(res, cfg))
         out.write(",".join([_fmt(value)] + [_fmt(row[c]) for c in cols]) + "\n")
 
 
 def run_validate(cfg: RunConfig, out, mode: SopMode, sop_tol: float = 0.02) -> int:
     """Compare analytic metrics against Monte-Carlo at every point.
 
-    Returns 0 when every check concludes and passes, 1 otherwise.
+    The SOP check allows ``sop_tol`` plus three MC standard errors, the same
+    z as the ASC check. Returns 0 when every check concludes and passes, 1
+    otherwise.
     """
     if cfg.mc is None:
         raise ConfigError("validate requires an 'mc' config block")
-    values = cfg.sweep.values() if cfg.sweep is not None else [None]
+    values, points = _resolve_points(cfg)
+    relay = cfg.base.model is Model.VANET_RIS_RELAY
+    mc_results, gain_sum = _run_mc(points, cfg.mc, moments_for=cfg.base if relay else None)
     all_ok = True
-    for value in values:
-        params, c_th = _point(cfg, value)
+    for value, (params, c_th), res in zip(values, points, mc_results):
         label = "base point" if value is None else f"{cfg.sweep.param}={value:g}"
         analytic = asc_exact(params)
-        diff, _pos = mc_asc(params, cfg.mc)
+        diff = res.asc_diff
         gap = abs(analytic - diff.value)
         bound = 3.0 * diff.std_error
         if bound > 0.1 * max(abs(analytic), 1e-6):
@@ -335,31 +386,32 @@ def run_validate(cfg: RunConfig, out, mode: SopMode, sop_tol: float = 0.02) -> i
         out.write(f"{label}: asc_exact={analytic:.6g} mc={diff.value:.6g}"
                   f" +-{diff.std_error:.2g} |gap|={gap:.3g} tol(3se)={bound:.3g} {status}\n")
         analytic_sop = sop(params, c_th, mode)
-        mc_est = mc_sop(params, c_th, cfg.mc)
+        mc_est = res.sop
         gap = abs(analytic_sop - mc_est.value)
+        tol = sop_tol + 3.0 * mc_est.std_error
         if mc_est.std_error > 0.5 * sop_tol:
             status = "INCONCLUSIVE (std error too large to conclude)"
             all_ok = False
-        elif gap <= sop_tol:
+        elif gap <= tol:
             status = "PASS"
         else:
             status = "FAIL"
             all_ok = False
         out.write(f"{label}: sop[{mode.value}]={analytic_sop:.6g} mc={mc_est.value:.6g}"
-                  f" +-{mc_est.std_error:.2g} |gap|={gap:.3g} tol={sop_tol:g} {status}\n")
-    if cfg.base.model is Model.VANET_RIS_RELAY:
-        all_ok = _adjudicate_gain_variance(cfg, out) and all_ok
+                  f" +-{mc_est.std_error:.2g} |gap|={gap:.3g} tol({sop_tol:g}+3se)={tol:.3g}"
+                  f" {status}\n")
+    if relay:
+        all_ok = _adjudicate_gain_variance(cfg, out, gain_sum[1]) and all_ok
     out.write("VALIDATION: %s\n" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1
 
 
-def _adjudicate_gain_variance(cfg: RunConfig, out) -> bool:
+def _adjudicate_gain_variance(cfg: RunConfig, out, var_est: McEstimate) -> bool:
     """Print the measured variance of the summed relay gains next to both
     closed-form candidates (the report always shows the two constants)."""
     n = cfg.base.n_cells
     corrected = n * channels.moments(channels.FadingKind.TRIPLE_CASCADE).variance
     literal = n * channels.PAPER_LITERAL_TRIPLE_VARIANCE
-    _mean_est, var_est = mc_gain_sum_stats(cfg.base, cfg.mc)
     se = max(var_est.std_error, 1e-300)
     z_corr = abs(var_est.value - corrected) / se
     z_lit = abs(var_est.value - literal) / se

@@ -5,6 +5,11 @@ randomness is blocked: the trial index space is cut into fixed 8192-trial
 blocks and block i draws from a generator seeded by (seed, i). Estimates are
 therefore bit-identical for a given (trials, seed) regardless of the batch
 size used for dispatch or the number of worker threads.
+
+One engine, ``mc_points``, does all the sampling: it draws each block once
+and reduces it at every requested point, since the per-cell gain sums depend
+only on the model, the cell count and (trials, seed). ``mc_asc``, ``mc_sop``
+and ``mc_gain_sum_stats`` are single-point views of it.
 """
 import math
 import os
@@ -140,37 +145,103 @@ def _map_blocks(block_fn, cfg: McConfig, threads):
         return [res for group in nested for res in group]
 
 
-def mc_asc(params: SystemParams, cfg: McConfig, *,
-           shared_source_channel: bool = True,
-           shared_receiver_channel: bool = False,
-           threads: int | None = None):
-    """Estimate the average secrecy capacity by simulation.
+@dataclass(frozen=True)
+class McPointResult:
+    """Estimates at one point of an ``mc_points`` run.
 
-    Returns (difference_estimate, positive_part_estimate): the first averages
-    log2(1+gamma_d) - log2(1+gamma_e) (can be negative, matches the analytic
-    difference form), the second averages max(.., 0). Both are computed from
-    the same trials.
+    ``asc_diff`` averages log2(1+gamma_d) - log2(1+gamma_e) (can be negative,
+    matches the analytic difference form), ``asc_pos`` averages max(.., 0);
+    ``sop`` is Pr[max(Cs, 0) < c_th], or None when the point has no c_th.
     """
+
+    asc_diff: McEstimate
+    asc_pos: McEstimate
+    sop: McEstimate | None
+
+
+@dataclass(frozen=True)
+class McRun:
+    """Per-point results in input order, plus the (mean, variance) estimates
+    of one link's summed gains when ``gain_moments`` was requested."""
+
+    points: tuple
+    gain_sum: tuple | None
+
+
+def mc_points(points, cfg: McConfig, *,
+              gain_moments: Link | None = None,
+              shared_source_channel: bool = True,
+              shared_receiver_channel: bool = False,
+              threads: int | None = None) -> McRun:
+    """Estimate the MC metrics at many points from one pass over the blocks.
+
+    ``points`` is a non-empty sequence of ``(SystemParams, c_th)`` pairs that
+    share ``model`` and ``n_cells``; ``c_th`` may be None when no outage
+    estimate is wanted. The gain sums depend only on the model, the cell
+    count and (trials, seed), so each block is drawn once and every point
+    only rescales and reduces it: all points see the same channels (common
+    random numbers). ``gain_moments`` also collects the raw moments up to the
+    fourth of that link's gain sum, for the variance adjudication.
+    """
+    points = list(points)
+    if not points:
+        raise ValueError("mc_points needs at least one point")
+    draw_params = points[0][0]
+    for params, c_th in points:
+        if params.model is not draw_params.model or params.n_cells != draw_params.n_cells:
+            raise ValueError("all points of one run must share model and n_cells")
+        if c_th is not None and not c_th > 0.0:
+            raise ValueError("c_th must be > 0")
+    scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), c_th)
+              for params, c_th in points]
 
     def work(i, n):
         rng = _block_rng(cfg.seed, i)
-        gd, ge = sample_snr_pairs(
-            params, rng, n,
+        sum_d, sum_e = sample_gain_sums(
+            draw_params, rng, n,
             shared_source_channel=shared_source_channel,
             shared_receiver_channel=shared_receiver_channel,
         )
-        cs = np.log2(1.0 + gd) - np.log2(1.0 + ge)
-        pos = np.maximum(cs, 0.0)
-        return (cs.sum(), (cs * cs).sum(), pos.sum(), (pos * pos).sum())
+        stats = []
+        for scale_d, scale_e, c_th in scaled:
+            cs = np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
+            pos = np.maximum(cs, 0.0)
+            outages = 0 if c_th is None else int((pos < c_th).sum())
+            stats.append((cs.sum(), (cs * cs).sum(), pos.sum(), (pos * pos).sum(), outages))
+        if gain_moments is None:
+            return stats, None
+        x = sum_d if gain_moments is Link.DESTINATION else sum_e
+        return stats, (x.sum(), (x ** 2).sum(), (x ** 3).sum(), (x ** 4).sum())
 
     parts = _map_blocks(work, cfg, threads)
-    sd = sd2 = sp = sp2 = 0.0
-    for a, b, c, d in parts:
-        sd += a
-        sd2 += b
-        sp += c
-        sp2 += d
-    return (_moment_estimate(sd, sd2, cfg.trials), _moment_estimate(sp, sp2, cfg.trials))
+    n = cfg.trials
+    results = []
+    for k, (_params, c_th) in enumerate(points):
+        sd = sd2 = sp = sp2 = 0.0
+        outages = 0
+        for stats, _moments in parts:
+            a, b, c, d, o = stats[k]
+            sd += a
+            sd2 += b
+            sp += c
+            sp2 += d
+            outages += o
+        sop_est = None
+        if c_th is not None:
+            p = outages / n
+            sop_est = McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n)
+        results.append(McPointResult(_moment_estimate(sd, sd2, n), _moment_estimate(sp, sp2, n),
+                                     sop_est))
+    gain_sum = None
+    if gain_moments is not None:
+        s1 = s2 = s3 = s4 = 0.0
+        for _stats, (a, b, c, d) in parts:
+            s1 += a
+            s2 += b
+            s3 += c
+            s4 += d
+        gain_sum = _gain_sum_estimates(s1, s2, s3, s4, n)
+    return McRun(points=tuple(results), gain_sum=gain_sum)
 
 
 def _moment_estimate(total: float, total_sq: float, n: int) -> McEstimate:
@@ -183,28 +254,47 @@ def _moment_estimate(total: float, total_sq: float, n: int) -> McEstimate:
     return McEstimate(value=mean, std_error=se, trials=n)
 
 
+def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int):
+    """(mean, variance) estimates from raw sums of x..x^4; the variance
+    standard error uses the fourth central moment."""
+    mean = s1 / n
+    m2 = s2 / n - mean ** 2
+    var = m2 * n / (n - 1) if n > 1 else 0.0
+    # central fourth moment from raw sums
+    m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean ** 2 * s2 - 3.0 * n * mean ** 4) / n
+    var_of_var = max(0.0, (m4 - (n - 3) / (n - 1) * m2 ** 2) / n) if n > 3 else 0.0
+    mean_est = _moment_estimate(s1, s2, n)
+    var_est = McEstimate(value=var, std_error=math.sqrt(var_of_var), trials=n)
+    return mean_est, var_est
+
+
+def mc_asc(params: SystemParams, cfg: McConfig, *,
+           shared_source_channel: bool = True,
+           shared_receiver_channel: bool = False,
+           threads: int | None = None):
+    """Estimate the average secrecy capacity by simulation.
+
+    Returns (difference_estimate, positive_part_estimate): the first averages
+    log2(1+gamma_d) - log2(1+gamma_e) (can be negative, matches the analytic
+    difference form), the second averages max(.., 0). Both are computed from
+    the same trials.
+    """
+    res = mc_points([(params, None)], cfg,
+                    shared_source_channel=shared_source_channel,
+                    shared_receiver_channel=shared_receiver_channel,
+                    threads=threads).points[0]
+    return res.asc_diff, res.asc_pos
+
+
 def mc_sop(params: SystemParams, c_th: float, cfg: McConfig, *,
            shared_source_channel: bool = True,
            shared_receiver_channel: bool = False,
            threads: int | None = None) -> McEstimate:
     """Estimate the secrecy outage probability Pr[max(Cs, 0) < c_th]."""
-    if not c_th > 0.0:
-        raise ValueError("c_th must be > 0")
-
-    def work(i, n):
-        rng = _block_rng(cfg.seed, i)
-        gd, ge = sample_snr_pairs(
-            params, rng, n,
-            shared_source_channel=shared_source_channel,
-            shared_receiver_channel=shared_receiver_channel,
-        )
-        cs = np.maximum(np.log2(1.0 + gd) - np.log2(1.0 + ge), 0.0)
-        return int((cs < c_th).sum())
-
-    outages = sum(_map_blocks(work, cfg, threads))
-    p = outages / cfg.trials
-    se = math.sqrt(p * (1.0 - p) / cfg.trials)
-    return McEstimate(value=p, std_error=se, trials=cfg.trials)
+    return mc_points([(params, c_th)], cfg,
+                     shared_source_channel=shared_source_channel,
+                     shared_receiver_channel=shared_receiver_channel,
+                     threads=threads).points[0].sop
 
 
 def mc_gain_sum_stats(params: SystemParams, cfg: McConfig, *,
@@ -217,27 +307,6 @@ def mc_gain_sum_stats(params: SystemParams, cfg: McConfig, *,
     uses the fourth central moment, so the estimates can adjudicate between
     candidate closed-form constants.
     """
-
-    def work(i, n):
-        rng = _block_rng(cfg.seed, i)
-        sum_d, sum_e = sample_gain_sums(params, rng, n, shared_source_channel=shared_source_channel)
-        x = sum_d if link is Link.DESTINATION else sum_e
-        return (x.sum(), (x ** 2).sum(), (x ** 3).sum(), (x ** 4).sum())
-
-    parts = _map_blocks(work, cfg, threads)
-    s1 = s2 = s3 = s4 = 0.0
-    for a, b, c, d in parts:
-        s1 += a
-        s2 += b
-        s3 += c
-        s4 += d
-    n = cfg.trials
-    mean = s1 / n
-    m2 = s2 / n - mean ** 2
-    var = m2 * n / (n - 1) if n > 1 else 0.0
-    # central fourth moment from raw sums
-    m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean ** 2 * s2 - 3.0 * n * mean ** 4) / n
-    var_of_var = max(0.0, (m4 - (n - 3) / (n - 1) * m2 ** 2) / n) if n > 3 else 0.0
-    mean_est = _moment_estimate(s1, s2, n)
-    var_est = McEstimate(value=var, std_error=math.sqrt(var_of_var), trials=n)
-    return mean_est, var_est
+    return mc_points([(params, None)], cfg, gain_moments=link,
+                     shared_source_channel=shared_source_channel,
+                     threads=threads).gain_sum

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ris_secrecy import channels
+from ris_secrecy import channels, montecarlo
 from ris_secrecy.cli import (
     ConfigError,
     RunConfig,
@@ -151,6 +151,14 @@ class TestEval:
                        sweep={"param": "p_s", "start": 1.0, "stop": 1e300, "steps": 3})
         assert main(["sweep", "--config", _write(tmp_path, doc)]) == 2
 
+    def test_sweep_point_outside_domain_fails_before_any_row(self, tmp_path):
+        doc = _v2v_doc(base={"model": "v2v_ris_ap", "r_d": 1e-10}, outputs=["asc_approx", "mc_asc"],
+                       sweep={"param": "p_s", "start": 1.0, "stop": 1e300, "steps": 3},
+                       mc={"trials": 1000, "seed": 1})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+
     def test_high_snr_points_succeed(self, tmp_path, capsys):
         for base in ({"model": "v2v_ris_ap", "p_s": 1e12, "r_d": 0.001},
                      {"model": "vanet_ris_relay", "p_s": 1e6, "r_s": 0.01, "r_d": 0.01}):
@@ -266,6 +274,49 @@ class TestSweep:
             assert r1[2] != r2[2]          # mc column reseeded
 
 
+class TestSinglePassDraws:
+    """Every run draws each 8192-trial block once per distinct cell count."""
+
+    TRIALS = 20_000  # three blocks
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        original = montecarlo.sample_gain_sums
+
+        def counting(params, rng, n, **kwargs):
+            calls.append((params.n_cells, n))
+            return original(params, rng, n, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", counting)
+        return calls
+
+    def _blocks(self):
+        return math.ceil(self.TRIALS / 8192)
+
+    def test_power_sweep_draws_each_block_once(self, tmp_path, draws):
+        doc = _v2v_doc(outputs=["mc_asc", "mc_sop"], mc={"trials": self.TRIALS, "seed": 3},
+                       sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 7})
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(draws) == self._blocks()
+
+    def test_relay_validate_draws_each_block_once(self, tmp_path, draws, capsys):
+        doc = {"base": {"model": "vanet_ris_relay"}, "c_th": 1.0,
+               "sweep": {"param": "p_s", "start": 1.0, "stop": 300.0, "steps": 3, "scale": "log"},
+               "mc": {"trials": self.TRIALS, "seed": 3}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) in (0, 1)
+        assert "gain-sum variance" in capsys.readouterr().out
+        assert len(draws) == self._blocks()
+
+    def test_cell_count_sweep_draws_once_per_distinct_count(self, tmp_path, draws):
+        # 1, 1.5, 2, 2.5, 3 round to the cell counts 1, 2, 2, 2, 3
+        doc = _v2v_doc(outputs=["mc_asc", "mc_sop"], mc={"trials": self.TRIALS, "seed": 3},
+                       sweep={"param": "n_cells", "start": 1.0, "stop": 3.0, "steps": 5})
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "s.csv")]) == 0
+        assert sorted({n for n, _ in draws}) == [1, 2, 3]
+        assert len(draws) == 3 * self._blocks()
+
+
 class TestValidate:
     def test_passes_at_defaults_model1(self, tmp_path, capsys):
         doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 40_000, "seed": 42})
@@ -279,6 +330,19 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "INCONCLUSIVE" in out
         assert "std error" in out
+
+    def test_sop_check_allows_for_mc_noise(self, tmp_path, capsys):
+        # At this point the CLT formula sits about 0.0185 below the simulated
+        # outage. With this seed the sampled gap is 0.0235, inside
+        # 0.02 + 3 se (se 0.0031) but outside a bare 0.02.
+        doc = {"base": {"model": "v2v_ris_ap", "p_s": 3.04}, "c_th": 1.0,
+               "mc": {"trials": 20_000, "seed": 24}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) == 0
+        out = capsys.readouterr().out
+        sop_line = next(line for line in out.splitlines() if "sop[corrected]" in line)
+        assert "|gap|=0.0235" in sop_line
+        assert "tol(0.02+3se)=0.0293" in sop_line and sop_line.endswith("PASS")
+        assert "VALIDATION: PASS" in out
 
     def test_paper_literal_mode_fails_for_relay_interior_point(self, tmp_path, capsys):
         doc = {

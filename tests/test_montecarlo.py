@@ -6,12 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ris_secrecy import cli
 from ris_secrecy.channels import FadingKind, moments
 from ris_secrecy.montecarlo import (
     McConfig,
     McEstimate,
+    _block_rng,
+    _blocks,
     mc_asc,
     mc_gain_sum_stats,
+    mc_points,
     mc_sop,
     sample_snr_pair,
     sample_snr_pairs,
@@ -39,6 +43,16 @@ class TestDeterminism:
             diff, pos = mc_asc(v2v_params, cfg, threads=threads)
             assert diff == ref_diff
             assert pos == ref_pos
+
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
+    def test_multi_point_run_identical_across_threads_and_batch(self, model, r_s):
+        base = SystemParams(model=model, r_s=r_s)
+        points = [(replace(base, p_s=p_s), c_th) for p_s, c_th in ((2.0, 0.5), (10.0, 1.0), (40.0, 2.0))]
+        cfg = McConfig(trials=30_000, seed=404)
+        ref = mc_points(points, cfg, gain_moments=Link.DESTINATION, threads=1)
+        for run_cfg, threads in ((cfg, 3), (cfg, 4), (replace(cfg, batch=100), 3),
+                                 (replace(cfg, batch=10 ** 6), 4), (replace(cfg, batch=100), 1)):
+            assert mc_points(points, run_cfg, gain_moments=Link.DESTINATION, threads=threads) == ref
 
     def test_sop_identical_across_threads(self, relay_params):
         cfg = McConfig(trials=30_000, seed=11)
@@ -153,3 +167,91 @@ class TestEstimatorConsistency:
             large, _ = mc_asc(v2v_params, McConfig(trials=80_000, seed=seed + 100))
             ratios.append(small.std_error / large.std_error)
         assert abs(np.mean(ratios) - 2.0) < 0.4
+
+
+def _reference_point(params, c_th, cfg, **flags):
+    """The per-point loop the engine replaces: every point redraws every block
+    and reduces it on its own. Returns (diff, pos, sop) estimates."""
+    sd = sd2 = sp = sp2 = 0.0
+    outages = 0
+    for i, n in _blocks(cfg.trials):
+        gd, ge = sample_snr_pairs(params, _block_rng(cfg.seed, i), n, **flags)
+        cs = np.log2(1.0 + gd) - np.log2(1.0 + ge)
+        pos = np.maximum(cs, 0.0)
+        sd += cs.sum()
+        sd2 += (cs * cs).sum()
+        sp += pos.sum()
+        sp2 += (pos * pos).sum()
+        outages += int((pos < c_th).sum())
+    n = cfg.trials
+
+    def estimate(total, total_sq):
+        mean = total / n
+        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        return McEstimate(value=mean, std_error=math.sqrt(var / n), trials=n)
+
+    p = outages / n
+    return estimate(sd, sd2), estimate(sp, sp2), McEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
+
+
+_MODELS = {"v2v": SystemParams(model=Model.V2V_RIS_AP),
+           "relay": SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0)}
+_POINT_SETS = {
+    "p_s": lambda b: [(replace(b, p_s=v), 1.0) for v in (1.0, 3.04, 20.0, 300.0)],
+    "r_s": lambda b: [(replace(b, r_s=v), 1.0) for v in (5.0, 10.0, 20.0)],
+    "c_th": lambda b: [(b, v) for v in (0.25, 1.0, 2.5)],
+    "n_cells": lambda b: [(replace(b, n_cells=v), 1.0) for v in (4, 16, 4, 9)],
+}
+_FLAGS = [{}, {"shared_source_channel": False}, {"shared_receiver_channel": True}]
+
+
+class TestSinglePassEngine:
+    @pytest.mark.parametrize("flags", _FLAGS, ids=["default", "independent_source", "shared_receiver"])
+    @pytest.mark.parametrize("model,sweep", [(m, s) for m in sorted(_MODELS) for s in sorted(_POINT_SETS)
+                                             if not (m == "v2v" and s == "r_s")])
+    def test_bit_equal_to_per_point_reference(self, model, sweep, flags):
+        points = _POINT_SETS[sweep](_MODELS[model])
+        cfg = McConfig(trials=20_001, seed=31)
+        # one engine run takes one cell count, so n_cells points are split per value
+        results = [None] * len(points)
+        for n_cells in {p.n_cells for p, _ in points}:
+            members = [k for k, (p, _) in enumerate(points) if p.n_cells == n_cells]
+            run = mc_points([points[k] for k in members], cfg, **flags)
+            for k, res in zip(members, run.points):
+                results[k] = res
+        for (params, c_th), res in zip(points, results):
+            diff, pos, sop_est = _reference_point(params, c_th, cfg, **flags)
+            assert (res.asc_diff, res.asc_pos, res.sop) == (diff, pos, sop_est)
+
+    def test_cli_grouping_matches_single_point_views(self):
+        base = _MODELS["relay"]
+        points = _POINT_SETS["n_cells"](base)
+        cfg = McConfig(trials=9_000, seed=8)
+        results, gain_sum = cli._run_mc(points, cfg, moments_for=replace(base, n_cells=7))
+        for (params, c_th), res in zip(points, results):
+            assert (res.asc_diff, res.asc_pos) == mc_asc(params, cfg)
+            assert res.sop == mc_sop(params, c_th, cfg)
+        assert gain_sum == mc_gain_sum_stats(replace(base, n_cells=7), cfg)
+
+    def test_gain_moments_match_view_on_both_links(self, relay_params):
+        cfg = McConfig(trials=20_000, seed=5)
+        points = [(relay_params, 1.0), (replace(relay_params, p_s=100.0), 2.0)]
+        for link in (Link.DESTINATION, Link.EAVESDROPPER):
+            run = mc_points(points, cfg, gain_moments=link)
+            assert run.gain_sum == mc_gain_sum_stats(relay_params, cfg, link=link)
+        assert mc_points(points, cfg).gain_sum is None
+
+    def test_point_without_threshold_has_no_outage_estimate(self, v2v_params):
+        run = mc_points([(v2v_params, None)], McConfig(trials=1_000, seed=1))
+        assert run.points[0].sop is None
+
+    @pytest.mark.parametrize("points", [
+        [],
+        [(SystemParams(model=Model.V2V_RIS_AP), 1.0), (SystemParams(model=Model.V2V_RIS_AP, n_cells=8), 1.0)],
+        [(SystemParams(model=Model.V2V_RIS_AP), 1.0), (SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0), 1.0)],
+        [(SystemParams(model=Model.V2V_RIS_AP), 0.0)],
+        [(SystemParams(model=Model.V2V_RIS_AP), float("nan"))],
+    ])
+    def test_rejects_bad_point_sets(self, points):
+        with pytest.raises(ValueError):
+            mc_points(points, McConfig(trials=10, seed=1))
