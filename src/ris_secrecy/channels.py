@@ -3,7 +3,8 @@
 Three gain laws appear in the two system models: unit-scale Rayleigh
 (PDF g*exp(-g^2/2)), double-Rayleigh (product of two Rayleighs, PDF
 g*K0(g)) and the triple cascade (product of three Rayleighs). This module
-provides their PDFs, exact moments, closed-form MGFs and reproducible
+provides their PDFs, exact moments, closed-form MGFs (and their
+complements 1 - MGF, accurate where the MGF is near one) and reproducible
 samplers.
 """
 import math
@@ -12,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import QuadratureSpec, bessel_k0, integrate, integrate_semi_infinite
+from .specfun import QuadratureError, QuadratureSpec, bessel_k0, integrate, integrate_semi_infinite
 
 
 class FadingKind(Enum):
@@ -46,8 +47,10 @@ PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF = math.pi ** 3 / (2.0 * math.sqrt(2.0))
 
 _PDF_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=2000)
 _RAYLEIGH_CUTOFF = 8.7  # exp(-y^2/2) < 4e-17 beyond this
-# Conditioning integral of the triple-cascade MGF over the Rayleigh factor;
-# the absolute floor only matters for values that underflow anyway.
+# Conditioning integral of the triple-cascade MGF (or of 1 - MGF) over the
+# Rayleigh factor. The absolute floor only matters for values below 1e-289:
+# an MGF that small underflows anyway, and 1 - MGF that small (s < 1e-289)
+# keeps only about 8 digits.
 _TRIPLE_BREAKS = (0.0, 1.0, _RAYLEIGH_CUTOFF)
 _TRIPLE_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=400)
 
@@ -127,6 +130,24 @@ def _mgf_dbl(s):
     return out
 
 
+# Below this argument 1 - M_dbl has its own closed form; above it
+# M_dbl <= 0.53, so 1 - M loses no digits.
+_COMPLEMENT_S = 0.5
+
+
+def _one_minus_mgf_dbl(s):
+    # 1 - M_dbl(s) without forming M near 1: for s < 1,
+    # 1 - M = s*(acos(s) - s*sqrt(1-s^2))/(1-s^2)^(3/2), and for s < 0.5 the
+    # difference stays above pi/3 - 0.44, so no digits cancel.
+    with np.errstate(invalid="ignore", over="ignore"):
+        r2 = 1.0 - s * s
+        out = s * (np.arccos(s) - s * np.sqrt(r2)) / (r2 * np.sqrt(r2))
+    high = s >= _COMPLEMENT_S
+    if high.any():
+        out[high] = 1.0 - _mgf_dbl(s[high])
+    return out
+
+
 def mgf_double_rayleigh(s):
     """E[exp(-s*g)] for the double-Rayleigh gain, s >= 0.
 
@@ -146,15 +167,51 @@ def mgf_triple_cascade(s):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     arr = _as_arguments(s, "mgf_triple_cascade")
-    flat = arr.ravel()
-    out = np.where(flat == 0.0, 1.0, 0.0)
-    live = (flat > 0.0) & (flat <= 1e300)
-    if live.any():
-        sl = flat[live]
-        out[live] = integrate(
-            lambda y: (y * np.exp(-0.5 * y * y))[:, None] * _mgf_dbl(np.multiply.outer(y, sl)),
-            _TRIPLE_BREAKS, _TRIPLE_QUAD)
+    out = _rayleigh_average(_mgf_dbl, arr.ravel(), at_zero=1.0)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def one_minus_mgf_double_rayleigh(s):
+    """1 - E[exp(-s*g)] for the double-Rayleigh gain, s >= 0, accurate to a
+    few ulps relative also where the MGF is close to one.
+
+    Accepts a scalar (returns a float) or an array (returns an array).
+    """
+    arr = _as_arguments(s, "one_minus_mgf_double_rayleigh")
+    out = _one_minus_mgf_dbl(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def one_minus_mgf_triple_cascade(s):
+    """1 - E[exp(-s*g)] for the triple-cascade gain, s >= 0.
+
+    The same quadrature as mgf_triple_cascade over 1 - M_dbl(s*y), so the
+    complement keeps its relative accuracy where the MGF is close to one.
+    Accepts a scalar (returns a float) or an array (returns an array). A
+    QuadratureError's ``component`` is the flat index of the argument whose
+    integral failed.
+    """
+    arr = _as_arguments(s, "one_minus_mgf_triple_cascade")
+    out = _rayleigh_average(_one_minus_mgf_dbl, arr.ravel(), at_zero=0.0)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
+def _rayleigh_average(kernel, s, at_zero: float):
+    # E[kernel(s*y)] over a unit Rayleigh y (density y*exp(-y^2/2)) at every
+    # argument of the 1-D array s in one adaptive run. kernel(0) = at_zero,
+    # and past s = 1e300 the kernel is 1 - at_zero to double precision.
+    out = np.where(s == 0.0, at_zero, 1.0 - at_zero)
+    live = (s > 0.0) & (s <= 1e300)
+    if live.any():
+        sl = s[live]
+        try:
+            out[live] = integrate(
+                lambda y: (y * np.exp(-0.5 * y * y))[:, None] * kernel(np.multiply.outer(y, sl)),
+                _TRIPLE_BREAKS, _TRIPLE_QUAD)
+        except QuadratureError as exc:
+            exc.component = int(np.flatnonzero(live)[exc.component])
+            raise
+    return out
 
 
 def _rayleigh(rng: np.random.Generator, size):

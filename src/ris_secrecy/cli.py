@@ -14,16 +14,7 @@ import numpy as np
 
 from . import channels
 from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
-from .secrecy import (
-    Link,
-    Model,
-    SopMode,
-    SystemParams,
-    asc_approx,
-    asc_exact,
-    avg_capacity,
-    sop,
-)
+from .secrecy import Link, Model, SopMode, SystemParams, asc_approx, link_capacities, sop
 from .specfun import QuadratureError
 
 SWEEPABLE = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s", "c_th")
@@ -239,11 +230,12 @@ def _columns(outputs):
     return cols + se_cols
 
 
-def _analytic_row(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
+def _analytic_row(params: SystemParams, c_th: float, cfg: RunConfig, capacities) -> dict:
+    """The requested analytic metrics at one point; ``capacities`` is its
+    (c_d, c_e) from the run's capacity engine call, used for asc_exact."""
     row = {}
     if "asc_exact" in cfg.outputs:
-        c_d = avg_capacity(params, Link.DESTINATION)
-        c_e = avg_capacity(params, Link.EAVESDROPPER)
+        c_d, c_e = (float(c) for c in capacities)
         row["c_d"] = c_d
         row["c_e"] = c_e
         row["asc_exact"] = c_d - c_e
@@ -295,9 +287,25 @@ def _run_mc(points, mc: McConfig, moments_for: SystemParams | None = None):
     return results, gain_sum
 
 
+def _run_capacities(cfg: RunConfig, values, points) -> np.ndarray:
+    """(c_d, c_e) at every (params, c_th) point from one capacity engine call
+    (one quadrature per 32 points). A numerical failure names the sweep row
+    it happened at."""
+    try:
+        return link_capacities([params for params, _c_th in points])
+    except QuadratureError as exc:
+        if cfg.sweep is None:
+            raise
+        index = exc.component
+        raise QuadratureError(
+            f"sweep row {index} ({cfg.sweep.param}={values[index]!r}) failed: {exc}",
+            exc.best_estimate, exc.error_bound, component=index) from exc
+
+
 def evaluate_point(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
     """Every requested metric at one parameter point, keyed by column name."""
-    row = _analytic_row(params, c_th, cfg)
+    capacities = link_capacities([params])[0] if "asc_exact" in cfg.outputs else None
+    row = _analytic_row(params, c_th, cfg, capacities)
     if MC_OUTPUTS.intersection(cfg.outputs):
         (res,), _gain_sum = _run_mc([(params, c_th)], cfg.mc)
         row.update(_mc_row(res, cfg))
@@ -340,18 +348,16 @@ def _resolve_points(cfg: RunConfig):
 
 def run_sweep(cfg: RunConfig, out) -> None:
     values, points = _resolve_points(cfg)
+    capacities = [None] * len(points)
+    if "asc_exact" in cfg.outputs:
+        capacities = _run_capacities(cfg, values, points)
     mc_results = [None] * len(points)
     if MC_OUTPUTS.intersection(cfg.outputs):
         mc_results, _gain_sum = _run_mc(points, cfg.mc)
     cols = _columns(cfg.outputs)
     out.write(",".join([cfg.sweep.param] + cols) + "\n")
-    for index, (value, (params, c_th), res) in enumerate(zip(values, points, mc_results)):
-        try:
-            row = _analytic_row(params, c_th, cfg)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"sweep row {index} ({cfg.sweep.param}={value!r}) failed: {exc}",
-                exc.best_estimate, exc.error_bound) from exc
+    for value, (params, c_th), caps, res in zip(values, points, capacities, mc_results):
+        row = _analytic_row(params, c_th, cfg, caps)
         row.update(_mc_row(res, cfg))
         out.write(",".join([_fmt(value)] + [_fmt(row[c]) for c in cols]) + "\n")
 
@@ -367,11 +373,12 @@ def run_validate(cfg: RunConfig, out, mode: SopMode, sop_tol: float = 0.02) -> i
         raise ConfigError("validate requires an 'mc' config block")
     values, points = _resolve_points(cfg)
     relay = cfg.base.model is Model.VANET_RIS_RELAY
+    capacities = _run_capacities(cfg, values, points)
     mc_results, gain_sum = _run_mc(points, cfg.mc, moments_for=cfg.base if relay else None)
     all_ok = True
-    for value, (params, c_th), res in zip(values, points, mc_results):
+    for value, (params, c_th), (c_d, c_e), res in zip(values, points, capacities, mc_results):
         label = "base point" if value is None else f"{cfg.sweep.param}={value:g}"
-        analytic = asc_exact(params)
+        analytic = float(c_d - c_e)
         diff = res.asc_diff
         gap = abs(analytic - diff.value)
         bound = 3.0 * diff.std_error

@@ -6,11 +6,12 @@ source reaches mobile receivers via an N-cell RIS relay, so each link is a
 triple cascade (Rayleigh source leg times a double-Rayleigh receiver leg).
 
 Average capacities come from the MGF integral identity
-C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, evaluated a whole
-quadrature panel of z values at a time; the average secrecy
-capacity is the difference of per-link capacities, with a closed-form
-upper-bound approximation and an erf-form outage probability obtained from
-a Gaussian approximation of the summed gains.
+C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, with one adaptive
+quadrature for every link of up to 32 points, evaluated a whole panel of z
+values at a time. The average secrecy capacity is the difference of
+per-link capacities, with a closed-form upper-bound approximation and an
+erf-form outage probability obtained from a Gaussian approximation of the
+summed gains.
 """
 import math
 from dataclasses import astuple, dataclass
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import channels
 from .channels import FadingKind
-from .specfun import QuadratureSpec, erf, integrate, semi_infinite_breaks
+from .specfun import QuadratureError, QuadratureSpec, erf, integrate, semi_infinite_breaks
 
 
 class Model(Enum):
@@ -136,18 +137,68 @@ def link_mgf(params: SystemParams, link: Link, z):
     return _cell_mgf(params, link, z) ** params.n_cells
 
 
-def avg_capacity(params: SystemParams, link: Link, spec: QuadratureSpec | None = None) -> float:
-    """Average link capacity in bits/s/Hz via the MGF integral identity."""
-    n = params.n_cells
+# Points per capacity run. Every link of a run is one column of a single
+# adaptive quadrature, and the triple cascade evaluates 15 arguments per
+# column at each outer panel, so longer point lists are split into runs of
+# this many points to bound the panel arrays.
+_RUN_POINTS = 32
+
+
+def _capacity_run(columns, spec: QuadratureSpec | None) -> np.ndarray:
+    """Average capacity (bits/s/Hz) of every (params, link) column in one
+    adaptive quadrature; each column has its own SNR scale and cell count.
+
+    On failure the QuadratureError's ``component`` is the failing column.
+    """
+    model = columns[0][0].model
+    if any(params.model is not model for params, _link in columns):
+        raise ValueError("the points of a capacity run must share one model")
+    scales = np.array([snr_scale(params, link) for params, link in columns])
+    n_cells = np.array([float(params.n_cells) for params, _link in columns])
+    one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if model is Model.V2V_RIS_AP
+                     else channels.one_minus_mgf_triple_cascade)
 
     def integrand(z):
-        # 1 - M^N as -expm1(N log M), which skips rounding M^N where it is
-        # near 1; M = 0 (underflow) gives log M = -inf and exactly 1
+        try:
+            q = one_minus_mgf(np.multiply.outer(z, scales))
+        except QuadratureError as exc:
+            exc.component %= len(columns)  # flat (node, column) index -> column
+            raise
+        # 1 - M^N as -expm1(N log1p(-q)) from q = 1 - M, which keeps its
+        # digits where M is near 1; q = 1 (M underflowed) gives exactly 1
         with np.errstate(divide="ignore"):
-            log_m = np.log(_cell_mgf(params, link, z))
-        return -np.expm1(n * log_m) * np.exp(-z) / z
+            log_m = np.log1p(-np.minimum(q, 1.0))
+        return -np.expm1(n_cells * log_m) * (np.exp(-z) / z)[:, None]
 
     return integrate(integrand, semi_infinite_breaks(), spec) / math.log(2.0)
+
+
+def link_capacities(points, spec: QuadratureSpec | None = None) -> np.ndarray:
+    """Average capacities (c_d, c_e) in bits/s/Hz at every point, one row each.
+
+    ``points`` is a sequence of SystemParams sharing one model. Both links of
+    up to 32 consecutive points share one adaptive quadrature (the analytic
+    counterpart of the Monte-Carlo common random numbers). A point's values
+    therefore depend on the other points of its run, but only within the
+    quadrature tolerance, and identical links in one run get bit-identical
+    values. On failure the QuadratureError's ``component`` is the index of
+    the failing point.
+    """
+    out = np.empty((len(points), 2))
+    for start in range(0, len(points), _RUN_POINTS):
+        run = points[start:start + _RUN_POINTS]
+        try:
+            out[start:start + len(run)] = _capacity_run(
+                [(params, link) for params in run for link in Link], spec).reshape(-1, 2)
+        except QuadratureError as exc:
+            exc.component = start + exc.component // 2
+            raise
+    return out
+
+
+def avg_capacity(params: SystemParams, link: Link, spec: QuadratureSpec | None = None) -> float:
+    """Average link capacity in bits/s/Hz via the MGF integral identity."""
+    return float(_capacity_run([(params, link)], spec)[0])
 
 
 def capacity_upper_bound(params: SystemParams, link: Link) -> float:
@@ -162,7 +213,8 @@ def asc_exact(params: SystemParams, spec: QuadratureSpec | None = None) -> float
     Negative when the eavesdropper link is the stronger one; see
     asc_exact_clamped for the nonnegative variant.
     """
-    return avg_capacity(params, Link.DESTINATION, spec) - avg_capacity(params, Link.EAVESDROPPER, spec)
+    c_d, c_e = link_capacities([params], spec)[0]
+    return float(c_d - c_e)
 
 
 def asc_exact_clamped(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
@@ -219,8 +271,7 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
 def secrecy_report(params: SystemParams, c_th: float = 1.0,
                    spec: QuadratureSpec | None = None) -> SecrecyReport:
     """Evaluate every analytic metric at one parameter point."""
-    c_d = avg_capacity(params, Link.DESTINATION, spec)
-    c_e = avg_capacity(params, Link.EAVESDROPPER, spec)
+    c_d, c_e = (float(c) for c in link_capacities([params], spec)[0])
     return SecrecyReport(
         c_d=c_d,
         c_e=c_e,

@@ -42,13 +42,16 @@ class QuadratureError(ArithmeticError):
     integrand was not finite.
 
     Carries the best available estimate and its error bound (for a vector
-    integrand, those of the component furthest from convergence).
+    integrand, those of the component furthest from convergence, whose index
+    is ``component``; None for a scalar integrand).
     """
 
-    def __init__(self, message: str, best_estimate: float, error_bound: float):
+    def __init__(self, message: str, best_estimate: float, error_bound: float,
+                 component: int | None = None):
         super().__init__(f"{message} (best estimate {best_estimate!r}, error bound {error_bound!r})")
         self.best_estimate = best_estimate
         self.error_bound = error_bound
+        self.component = component
 
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -165,9 +168,12 @@ def _gk15(f, a: float, b: float):
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fv = np.asarray(f(c + h * _NODES), dtype=float)
-    resk = _KRONROD @ fv
-    err = np.abs(resk - _GAUSS @ fv) * h
-    resasc = (_KRONROD @ np.abs(fv - 0.5 * resk)) * h
+    # einsum sums each component over the nodes in the same order whatever
+    # its position, so identical components get bit-identical results (a
+    # BLAS matrix-vector product does not promise that)
+    resk = np.einsum("i,i...->...", _KRONROD, fv)
+    err = np.abs(resk - np.einsum("i,i...->...", _GAUSS, fv)) * h
+    resasc = np.einsum("i,i...->...", _KRONROD, np.abs(fv - 0.5 * resk)) * h
     # QUADPACK's rescaling of the raw Kronrod-Gauss difference
     with np.errstate(divide="ignore", invalid="ignore"):
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
@@ -189,9 +195,11 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
     panel with the largest error (relative to each component's initial
     tolerance) is bisected until every component's accumulated error is
     below max(abs_tol, rel_tol*|value|). Deterministic: identical inputs
-    produce bit-identical output. Returns a float, or an array of m values.
-    Raises QuadratureError when ``max_subdivisions`` is exhausted first or
-    the integrand is not finite.
+    produce bit-identical output, and identical components of a vector
+    integrand get bit-identical values. Returns a float, or an array of m
+    values. Raises QuadratureError when ``max_subdivisions`` is exhausted
+    first or the integrand is not finite; for a vector integrand its
+    ``component`` is the index of the component furthest from convergence.
     """
     if spec is None:
         spec = DEFAULT_QUADRATURE
@@ -207,13 +215,14 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
     while not np.all(toterr <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))):
         finite = np.all(np.isfinite(toterr))
         if splits >= spec.max_subdivisions or not heap or not finite:
-            worst = np.argmax(np.atleast_1d(toterr))
+            worst = int(np.argmax(np.atleast_1d(toterr)))
             reason = (f"did not converge within {spec.max_subdivisions} subdivisions"
                       if finite else "met a non-finite integrand value")
             raise QuadratureError(
                 f"adaptive quadrature {reason}",
                 best_estimate=float(np.atleast_1d(total)[worst]),
                 error_bound=float(np.atleast_1d(toterr)[worst]),
+                component=worst if np.ndim(toterr) else None,
             )
         panel = heapq.heappop(heap)
         _key, a, b, v, e = panel

@@ -17,6 +17,8 @@ from ris_secrecy.channels import (
     mgf_double_rayleigh,
     mgf_triple_cascade,
     moments,
+    one_minus_mgf_double_rayleigh,
+    one_minus_mgf_triple_cascade,
     pdf,
     sample,
 )
@@ -183,6 +185,54 @@ class TestMgfTripleCascade:
             mgf_triple_cascade(-1.0)
         with pytest.raises(ValueError):
             mgf_triple_cascade(np.array([1.0, math.nan]))
+
+
+def _one_minus_mgf_dbl_mp(s: float) -> float:
+    # 1 - M of the elementary form at enough digits that nothing cancels
+    with mp.workdps(60 + max(0, -int(math.log10(s)))):
+        sm = mp.mpf(s)
+        if sm == 1:
+            return 2.0 / 3.0
+        if sm < 1:
+            r = mp.sqrt(1 - sm * sm)
+            return float(1 - (r - sm * mp.acos(sm)) / r ** 3)
+        r = mp.sqrt(sm * sm - 1)
+        return float(1 - (sm * mp.acosh(sm) - r) / r ** 3)
+
+
+class TestMgfComplements:
+    """1 - M evaluated without forming M, so it stays accurate where M is near 1."""
+
+    def test_double_against_mpmath(self):
+        grid = np.concatenate((np.geomspace(1e-12, 1e4, 61), [0.5 - 1e-12, 0.5, 0.9, 1.0, 1.0 + 1e-9]))
+        got = one_minus_mgf_double_rayleigh(grid)
+        for s, v in zip(grid, got):
+            assert v == pytest.approx(_one_minus_mgf_dbl_mp(float(s)), rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.5, 1.0, 5.0, 1e3])
+    def test_triple_is_one_minus_mgf_where_m_is_not_near_one(self, s):
+        assert one_minus_mgf_triple_cascade(s) == pytest.approx(1.0 - mgf_triple_cascade(s), rel=1e-11)
+
+    @pytest.mark.parametrize(
+        "one_minus_mgf,kind",
+        [(one_minus_mgf_double_rayleigh, FadingKind.DOUBLE_RAYLEIGH),
+         (one_minus_mgf_triple_cascade, FadingKind.TRIPLE_CASCADE)],
+    )
+    def test_small_argument_slope_is_the_mean(self, one_minus_mgf, kind):
+        # 1 - M(s) = s E[g] - s^2 E[g^2]/2 + ..., so q/s -> E[g] to O(s)
+        for s in (1e-200, 1e-12):
+            assert one_minus_mgf(s) / s == pytest.approx(moments(kind).mean, rel=1e-11)
+
+    @pytest.mark.parametrize("one_minus_mgf", [one_minus_mgf_double_rayleigh, one_minus_mgf_triple_cascade])
+    def test_limits_shapes_and_domain(self, one_minus_mgf):
+        assert one_minus_mgf(0.0) == 0.0
+        assert one_minus_mgf(1e301) == 1.0
+        s = np.array([[0.0, 1e-9, 0.3], [2.0, 1e6, 1e301]])
+        arr = one_minus_mgf(s)
+        assert arr.shape == s.shape
+        assert arr == pytest.approx(np.array([[one_minus_mgf(float(v)) for v in row] for row in s]), rel=1e-10, abs=0.0)
+        with pytest.raises(ValueError):
+            one_minus_mgf(-1.0)
 
 
 class TestMgfProperties:

@@ -8,9 +8,10 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ris_secrecy import channels, montecarlo
+from ris_secrecy import channels, montecarlo, secrecy
 from ris_secrecy.cli import (
     ConfigError,
     RunConfig,
@@ -20,6 +21,7 @@ from ris_secrecy.cli import (
     main,
 )
 from ris_secrecy.secrecy import Model
+from ris_secrecy.specfun import QuadratureSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECIPES = REPO_ROOT / "recipes"
@@ -315,6 +317,64 @@ class TestSinglePassDraws:
         assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(tmp_path / "s.csv")]) == 0
         assert sorted({n for n, _ in draws}) == [1, 2, 3]
         assert len(draws) == 3 * self._blocks()
+
+
+class TestCapacityRuns:
+    """Every point's (c_d, c_e) comes from one capacity quadrature per 32
+    points, computed before any output."""
+
+    RELAY_SWEEP = {"base": {"model": "vanet_ris_relay"}, "outputs": ["asc_exact", "asc_approx"],
+                   "sweep": {"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 25}}
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        calls = []
+        original = secrecy.integrate
+
+        def counting(f, breaks, spec=None):
+            calls.append(spec)
+            return original(f, breaks, spec)
+
+        monkeypatch.setattr(secrecy, "integrate", counting)
+        return calls
+
+    @pytest.mark.parametrize("steps,expected", [(25, 1), (70, 3)])
+    def test_one_quadrature_per_32_points(self, tmp_path, runs, steps, expected):
+        doc = dict(self.RELAY_SWEEP, sweep=dict(self.RELAY_SWEEP["sweep"], steps=steps))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 0
+        assert len(runs) == expected
+        _header, rows = _read_csv(out)
+        assert len(rows) == steps
+
+    def test_validate_makes_one_quadrature(self, tmp_path, runs, capsys):
+        doc = {"base": {"model": "vanet_ris_relay"}, "mc": {"trials": 2000, "seed": 3},
+               "sweep": {"param": "p_s", "start": 1.0, "stop": 300.0, "steps": 6, "scale": "log"}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) in (0, 1)
+        assert capsys.readouterr().out.count("asc_exact=") == 6
+        assert len(runs) == 1
+
+    def test_nonconvergence_names_the_row_before_any_output(self, tmp_path, monkeypatch, capsys):
+        bad_row = 7
+        original_integrate = secrecy.integrate
+        original_q = channels.one_minus_mgf_triple_cascade
+
+        def rough(s):
+            # columns are (destination, eavesdropper) per point, in row order
+            q = original_q(s)
+            q[:, 2 * bad_row] *= 1.0 + 0.5 * np.sin(1e4 * s[:, 2 * bad_row])
+            return q
+
+        monkeypatch.setattr(channels, "one_minus_mgf_triple_cascade", rough)
+        monkeypatch.setattr(secrecy, "integrate", lambda f, breaks, spec=None: original_integrate(
+            f, breaks, QuadratureSpec(max_subdivisions=30)))
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", _write(tmp_path, self.RELAY_SWEEP), "--out", str(out)]) == 3
+        value = SweepSpec("p_s", 1.0, 50.0, 25).values()[bad_row]
+        err = capsys.readouterr().err
+        assert f"sweep row {bad_row} (p_s={value!r}) failed" in err
+        assert "did not converge" in err
+        assert out.read_text() == ""
 
 
 class TestValidate:

@@ -7,8 +7,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate as sint
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from ris_secrecy import channels
+from ris_secrecy import channels, secrecy
 from ris_secrecy.channels import FadingKind, moments
 from ris_secrecy.secrecy import (
     Link,
@@ -21,6 +23,7 @@ from ris_secrecy.secrecy import (
     asc_exact_clamped,
     avg_capacity,
     capacity_upper_bound,
+    link_capacities,
     link_mgf,
     secrecy_report,
     snr_scale,
@@ -35,9 +38,31 @@ ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
 
 
 # Adaptive scalar reference for the average link capacity: QUADPACK (scipy)
-# over z of (1 - M^N) e^-z / z, with the elementary double-Rayleigh MGF in
-# double precision (mpmath where it cancels, near s = 1) and, for the relay
-# model, a second QUADPACK integral over the Rayleigh factor.
+# over z of (1 - M^N) e^-z / z = -expm1(N log1p(-q)) e^-z / z with q = 1 - M
+# carried throughout. q is the double-Rayleigh moment series for small s and
+# 1 - M of the elementary MGF in double precision elsewhere (mpmath where it
+# cancels, near s = 1); for the relay model, a second QUADPACK integral over
+# the Rayleigh factor averages q.
+# E[g^k]/k! for the double-Rayleigh gain, E[g^k] = (2^(k/2) Gamma(1 + k/2))^2
+_DBL_MOMENT_SERIES = tuple(math.exp(k * math.log(2.0) + 2.0 * math.lgamma(1.0 + 0.5 * k)
+                                    - math.lgamma(k + 1.0)) for k in range(1, 120))
+
+
+def _one_minus_mgf_dbl_ref(s: float) -> float:
+    if s < 0.5:
+        # alternating moment series, convergent for s < 1
+        total = 0.0
+        power = 1.0
+        for k, c in enumerate(_DBL_MOMENT_SERIES, start=1):
+            power *= s
+            term = c * power
+            total += term if k % 2 else -term
+            if term <= 1e-18 * total:
+                break
+        return total
+    return 1.0 - _mgf_dbl_ref(s)
+
+
 def _mgf_dbl_ref(s: float) -> float:
     if abs(s - 1.0) < 1e-3:
         return float(_mgf_dbl_mp(mp.mpf(s)))
@@ -50,19 +75,22 @@ def _mgf_dbl_ref(s: float) -> float:
     return (s * math.acosh(s) - r) / r ** 3
 
 
-def _mgf_triple_ref(s: float) -> float:
-    val, _ = sint.quad(lambda y: y * math.exp(-0.5 * y * y) * _mgf_dbl_ref(s * y), 0.0, 9.0,
-                       points=(1.0, 3.0), epsabs=0.0, epsrel=1e-12, limit=200)
+def _one_minus_mgf_triple_ref(s: float) -> float:
+    val, _ = sint.quad(lambda y: y * math.exp(-0.5 * y * y) * _one_minus_mgf_dbl_ref(s * y),
+                       0.0, 9.0, points=(1.0, 3.0), epsabs=0.0, epsrel=1e-12, limit=200)
     return val
 
 
 def _capacity_ref(params: SystemParams, link: Link) -> float:
     scale = snr_scale(params, link)
-    mgf = _mgf_dbl_ref if params.model is Model.V2V_RIS_AP else _mgf_triple_ref
+    one_minus_mgf = (_one_minus_mgf_dbl_ref if params.model is Model.V2V_RIS_AP
+                     else _one_minus_mgf_triple_ref)
 
     def f(z):
-        m = mgf(z * scale)
-        return -math.expm1(params.n_cells * math.log(m)) * math.exp(-z) / z if m > 0.0 else math.exp(-z) / z
+        q = one_minus_mgf(z * scale)
+        if q >= 1.0:
+            return math.exp(-z) / z
+        return -math.expm1(params.n_cells * math.log1p(-q)) * math.exp(-z) / z
 
     val, _ = sint.quad(f, 0.0, 50.0, points=[10.0 ** k for k in range(-8, 2)], epsabs=0.0,
                        epsrel=1e-11, limit=400)
@@ -208,6 +236,113 @@ class TestAvgCapacity:
         p = SystemParams(**kwargs)
         for link in Link:
             assert avg_capacity(p, link) == pytest.approx(_capacity_ref(p, link), rel=1e-8)
+
+
+    @pytest.mark.parametrize("kwargs", [
+        # capacities of order 1e-8 and 1e-3, where M is within 1e-9 of one
+        # over much of the z range and 1 - M must not be formed from M
+        {"model": Model.VANET_RIS_RELAY, "r_s": 10.0, "p_s": 1e-3, "r_d": 20.0},
+        {"model": Model.V2V_RIS_AP, "p_s": 1e-3},
+    ])
+    def test_low_snr_against_complement_reference(self, kwargs):
+        p = SystemParams(**kwargs)
+        caps = link_capacities([p])[0]
+        for link, batched in zip(Link, caps):
+            ref = _capacity_ref(p, link)
+            assert avg_capacity(p, link) == pytest.approx(ref, rel=1e-9, abs=0.0)
+            assert batched == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(min_value=math.log(lo), max_value=math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _point_runs(draw, model):
+    """1-4 points of one model over log-uniform p_s, distances, beta and n_cells."""
+    points = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        kwargs = {
+            "p_s": draw(_log_uniform(1e-3, 1e12)),
+            "r_d": draw(_log_uniform(0.01, 100.0)),
+            "r_e": draw(_log_uniform(0.01, 100.0)),
+            "beta": draw(st.floats(min_value=2.0, max_value=4.0)),
+            "n_cells": draw(st.integers(min_value=1, max_value=1024)),
+        }
+        if model is Model.VANET_RIS_RELAY:
+            kwargs["r_s"] = draw(_log_uniform(0.01, 100.0))
+        try:
+            points.append(SystemParams(model=model, **kwargs))
+        except ValueError:  # an SNR scale outside double range
+            assume(False)
+    return points
+
+
+class TestCapacityEngine:
+    """link_capacities: every link of up to 32 points in one quadrature."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_batched_matches_single_link_view(self, model, data):
+        points = data.draw(_point_runs(model))
+        caps = link_capacities(points)
+        assert caps.shape == (len(points), 2)
+        for p, row in zip(points, caps):
+            for link, batched in zip(Link, row):
+                single = avg_capacity(p, link)
+                assert math.isfinite(batched) and batched >= 0.0
+                assert abs(batched - single) <= max(1e-12, 1e-10 * abs(single))
+
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
+    def test_identical_links_in_one_run_are_bit_identical(self, model, r_s):
+        near_far = SystemParams(model=model, r_s=r_s, p_s=30.0, r_d=4.0, r_e=8.0)
+        symmetric = replace(near_far, r_d=5.0, r_e=5.0)
+        swapped = replace(near_far, r_d=8.0, r_e=4.0)
+        other = replace(near_far, p_s=2.0, r_d=3.0)
+        caps = link_capacities([near_far, other, symmetric, swapped])
+        assert caps[2, 0] - caps[2, 1] == 0.0
+        assert caps[3, 0] == caps[0, 1] and caps[3, 1] == caps[0, 0]
+        assert caps[3, 0] - caps[3, 1] == -(caps[0, 0] - caps[0, 1])
+
+    def test_runs_longer_than_the_cap_match_per_point_values(self):
+        points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 70)]
+        caps = link_capacities(points)
+        for p, row in zip(points, caps):
+            assert row == pytest.approx(link_capacities([p])[0], rel=1e-12, abs=1e-15)
+
+    def test_points_per_run_are_capped(self, monkeypatch):
+        runs = []
+        original = secrecy.integrate
+
+        def counting(f, breaks, spec=None):
+            value = original(f, breaks, spec)
+            runs.append(np.size(value))
+            return value
+
+        monkeypatch.setattr(secrecy, "integrate", counting)
+        link_capacities([SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in range(1, 71)])
+        assert runs == [64, 64, 12]
+
+    def test_points_must_share_a_model(self, v2v_params, relay_params):
+        with pytest.raises(ValueError):
+            link_capacities([v2v_params, relay_params])
+        assert link_capacities([]).shape == (0, 2)
+
+    def test_failure_names_the_point(self, monkeypatch):
+        original = channels.one_minus_mgf_double_rayleigh
+
+        def poisoned(s):
+            q = original(s)
+            if q.shape[1] == 16:  # the second run, points 32-39
+                q[:, 2 * 5 + 1] = math.nan  # the eavesdropper link of its point 5
+            return q
+
+        monkeypatch.setattr(channels, "one_minus_mgf_double_rayleigh", poisoned)
+        points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in range(1, 41)]
+        with pytest.raises(secrecy.QuadratureError) as info:
+            link_capacities(points)
+        assert info.value.component == 37
 
 
 class TestAscExact:

@@ -232,3 +232,31 @@ class TestIntegrateVector:
                       (0.0, 40.0), spec)
         assert math.isfinite(exc_info.value.best_estimate)
         assert exc_info.value.error_bound > 0.0
+        assert exc_info.value.component == 1
+
+    def test_non_finite_component_is_named(self):
+        def f(z):
+            out = np.exp(-np.multiply.outer(z, [1.0, 2.0, 3.0]))
+            out[:, 2] = math.nan
+            return out
+
+        with pytest.raises(QuadratureError) as exc_info:
+            integrate(f, (0.0, 40.0))
+        assert exc_info.value.component == 2
+
+    def test_scalar_failure_has_no_component(self):
+        with pytest.raises(QuadratureError) as exc_info:
+            integrate(lambda z: np.full_like(z, math.nan), (0.0, 1.0))
+        assert exc_info.value.component is None
+
+    @pytest.mark.parametrize("m", [2, 3, 9, 17, 64])
+    def test_identical_components_are_bit_identical_at_any_position(self, m):
+        # the same component (rate 1.7) placed at every position among others
+        placed = []
+        for j in range(m):
+            rates = np.linspace(0.5, 3.0, m)
+            rates[j] = 1.7
+            vals = integrate(lambda z: np.sin(np.multiply.outer(z, rates)) ** 2 * np.exp(-z)[:, None],
+                             (0.0, 2.5, 10.0, 40.0))
+            placed.append(vals[j])
+        assert len(set(placed)) == 1
