@@ -13,7 +13,6 @@ from .montecarlo import (
     mc_asc,
     mc_gain_sum_stats,
     mc_sop,
-    sample_snr_pair,
     sample_snr_pairs,
 )
 from .secrecy import (
@@ -46,7 +45,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ChannelMoments", "FadingKind", "moments", "pdf", "sample",
     "McConfig", "McEstimate", "mc_asc", "mc_gain_sum_stats", "mc_sop",
-    "sample_snr_pair", "sample_snr_pairs",
+    "sample_snr_pairs",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
     "asc_approx", "asc_exact", "asc_exact_clamped", "avg_capacity",
     "capacity_upper_bound", "link_mgf", "secrecy_report", "snr_scale", "sop",

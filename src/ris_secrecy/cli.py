@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import channels
-from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
+from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
 from .secrecy import Link, Model, SopMode, SystemParams, asc_approx, link_capacities, sop
 from .specfun import QuadratureError
 
@@ -93,6 +93,16 @@ def _require_keys(section: str, doc: dict, allowed):
         raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int. Booleans, non-numbers and numbers with a fractional
+    part are config errors, not truncated; integral floats such as 16.0 pass."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _parse_base(doc: dict) -> SystemParams:
     _require_keys("base", doc, ("model",) + tuple(_BASE_DEFAULTS) + ("r_s",))
     if "model" not in doc:
@@ -108,7 +118,7 @@ def _parse_base(doc: dict) -> SystemParams:
         if key in doc:
             fields[key] = doc[key]
     try:
-        fields["n_cells"] = int(fields["n_cells"])
+        fields["n_cells"] = _integer("base.n_cells", fields["n_cells"])
         if model is Model.VANET_RIS_RELAY:
             fields["r_s"] = float(doc.get("r_s", DEFAULT_RELAY_R_S))
         return SystemParams(model=model, **fields)
@@ -133,7 +143,7 @@ def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None =
                 param=sw.get("param", ""),
                 start=float(sw.get("start", 0.0)),
                 stop=float(sw.get("stop", 0.0)),
-                steps=int(sw.get("steps", 0)),
+                steps=_integer("sweep.steps", sw.get("steps", 0)),
                 scale=sw.get("scale", "linear"),
             )
         except ConfigError:
@@ -146,9 +156,9 @@ def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None =
         _require_keys("mc", m, ("trials", "seed", "batch"))
         try:
             mc = McConfig(
-                trials=int(m.get("trials", McConfig.trials)),
-                seed=int(m.get("seed", McConfig.seed)),
-                batch=int(m.get("batch", McConfig.batch)),
+                trials=_integer("mc.trials", m.get("trials", McConfig.trials)),
+                seed=_integer("mc.seed", m.get("seed", McConfig.seed)),
+                batch=_integer("mc.batch", m.get("batch", McConfig.batch)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -203,7 +213,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 def _point(cfg: RunConfig, value=None):
     """(SystemParams, c_th) at one sweep value (or the base point)."""
-    if cfg.sweep is None or value is None:
+    if value is None:
         return cfg.base, cfg.c_th
     if cfg.sweep.param == "c_th":
         return cfg.base, float(value)
@@ -302,23 +312,41 @@ def _run_capacities(cfg: RunConfig, values, points) -> np.ndarray:
             exc.best_estimate, exc.error_bound, component=index) from exc
 
 
-def evaluate_point(params: SystemParams, c_th: float, cfg: RunConfig) -> dict:
-    """Every requested metric at one parameter point, keyed by column name."""
-    capacities = link_capacities([params])[0] if "asc_exact" in cfg.outputs else None
-    row = _analytic_row(params, c_th, cfg, capacities)
-    if MC_OUTPUTS.intersection(cfg.outputs):
-        (res,), _gain_sum = _run_mc([(params, c_th)], cfg.mc)
-        row.update(_mc_row(res, cfg))
-    return row
-
-
 def _fmt(v) -> str:
     # repr round-trips doubles exactly, which keeps CSV output lossless
     return repr(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
 
 
+def _resolve_points(cfg: RunConfig):
+    """(sweep values, [(params, c_th)]) for the whole run, resolved before any
+    work so that an out-of-domain point fails before any output."""
+    values = cfg.sweep.values() if cfg.sweep is not None else [None]
+    return values, [_point(cfg, value) for value in values]
+
+
+def _rows(cfg: RunConfig):
+    """(sweep values, [row]) with every requested metric of every point of the
+    run, keyed by column name. All points are resolved, and all capacities and
+    Monte-Carlo results computed, before the caller writes any output."""
+    values, points = _resolve_points(cfg)
+    capacities = [None] * len(points)
+    if "asc_exact" in cfg.outputs:
+        capacities = _run_capacities(cfg, values, points)
+    mc_results = [None] * len(points)
+    if MC_OUTPUTS.intersection(cfg.outputs):
+        mc_results, _gain_sum = _run_mc(points, cfg.mc)
+    rows = []
+    for (params, c_th), caps, res in zip(points, capacities, mc_results):
+        row = _analytic_row(params, c_th, cfg, caps)
+        row.update(_mc_row(res, cfg))
+        rows.append(row)
+    return values, rows
+
+
 def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
-    row = evaluate_point(cfg.base, cfg.c_th, cfg)
+    """Every requested metric at the base point, as a table or one CSV row;
+    a sweep section in the config is ignored."""
+    _values, (row,) = _rows(replace(cfg, sweep=None))
     cols = _columns(cfg.outputs)
     if as_csv:
         out.write(",".join(cols) + "\n")
@@ -339,26 +367,11 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
         out.write(f"{k:<{width}}  {sval}\n")
 
 
-def _resolve_points(cfg: RunConfig):
-    """(sweep values, [(params, c_th)]) for the whole run, resolved before any
-    work so that an out-of-domain point fails before any output."""
-    values = cfg.sweep.values() if cfg.sweep is not None else [None]
-    return values, [_point(cfg, value) for value in values]
-
-
 def run_sweep(cfg: RunConfig, out) -> None:
-    values, points = _resolve_points(cfg)
-    capacities = [None] * len(points)
-    if "asc_exact" in cfg.outputs:
-        capacities = _run_capacities(cfg, values, points)
-    mc_results = [None] * len(points)
-    if MC_OUTPUTS.intersection(cfg.outputs):
-        mc_results, _gain_sum = _run_mc(points, cfg.mc)
+    values, rows = _rows(cfg)
     cols = _columns(cfg.outputs)
     out.write(",".join([cfg.sweep.param] + cols) + "\n")
-    for value, (params, c_th), caps, res in zip(values, points, capacities, mc_results):
-        row = _analytic_row(params, c_th, cfg, caps)
-        row.update(_mc_row(res, cfg))
+    for value, row in zip(values, rows):
         out.write(",".join([_fmt(value)] + [_fmt(row[c]) for c in cols]) + "\n")
 
 
@@ -449,13 +462,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--seed", type=int, default=None, help="override mc.seed")
         p.add_argument("--trials", type=int, default=None, help="override mc.trials")
-        p.add_argument("--mode", choices=("corrected", "paper-literal"), default="corrected",
-                       help="relay-model SOP constants used by validate")
         p.add_argument("--dump-config", default=None, metavar="PATH",
                        help="write the fully resolved config as JSON and exit")
         if name == "eval":
             p.add_argument("--csv", action="store_true", help="emit one CSV row instead of a table")
         if name == "validate":
+            p.add_argument("--mode", choices=("corrected", "paper-literal"), default="corrected",
+                           help="relay-model SOP constants checked against Monte-Carlo")
             p.add_argument("--sop-tol", type=float, default=0.02,
                            help="absolute SOP tolerance (default 0.02)")
     return parser
@@ -470,6 +483,10 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
         cfg = build_run_config(doc, seed=args.seed, trials=args.trials)
+        try:
+            default_threads()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -478,7 +495,6 @@ def main(argv=None) -> int:
             json.dump(config_to_dict(cfg), fh, indent=2)
             fh.write("\n")
         return 0
-    mode = SopMode.CORRECTED if args.mode == "corrected" else SopMode.PAPER_LITERAL
 
     def run(out) -> int:
         if args.command == "eval":
@@ -489,6 +505,7 @@ def main(argv=None) -> int:
                 raise ConfigError("the sweep command requires a 'sweep' section in the config")
             run_sweep(cfg, out)
             return 0
+        mode = SopMode.CORRECTED if args.mode == "corrected" else SopMode.PAPER_LITERAL
         return run_validate(cfg, out, mode, sop_tol=args.sop_tol)
 
     try:

@@ -62,13 +62,16 @@ class McEstimate:
 
 
 def default_threads() -> int:
-    """Worker-thread default, overridable via the RIS_SECRECY_THREADS variable."""
+    """Worker-thread count from the RIS_SECRECY_THREADS variable (default 1)."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
         return 1
-    n = int(raw)
+    try:
+        n = int(raw)
+    except ValueError:
+        n = 0
     if n < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be >= 1")
+        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
     return n
 
 
@@ -76,52 +79,29 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
 
 
-def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int, *,
-                     shared_source_channel: bool = True,
-                     shared_receiver_channel: bool = False):
+def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     """Draw n trials of the summed per-element gains for both links.
 
     Returns (sum_d, sum_e) arrays: sums over the N cells of the destination
     and eavesdropper gains. For the relay model the source-leg draws are
-    reused on both links by default (both receivers see the same
-    source-to-RIS reflection); ``shared_receiver_channel`` additionally reuses
-    the receiver-leg draws across links, a coupling useful only for
-    variance-reduced difference estimates.
+    reused on both links (both receivers see the same source-to-RIS
+    reflection).
     """
     shape = (n, params.n_cells)
     if params.model is Model.V2V_RIS_AP:
         gd = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-        ge = gd if shared_receiver_channel else channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
+        ge = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
         return gd.sum(axis=1), ge.sum(axis=1)
     gs = channels.sample(FadingKind.RAYLEIGH, rng, shape)
     gd = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-    ge = gd if shared_receiver_channel else channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-    gs_e = gs if shared_source_channel else channels.sample(FadingKind.RAYLEIGH, rng, shape)
-    return (gs * gd).sum(axis=1), (gs_e * ge).sum(axis=1)
+    ge = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
+    return (gs * gd).sum(axis=1), (gs * ge).sum(axis=1)
 
 
-def sample_snr_pairs(params: SystemParams, rng: np.random.Generator, n: int, *,
-                     shared_source_channel: bool = True,
-                     shared_receiver_channel: bool = False):
+def sample_snr_pairs(params: SystemParams, rng: np.random.Generator, n: int):
     """Draw n trials of the instantaneous SNR pair (gamma_d, gamma_e)."""
-    sum_d, sum_e = sample_gain_sums(
-        params, rng, n,
-        shared_source_channel=shared_source_channel,
-        shared_receiver_channel=shared_receiver_channel,
-    )
+    sum_d, sum_e = sample_gain_sums(params, rng, n)
     return snr_scale(params, Link.DESTINATION) * sum_d, snr_scale(params, Link.EAVESDROPPER) * sum_e
-
-
-def sample_snr_pair(params: SystemParams, rng: np.random.Generator, *,
-                    shared_source_channel: bool = True,
-                    shared_receiver_channel: bool = False):
-    """Single-trial form of sample_snr_pairs."""
-    gd, ge = sample_snr_pairs(
-        params, rng, 1,
-        shared_source_channel=shared_source_channel,
-        shared_receiver_channel=shared_receiver_channel,
-    )
-    return float(gd[0]), float(ge[0])
 
 
 def _blocks(trials: int):
@@ -129,12 +109,12 @@ def _blocks(trials: int):
     return [(i, min(_BLOCK_TRIALS, trials - i * _BLOCK_TRIALS)) for i in range(n_blocks)]
 
 
-def _map_blocks(block_fn, cfg: McConfig, threads):
-    """Run block_fn(block_index, block_size) over all blocks, returning results
-    in block order regardless of scheduling. ``cfg.batch`` only sets how many
-    blocks one executor task covers."""
-    if threads is None:
-        threads = default_threads()
+def _map_blocks(block_fn, cfg: McConfig):
+    """Run block_fn(block_index, block_size) over all blocks on
+    ``default_threads()`` workers, returning results in block order regardless
+    of scheduling. ``cfg.batch`` only sets how many blocks one executor task
+    covers."""
+    threads = default_threads()
     blocks = _blocks(cfg.trials)
     if threads <= 1 or len(blocks) == 1:
         return [block_fn(i, n) for i, n in blocks]
@@ -168,11 +148,7 @@ class McRun:
     gain_sum: tuple | None
 
 
-def mc_points(points, cfg: McConfig, *,
-              gain_moments: Link | None = None,
-              shared_source_channel: bool = True,
-              shared_receiver_channel: bool = False,
-              threads: int | None = None) -> McRun:
+def mc_points(points, cfg: McConfig, *, gain_moments: Link | None = None) -> McRun:
     """Estimate the MC metrics at many points from one pass over the blocks.
 
     ``points`` is a non-empty sequence of ``(SystemParams, c_th)`` pairs that
@@ -197,11 +173,7 @@ def mc_points(points, cfg: McConfig, *,
 
     def work(i, n):
         rng = _block_rng(cfg.seed, i)
-        sum_d, sum_e = sample_gain_sums(
-            draw_params, rng, n,
-            shared_source_channel=shared_source_channel,
-            shared_receiver_channel=shared_receiver_channel,
-        )
+        sum_d, sum_e = sample_gain_sums(draw_params, rng, n)
         stats = []
         for scale_d, scale_e, c_th in scaled:
             cs = np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
@@ -213,7 +185,7 @@ def mc_points(points, cfg: McConfig, *,
         x = sum_d if gain_moments is Link.DESTINATION else sum_e
         return stats, (x.sum(), (x ** 2).sum(), (x ** 3).sum(), (x ** 4).sum())
 
-    parts = _map_blocks(work, cfg, threads)
+    parts = _map_blocks(work, cfg)
     n = cfg.trials
     results = []
     for k, (_params, c_th) in enumerate(points):
@@ -268,10 +240,7 @@ def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int):
     return mean_est, var_est
 
 
-def mc_asc(params: SystemParams, cfg: McConfig, *,
-           shared_source_channel: bool = True,
-           shared_receiver_channel: bool = False,
-           threads: int | None = None):
+def mc_asc(params: SystemParams, cfg: McConfig):
     """Estimate the average secrecy capacity by simulation.
 
     Returns (difference_estimate, positive_part_estimate): the first averages
@@ -279,34 +248,20 @@ def mc_asc(params: SystemParams, cfg: McConfig, *,
     difference form), the second averages max(.., 0). Both are computed from
     the same trials.
     """
-    res = mc_points([(params, None)], cfg,
-                    shared_source_channel=shared_source_channel,
-                    shared_receiver_channel=shared_receiver_channel,
-                    threads=threads).points[0]
+    res = mc_points([(params, None)], cfg).points[0]
     return res.asc_diff, res.asc_pos
 
 
-def mc_sop(params: SystemParams, c_th: float, cfg: McConfig, *,
-           shared_source_channel: bool = True,
-           shared_receiver_channel: bool = False,
-           threads: int | None = None) -> McEstimate:
+def mc_sop(params: SystemParams, c_th: float, cfg: McConfig) -> McEstimate:
     """Estimate the secrecy outage probability Pr[max(Cs, 0) < c_th]."""
-    return mc_points([(params, c_th)], cfg,
-                     shared_source_channel=shared_source_channel,
-                     shared_receiver_channel=shared_receiver_channel,
-                     threads=threads).points[0].sop
+    return mc_points([(params, c_th)], cfg).points[0].sop
 
 
-def mc_gain_sum_stats(params: SystemParams, cfg: McConfig, *,
-                      link: Link = Link.DESTINATION,
-                      shared_source_channel: bool = True,
-                      threads: int | None = None):
+def mc_gain_sum_stats(params: SystemParams, cfg: McConfig, *, link: Link = Link.DESTINATION):
     """Mean and variance of the summed per-element gains on one link.
 
     Returns (mean_estimate, variance_estimate); the variance standard error
     uses the fourth central moment, so the estimates can adjudicate between
     candidate closed-form constants.
     """
-    return mc_points([(params, None)], cfg, gain_moments=link,
-                     shared_source_channel=shared_source_channel,
-                     threads=threads).gain_sum
+    return mc_points([(params, None)], cfg, gain_moments=link).gain_sum

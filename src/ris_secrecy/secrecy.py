@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels
 from .channels import FadingKind
-from .specfun import QuadratureError, QuadratureSpec, erf, integrate, semi_infinite_breaks
+from .specfun import QuadratureError, erf, integrate, semi_infinite_breaks
 
 
 class Model(Enum):
@@ -144,7 +144,7 @@ def link_mgf(params: SystemParams, link: Link, z):
 _RUN_POINTS = 32
 
 
-def _capacity_run(columns, spec: QuadratureSpec | None) -> np.ndarray:
+def _capacity_run(columns) -> np.ndarray:
     """Average capacity (bits/s/Hz) of every (params, link) column in one
     adaptive quadrature; each column has its own SNR scale and cell count.
 
@@ -170,10 +170,10 @@ def _capacity_run(columns, spec: QuadratureSpec | None) -> np.ndarray:
             log_m = np.log1p(-np.minimum(q, 1.0))
         return -np.expm1(n_cells * log_m) * (np.exp(-z) / z)[:, None]
 
-    return integrate(integrand, semi_infinite_breaks(), spec) / math.log(2.0)
+    return integrate(integrand, semi_infinite_breaks()) / math.log(2.0)
 
 
-def link_capacities(points, spec: QuadratureSpec | None = None) -> np.ndarray:
+def link_capacities(points) -> np.ndarray:
     """Average capacities (c_d, c_e) in bits/s/Hz at every point, one row each.
 
     ``points`` is a sequence of SystemParams sharing one model. Both links of
@@ -189,16 +189,16 @@ def link_capacities(points, spec: QuadratureSpec | None = None) -> np.ndarray:
         run = points[start:start + _RUN_POINTS]
         try:
             out[start:start + len(run)] = _capacity_run(
-                [(params, link) for params in run for link in Link], spec).reshape(-1, 2)
+                [(params, link) for params in run for link in Link]).reshape(-1, 2)
         except QuadratureError as exc:
             exc.component = start + exc.component // 2
             raise
     return out
 
 
-def avg_capacity(params: SystemParams, link: Link, spec: QuadratureSpec | None = None) -> float:
+def avg_capacity(params: SystemParams, link: Link) -> float:
     """Average link capacity in bits/s/Hz via the MGF integral identity."""
-    return float(_capacity_run([(params, link)], spec)[0])
+    return float(_capacity_run([(params, link)])[0])
 
 
 def capacity_upper_bound(params: SystemParams, link: Link) -> float:
@@ -207,19 +207,19 @@ def capacity_upper_bound(params: SystemParams, link: Link) -> float:
     return math.log2(1.0 + params.n_cells * mean_gain * snr_scale(params, link))
 
 
-def asc_exact(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def asc_exact(params: SystemParams) -> float:
     """Average secrecy capacity as the signed difference of link capacities.
 
     Negative when the eavesdropper link is the stronger one; see
     asc_exact_clamped for the nonnegative variant.
     """
-    c_d, c_e = link_capacities([params], spec)[0]
+    c_d, c_e = link_capacities([params])[0]
     return float(c_d - c_e)
 
 
-def asc_exact_clamped(params: SystemParams, spec: QuadratureSpec | None = None) -> float:
+def asc_exact_clamped(params: SystemParams) -> float:
     """max(0, asc_exact): comparable to the positive-part Monte-Carlo estimator."""
-    return max(0.0, asc_exact(params, spec))
+    return max(0.0, asc_exact(params))
 
 
 def asc_approx(params: SystemParams) -> float:
@@ -268,10 +268,9 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     return 0.5 * (1.0 + erf(numer / math.sqrt(2.0 * variance)))
 
 
-def secrecy_report(params: SystemParams, c_th: float = 1.0,
-                   spec: QuadratureSpec | None = None) -> SecrecyReport:
+def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:
     """Evaluate every analytic metric at one parameter point."""
-    c_d, c_e = (float(c) for c in link_capacities([params], spec)[0])
+    c_d, c_e = (float(c) for c in link_capacities([params])[0])
     return SecrecyReport(
         c_d=c_d,
         c_e=c_e,

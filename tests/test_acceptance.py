@@ -228,10 +228,16 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     checks = []
     p = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0)
     cfg = McConfig(trials=50_000, seed=SEED)
-    runs = [mc_asc(p, cfg, threads=t) for t in (1, 1, 4)]
+    runs = []
+    for threads in ("1", "1", "4"):
+        monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
+        runs.append(mc_asc(p, cfg))
     checks.append((runs[0] == runs[1] == runs[2],
                    "mc_asc bit-identical across re-runs and across 1 vs 4 threads"))
-    sops = [mc_sop(p, 1.0, replace(cfg, batch=b), threads=t) for b, t in ((8192, 1), (1000, 3))]
+    sops = []
+    for batch, threads in ((8192, "1"), (1000, "3")):
+        monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
+        sops.append(mc_sop(p, 1.0, replace(cfg, batch=batch)))
     checks.append((sops[0] == sops[1], "mc_sop bit-identical across batch sizes and thread counts"))
 
     doc = {

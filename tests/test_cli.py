@@ -88,11 +88,29 @@ class TestConfigParsing:
             {"base": {"model": "vanet_ris_relay", "r_s": "far"}},
             {"base": {"model": "v2v_ris_ap"},
              "sweep": {"param": "p_s", "start": 1, "stop": math.inf, "steps": 4}},
+            # integer fields are never truncated
+            {"base": {"model": "v2v_ris_ap", "n_cells": 16.5}},
+            {"base": {"model": "v2v_ris_ap", "n_cells": True}},
+            {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": 2.9}},
+            {"base": {"model": "v2v_ris_ap"}, "mc": {"seed": 4.7}},
+            {"base": {"model": "v2v_ris_ap"}, "mc": {"batch": 8192.5}},
+            {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": None}},
+            {"base": {"model": "v2v_ris_ap"},
+             "sweep": {"param": "p_s", "start": 1, "stop": 2, "steps": 2.7}},
         ],
     )
     def test_rejects_bad_documents(self, doc):
         with pytest.raises(ConfigError):
             build_run_config(doc)
+
+    def test_integral_floats_are_integers(self):
+        cfg = build_run_config({"base": {"model": "v2v_ris_ap", "n_cells": 16.0},
+                                "sweep": {"param": "p_s", "start": 1, "stop": 2, "steps": 3.0},
+                                "mc": {"trials": 1000.0, "seed": 7.0, "batch": 4096.0}})
+        assert cfg == build_run_config({"base": {"model": "v2v_ris_ap", "n_cells": 16},
+                                        "sweep": {"param": "p_s", "start": 1, "stop": 2, "steps": 3},
+                                        "mc": {"trials": 1000, "seed": 7, "batch": 4096}})
+        assert type(cfg.base.n_cells) is int and type(cfg.mc.trials) is int
 
     def test_round_trip(self):
         doc = {
@@ -179,6 +197,24 @@ class TestEval:
     def test_bad_seed_override(self, tmp_path):
         cfg = _write(tmp_path, _v2v_doc())
         assert main(["eval", "--config", cfg, "--seed", "-5"]) == 2
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw):
+        monkeypatch.setenv("RIS_SECRECY_THREADS", raw)
+        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: RIS_SECRECY_THREADS") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "sweep"])
+    def test_mode_is_a_validate_option(self, tmp_path, capsys, command):
+        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", _write(tmp_path, doc), "--mode", "paper-literal"])
+        assert exc.value.code == 2
+        assert "--mode" in capsys.readouterr().err
 
     def test_dump_config_round_trips_and_is_stable(self, tmp_path):
         cfg_path = _write(tmp_path, _v2v_doc(mc={"trials": 1000}))

@@ -17,7 +17,6 @@ from ris_secrecy.montecarlo import (
     mc_gain_sum_stats,
     mc_points,
     mc_sop,
-    sample_snr_pair,
     sample_snr_pairs,
 )
 from ris_secrecy.secrecy import Link, Model, SystemParams, asc_exact, snr_scale, sop
@@ -35,33 +34,43 @@ class TestConfigTypes:
 
 
 class TestDeterminism:
-    def test_identical_across_runs_threads_and_batch(self, v2v_params):
+    """The worker count comes only from RIS_SECRECY_THREADS; neither it nor
+    the batch size may change a single bit of any estimate."""
+
+    def test_identical_across_runs_threads_and_batch(self, v2v_params, monkeypatch):
         base = McConfig(trials=30_000, seed=404)
-        ref_diff, ref_pos = mc_asc(v2v_params, base, threads=1)
-        for cfg, threads in ((base, 1), (base, 4), (replace(base, batch=100), 3),
-                             (replace(base, batch=10 ** 6), 2)):
-            diff, pos = mc_asc(v2v_params, cfg, threads=threads)
+        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
+        ref_diff, ref_pos = mc_asc(v2v_params, base)
+        for cfg, threads in ((base, "1"), (base, "4"), (replace(base, batch=100), "3"),
+                             (replace(base, batch=10 ** 6), "2")):
+            monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
+            diff, pos = mc_asc(v2v_params, cfg)
             assert diff == ref_diff
             assert pos == ref_pos
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
-    def test_multi_point_run_identical_across_threads_and_batch(self, model, r_s):
+    def test_multi_point_run_identical_across_threads_and_batch(self, model, r_s, monkeypatch):
         base = SystemParams(model=model, r_s=r_s)
         points = [(replace(base, p_s=p_s), c_th) for p_s, c_th in ((2.0, 0.5), (10.0, 1.0), (40.0, 2.0))]
         cfg = McConfig(trials=30_000, seed=404)
-        ref = mc_points(points, cfg, gain_moments=Link.DESTINATION, threads=1)
-        for run_cfg, threads in ((cfg, 3), (cfg, 4), (replace(cfg, batch=100), 3),
-                                 (replace(cfg, batch=10 ** 6), 4), (replace(cfg, batch=100), 1)):
-            assert mc_points(points, run_cfg, gain_moments=Link.DESTINATION, threads=threads) == ref
+        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
+        ref = mc_points(points, cfg, gain_moments=Link.DESTINATION)
+        for run_cfg, threads in ((cfg, "3"), (cfg, "4"), (replace(cfg, batch=100), "3"),
+                                 (replace(cfg, batch=10 ** 6), "4"), (replace(cfg, batch=100), "1")):
+            monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
+            assert mc_points(points, run_cfg, gain_moments=Link.DESTINATION) == ref
 
-    def test_sop_identical_across_threads(self, relay_params):
+    def test_sop_identical_across_threads(self, relay_params, monkeypatch):
         cfg = McConfig(trials=30_000, seed=11)
-        assert mc_sop(relay_params, 1.0, cfg, threads=1) == mc_sop(relay_params, 1.0, cfg, threads=4)
+        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
+        single = mc_sop(relay_params, 1.0, cfg)
+        monkeypatch.setenv("RIS_SECRECY_THREADS", "4")
+        assert mc_sop(relay_params, 1.0, cfg) == single
 
     def test_snr_pair_stream_reproducible(self, relay_params):
-        a = sample_snr_pair(relay_params, np.random.default_rng(5))
-        b = sample_snr_pair(relay_params, np.random.default_rng(5))
-        assert a == b
+        a = sample_snr_pairs(relay_params, np.random.default_rng(5), 3)
+        b = sample_snr_pairs(relay_params, np.random.default_rng(5), 3)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestSnrSampling:
@@ -98,13 +107,6 @@ class TestSnrSampling:
 
 
 class TestMcAsc:
-    def test_shared_draws_make_symmetric_difference_exactly_zero(self):
-        p = SystemParams(model=Model.V2V_RIS_AP, r_d=6.0, r_e=6.0)
-        diff, pos = mc_asc(p, McConfig(trials=20_000, seed=1), shared_receiver_channel=True)
-        assert diff.value == 0.0
-        assert diff.std_error == 0.0
-        assert pos.value == 0.0
-
     def test_positive_part_dominates_difference(self, v2v_params, relay_params):
         cfg = McConfig(trials=20_000, seed=2)
         for p in (v2v_params, replace(v2v_params, r_d=8.0, r_e=4.0), relay_params):
@@ -116,15 +118,6 @@ class TestMcAsc:
         p = SystemParams(model=model, r_s=r_s)
         diff, _ = mc_asc(p, McConfig(trials=100_000, seed=42))
         assert abs(diff.value - asc_exact(p)) < 3.0 * diff.std_error
-
-    def test_relay_source_sharing_changes_spread_not_mean(self, relay_params):
-        cfg = McConfig(trials=100_000, seed=9)
-        shared, _ = mc_asc(relay_params, cfg, shared_source_channel=True)
-        indep, _ = mc_asc(relay_params, cfg, shared_source_channel=False)
-        tol = 4.0 * (shared.std_error + indep.std_error)
-        assert abs(shared.value - indep.value) < tol
-        # a common source leg correlates the links, shrinking the difference variance
-        assert shared.std_error < indep.std_error
 
 
 class TestMcSop:
@@ -169,13 +162,13 @@ class TestEstimatorConsistency:
         assert abs(np.mean(ratios) - 2.0) < 0.4
 
 
-def _reference_point(params, c_th, cfg, **flags):
+def _reference_point(params, c_th, cfg):
     """The per-point loop the engine replaces: every point redraws every block
     and reduces it on its own. Returns (diff, pos, sop) estimates."""
     sd = sd2 = sp = sp2 = 0.0
     outages = 0
     for i, n in _blocks(cfg.trials):
-        gd, ge = sample_snr_pairs(params, _block_rng(cfg.seed, i), n, **flags)
+        gd, ge = sample_snr_pairs(params, _block_rng(cfg.seed, i), n)
         cs = np.log2(1.0 + gd) - np.log2(1.0 + ge)
         pos = np.maximum(cs, 0.0)
         sd += cs.sum()
@@ -202,25 +195,25 @@ _POINT_SETS = {
     "c_th": lambda b: [(b, v) for v in (0.25, 1.0, 2.5)],
     "n_cells": lambda b: [(replace(b, n_cells=v), 1.0) for v in (4, 16, 4, 9)],
 }
-_FLAGS = [{}, {"shared_source_channel": False}, {"shared_receiver_channel": True}]
 
 
 class TestSinglePassEngine:
-    @pytest.mark.parametrize("flags", _FLAGS, ids=["default", "independent_source", "shared_receiver"])
+    # three blocks with a partial last one, and a run inside a single block
+    @pytest.mark.parametrize("cfg", [McConfig(trials=20_001, seed=31), McConfig(trials=500, seed=31)],
+                             ids=["default", "one_block"])
     @pytest.mark.parametrize("model,sweep", [(m, s) for m in sorted(_MODELS) for s in sorted(_POINT_SETS)
                                              if not (m == "v2v" and s == "r_s")])
-    def test_bit_equal_to_per_point_reference(self, model, sweep, flags):
+    def test_bit_equal_to_per_point_reference(self, model, sweep, cfg):
         points = _POINT_SETS[sweep](_MODELS[model])
-        cfg = McConfig(trials=20_001, seed=31)
         # one engine run takes one cell count, so n_cells points are split per value
         results = [None] * len(points)
         for n_cells in {p.n_cells for p, _ in points}:
             members = [k for k, (p, _) in enumerate(points) if p.n_cells == n_cells]
-            run = mc_points([points[k] for k in members], cfg, **flags)
+            run = mc_points([points[k] for k in members], cfg)
             for k, res in zip(members, run.points):
                 results[k] = res
         for (params, c_th), res in zip(points, results):
-            diff, pos, sop_est = _reference_point(params, c_th, cfg, **flags)
+            diff, pos, sop_est = _reference_point(params, c_th, cfg)
             assert (res.asc_diff, res.asc_pos, res.sop) == (diff, pos, sop_est)
 
     def test_cli_grouping_matches_single_point_views(self):

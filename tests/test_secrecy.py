@@ -258,24 +258,32 @@ def _log_uniform(lo, hi):
 
 
 @st.composite
-def _point_runs(draw, model):
-    """1-4 points of one model over log-uniform p_s, distances, beta and n_cells."""
-    points = []
-    for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        kwargs = {
-            "p_s": draw(_log_uniform(1e-3, 1e12)),
-            "r_d": draw(_log_uniform(0.01, 100.0)),
-            "r_e": draw(_log_uniform(0.01, 100.0)),
-            "beta": draw(st.floats(min_value=2.0, max_value=4.0)),
-            "n_cells": draw(st.integers(min_value=1, max_value=1024)),
-        }
-        if model is Model.VANET_RIS_RELAY:
-            kwargs["r_s"] = draw(_log_uniform(0.01, 100.0))
-        try:
-            points.append(SystemParams(model=model, **kwargs))
-        except ValueError:  # an SNR scale outside double range
-            assume(False)
-    return points
+def _system_points(draw, model):
+    """One point of a model over log-uniform p_s, distances, beta and n_cells."""
+    kwargs = {
+        "p_s": draw(_log_uniform(1e-3, 1e12)),
+        "r_d": draw(_log_uniform(0.01, 100.0)),
+        "r_e": draw(_log_uniform(0.01, 100.0)),
+        "beta": draw(st.floats(min_value=2.0, max_value=4.0)),
+        "n_cells": draw(st.integers(min_value=1, max_value=1024)),
+    }
+    if model is Model.VANET_RIS_RELAY:
+        kwargs["r_s"] = draw(_log_uniform(0.01, 100.0))
+    return _valid_point(SystemParams, model=model, **kwargs)
+
+
+def _valid_point(make, *args, **kwargs):
+    """make(*args, **kwargs), discarding the example when an SNR scale falls
+    outside double range."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError:
+        assume(False)
+
+
+def _point_runs(model):
+    """1-4 points of one model."""
+    return st.lists(_system_points(model), min_size=1, max_size=4)
 
 
 class TestCapacityEngine:
@@ -343,6 +351,50 @@ class TestCapacityEngine:
         with pytest.raises(secrecy.QuadratureError) as info:
             link_capacities(points)
         assert info.value.component == 37
+
+
+class TestMonotonicity:
+    """The orderings the paper's figures rely on, over random points of both
+    models. Both points of an ASC comparison share one capacity run, and
+    they may differ by the engine tolerance max(1e-12, 1e-9 |ASC|): the ASC
+    slope in p_s tends to 0 at high SNR."""
+
+    @staticmethod
+    def _asc_pair(lower, upper):
+        """(ASC at lower, ASC at upper, tolerance) from one capacity run."""
+        (cd_lo, ce_lo), (cd_up, ce_up) = link_capacities([lower, upper])
+        asc_lo, asc_up = cd_lo - ce_lo, cd_up - ce_up
+        return asc_lo, asc_up, max(1e-12, 1e-9 * max(abs(asc_lo), abs(asc_up)))
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_asc_non_decreasing_in_power_when_destination_is_closer(self, model, data):
+        p = data.draw(_system_points(model))
+        assume(p.r_d != p.r_e)
+        p = _valid_point(replace, p, r_d=min(p.r_d, p.r_e), r_e=max(p.r_d, p.r_e))
+        louder = _valid_point(replace, p, p_s=p.p_s * data.draw(_log_uniform(1.0, 1e3)))
+        asc, asc_louder, tol = self._asc_pair(p, louder)
+        assert asc_louder >= asc - tol
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_asc_non_decreasing_in_eavesdropper_distance(self, model, data):
+        p = data.draw(_system_points(model))
+        farther = _valid_point(replace, p, r_e=p.r_e * data.draw(_log_uniform(1.0, 100.0)))
+        asc, asc_farther, tol = self._asc_pair(p, farther)
+        assert asc_farther >= asc - tol
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_sop_non_increasing_in_power(self, model, data):
+        p = data.draw(_system_points(model))
+        louder = _valid_point(replace, p, p_s=p.p_s * data.draw(_log_uniform(1.0, 1e3)))
+        c_th = data.draw(st.floats(min_value=0.05, max_value=5.0))
+        for mode in SopMode:
+            assert sop(louder, c_th, mode) <= sop(p, c_th, mode)
 
 
 class TestAscExact:
