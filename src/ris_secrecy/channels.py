@@ -3,9 +3,9 @@
 Three gain laws appear in the two system models: unit-scale Rayleigh
 (PDF g*exp(-g^2/2)), double-Rayleigh (product of two Rayleighs, PDF
 g*K0(g)) and the triple cascade (product of three Rayleighs). This module
-provides their PDFs, exact moments, closed-form MGFs (and their
-complements 1 - MGF, accurate where the MGF is near one) and reproducible
-samplers.
+provides their exact moments, the closed-form double-Rayleigh MGF, the
+complements 1 - MGF (accurate where the MGF is near one) that the capacity
+integrals use, and reproducible samplers.
 """
 import math
 from dataclasses import dataclass
@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .specfun import QuadratureError, QuadratureSpec, bessel_k0, integrate, integrate_semi_infinite
+from .specfun import QuadratureError, QuadratureSpec, integrate
 
 
 class FadingKind(Enum):
@@ -45,53 +45,16 @@ _MOMENTS = {
 PAPER_LITERAL_TRIPLE_VARIANCE = 8.0 - (math.pi / 2.0) ** 1.5
 PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF = math.pi ** 3 / (2.0 * math.sqrt(2.0))
 
-_PDF_QUAD = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-15, max_subdivisions=2000)
-_RAYLEIGH_CUTOFF = 8.7  # exp(-y^2/2) < 4e-17 beyond this
-# Conditioning integral of the triple-cascade MGF (or of 1 - MGF) over the
-# Rayleigh factor. The absolute floor only matters for values below 1e-289:
-# an MGF that small underflows anyway, and 1 - MGF that small (s < 1e-289)
-# keeps only about 8 digits.
-_TRIPLE_BREAKS = (0.0, 1.0, _RAYLEIGH_CUTOFF)
+# Conditioning integral of the triple-cascade 1 - MGF over the Rayleigh
+# factor, truncated at 8.7 where exp(-y^2/2) < 4e-17. The absolute floor only
+# matters for values below 1e-289 (s < 1e-289), which keep about 8 digits.
+_TRIPLE_BREAKS = (0.0, 1.0, 8.7)
 _TRIPLE_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=400)
 
 
 def moments(kind: FadingKind) -> ChannelMoments:
     """Exact mean and variance of the per-element gain."""
     return _MOMENTS[kind]
-
-
-def pdf(kind: FadingKind, g):
-    """Probability density at gain g > 0 (scalar or array)."""
-    if np.ndim(g) == 0:
-        return _pdf_scalar(kind, float(g))
-    arr = np.asarray(g, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("pdf requires g > 0")
-    if kind is FadingKind.RAYLEIGH:
-        return arr * np.exp(-0.5 * arr * arr)
-    return np.array([_pdf_scalar(kind, float(v)) for v in arr.ravel()]).reshape(arr.shape)
-
-
-def _pdf_scalar(kind: FadingKind, g: float) -> float:
-    if not g > 0.0:
-        raise ValueError("pdf requires g > 0")
-    if kind is FadingKind.RAYLEIGH:
-        return g * math.exp(-0.5 * g * g)
-    if kind is FadingKind.DOUBLE_RAYLEIGH:
-        return g * bessel_k0(g)
-    return _pdf_triple(g)
-
-
-def _pdf_triple(g: float) -> float:
-    # Product density of a Rayleigh factor y and a double-Rayleigh factor g/y,
-    # reduced to a single quadrature over y.
-    def integrand(y):
-        r = g / y
-        if r > 740.0:  # K0 underflows; integrand is identically zero there
-            return 0.0
-        return math.exp(-0.5 * y * y) * r * bessel_k0(r)
-
-    return integrate_semi_infinite(integrand, _PDF_QUAD, cutoff=_RAYLEIGH_CUTOFF)
 
 
 # Near s = 1 the elementary form cancels; there the MGF is evaluated as
@@ -159,18 +122,6 @@ def mgf_double_rayleigh(s):
     return float(out[0]) if arr.ndim == 0 else out
 
 
-def mgf_triple_cascade(s):
-    """E[exp(-s*g)] for the triple-cascade gain, s >= 0.
-
-    Conditioning on the Rayleigh factor y reduces the MGF to one quadrature
-    of y*exp(-y^2/2)*M_dbl(s*y); all arguments share one adaptive run.
-    Accepts a scalar (returns a float) or an array (returns an array).
-    """
-    arr = _as_arguments(s, "mgf_triple_cascade")
-    out = _rayleigh_average(_mgf_dbl, arr.ravel(), at_zero=1.0)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
 def one_minus_mgf_double_rayleigh(s):
     """1 - E[exp(-s*g)] for the double-Rayleigh gain, s >= 0, accurate to a
     few ulps relative also where the MGF is close to one.
@@ -185,33 +136,35 @@ def one_minus_mgf_double_rayleigh(s):
 def one_minus_mgf_triple_cascade(s):
     """1 - E[exp(-s*g)] for the triple-cascade gain, s >= 0.
 
-    The same quadrature as mgf_triple_cascade over 1 - M_dbl(s*y), so the
-    complement keeps its relative accuracy where the MGF is close to one.
+    Conditioning on the Rayleigh factor y reduces it to one quadrature of
+    y*exp(-y^2/2)*(1 - M_dbl(s*y)), so the complement keeps its relative
+    accuracy where the MGF is close to one; all arguments share one adaptive
+    run. Two bounds follow from the quadrature tolerances. Below s = 1e-289
+    the value falls under the absolute floor and keeps only about 8 digits
+    (at s = 1e-300 it is 3e-9 relative off s times the mean gain). From
+    s = 1e6 up it is within 1e-10 of one, so the MGF recovered as 1 minus it
+    has only absolute accuracy, about 1e-11 (22% relative at s = 1e6).
     Accepts a scalar (returns a float) or an array (returns an array). A
     QuadratureError's ``component`` is the flat index of the argument whose
     integral failed.
     """
     arr = _as_arguments(s, "one_minus_mgf_triple_cascade")
-    out = _rayleigh_average(_one_minus_mgf_dbl, arr.ravel(), at_zero=0.0)
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def _rayleigh_average(kernel, s, at_zero: float):
-    # E[kernel(s*y)] over a unit Rayleigh y (density y*exp(-y^2/2)) at every
-    # argument of the 1-D array s in one adaptive run. kernel(0) = at_zero,
-    # and past s = 1e300 the kernel is 1 - at_zero to double precision.
-    out = np.where(s == 0.0, at_zero, 1.0 - at_zero)
-    live = (s > 0.0) & (s <= 1e300)
+    flat = arr.ravel()
+    # 1 - M_dbl is 0 at s = 0 and 1 to double precision past s = 1e300
+    out = np.where(flat == 0.0, 0.0, 1.0)
+    live = (flat > 0.0) & (flat <= 1e300)
     if live.any():
-        sl = s[live]
+        sl = flat[live]
+
+        def integrand(y):
+            return (y * np.exp(-0.5 * y * y))[:, None] * _one_minus_mgf_dbl(np.multiply.outer(y, sl))
+
         try:
-            out[live] = integrate(
-                lambda y: (y * np.exp(-0.5 * y * y))[:, None] * kernel(np.multiply.outer(y, sl)),
-                _TRIPLE_BREAKS, _TRIPLE_QUAD)
+            out[live] = integrate(integrand, _TRIPLE_BREAKS, _TRIPLE_QUAD)
         except QuadratureError as exc:
             exc.component = int(np.flatnonzero(live)[exc.component])
             raise
-    return out
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _rayleigh(rng: np.random.Generator, size):

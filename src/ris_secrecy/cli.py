@@ -81,16 +81,20 @@ class RunConfig:
                 raise ConfigError(f"unknown output {out!r}; valid outputs: {OUTPUT_NAMES}")
         if MC_OUTPUTS.intersection(self.outputs) and self.mc is None:
             raise ConfigError("Monte-Carlo outputs require an 'mc' config block")
-        if not self.c_th > 0.0:
-            raise ConfigError("c_th must be > 0")
+        if not 0.0 < self.c_th < math.inf:
+            raise ConfigError("c_th must be finite and > 0")
         if self.sweep is not None and self.sweep.param == "r_s" and self.base.model is Model.V2V_RIS_AP:
             raise ConfigError("r_s can only be swept for the relay model")
 
 
-def _require_keys(section: str, doc: dict, allowed):
+def _section(name: str, doc, allowed) -> dict:
+    """``doc`` as a config section: a JSON object with keys from ``allowed``."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown key(s) in {section}: {sorted(unknown)}")
+        raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
+    return doc
 
 
 def _integer(name: str, value) -> int:
@@ -103,8 +107,19 @@ def _integer(name: str, value) -> int:
     raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
-def _parse_base(doc: dict) -> SystemParams:
-    _require_keys("base", doc, ("model",) + tuple(_BASE_DEFAULTS) + ("r_s",))
+def _real(name: str, value) -> float:
+    """``value`` as a float. Booleans and non-numbers are config errors, not
+    coerced; the range is checked where the value is used."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} is outside the floating-point range") from None
+    raise ConfigError(f"{name} must be a number, got {value!r}")
+
+
+def _parse_base(doc) -> SystemParams:
+    doc = _section("base", doc, ("model",) + tuple(_BASE_DEFAULTS) + ("r_s",))
     if "model" not in doc:
         raise ConfigError("base.model is required ('v2v_ris_ap' or 'vanet_ris_relay')")
     try:
@@ -113,47 +128,35 @@ def _parse_base(doc: dict) -> SystemParams:
         raise ConfigError(f"unknown model {doc['model']!r}") from None
     if model is Model.V2V_RIS_AP and "r_s" in doc:
         raise ConfigError("r_s applies only to the relay model")
-    fields = dict(_BASE_DEFAULTS)
-    for key in _BASE_DEFAULTS:
-        if key in doc:
-            fields[key] = doc[key]
+    fields = {key: (_integer if key == "n_cells" else _real)(f"base.{key}", doc.get(key, default))
+              for key, default in _BASE_DEFAULTS.items()}
+    if model is Model.VANET_RIS_RELAY:
+        fields["r_s"] = _real("base.r_s", doc.get("r_s", DEFAULT_RELAY_R_S))
     try:
-        fields["n_cells"] = _integer("base.n_cells", fields["n_cells"])
-        if model is Model.VANET_RIS_RELAY:
-            fields["r_s"] = float(doc.get("r_s", DEFAULT_RELAY_R_S))
         return SystemParams(model=model, **fields)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from None
 
 
 def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None = None) -> RunConfig:
     """Resolve a JSON config document (plus CLI overrides) into a RunConfig."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    _require_keys("config", doc, ("base", "sweep", "c_th", "mc", "outputs"))
+    doc = _section("config", doc, ("base", "sweep", "c_th", "mc", "outputs"))
     if "base" not in doc:
         raise ConfigError("config requires a 'base' section")
     base = _parse_base(doc["base"])
     sweep = None
     if doc.get("sweep") is not None:
-        sw = doc["sweep"]
-        _require_keys("sweep", sw, ("param", "start", "stop", "steps", "scale"))
-        try:
-            sweep = SweepSpec(
-                param=sw.get("param", ""),
-                start=float(sw.get("start", 0.0)),
-                stop=float(sw.get("stop", 0.0)),
-                steps=_integer("sweep.steps", sw.get("steps", 0)),
-                scale=sw.get("scale", "linear"),
-            )
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid sweep section: {exc}") from None
+        sw = _section("sweep", doc["sweep"], ("param", "start", "stop", "steps", "scale"))
+        sweep = SweepSpec(
+            param=sw.get("param", ""),
+            start=_real("sweep.start", sw.get("start", 0.0)),
+            stop=_real("sweep.stop", sw.get("stop", 0.0)),
+            steps=_integer("sweep.steps", sw.get("steps", 0)),
+            scale=sw.get("scale", "linear"),
+        )
     mc = None
     if doc.get("mc") is not None:
-        m = doc["mc"]
-        _require_keys("mc", m, ("trials", "seed", "batch"))
+        m = _section("mc", doc["mc"], ("trials", "seed", "batch"))
         try:
             mc = McConfig(
                 trials=_integer("mc.trials", m.get("trials", McConfig.trials)),
@@ -172,14 +175,11 @@ def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None =
                 mc = replace(mc, trials=trials)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    outputs = tuple(doc.get("outputs", DEFAULT_OUTPUTS))
-    try:
-        return RunConfig(base=base, sweep=sweep, c_th=float(doc.get("c_th", DEFAULT_C_TH)),
-                         mc=mc, outputs=outputs)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    outputs = doc.get("outputs", list(DEFAULT_OUTPUTS))
+    if not (isinstance(outputs, list) and all(isinstance(out, str) for out in outputs)):
+        raise ConfigError(f"outputs must be a list of output names, got {outputs!r}")
+    return RunConfig(base=base, sweep=sweep, c_th=_real("c_th", doc.get("c_th", DEFAULT_C_TH)),
+                     mc=mc, outputs=tuple(outputs))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also a non-UTF-8 file or an integer too long to parse
                 raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
         cfg = build_run_config(doc, seed=args.seed, trials=args.trials)
         try:

@@ -98,12 +98,6 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     return (gs * gd).sum(axis=1), (gs * ge).sum(axis=1)
 
 
-def sample_snr_pairs(params: SystemParams, rng: np.random.Generator, n: int):
-    """Draw n trials of the instantaneous SNR pair (gamma_d, gamma_e)."""
-    sum_d, sum_e = sample_gain_sums(params, rng, n)
-    return snr_scale(params, Link.DESTINATION) * sum_d, snr_scale(params, Link.EAVESDROPPER) * sum_e
-
-
 def _blocks(trials: int):
     n_blocks = (trials + _BLOCK_TRIALS - 1) // _BLOCK_TRIALS
     return [(i, min(_BLOCK_TRIALS, trials - i * _BLOCK_TRIALS)) for i in range(n_blocks)]

@@ -1,8 +1,7 @@
-"""Scalar special functions and the Gauss-Kronrod quadrature engine.
+"""The error function and the Gauss-Kronrod quadrature engine.
 
 Every analytic secrecy expression in the package is built from these
-primitives: the modified Bessel function K0, the error function and one
-deterministic adaptive GK15 engine. The engine evaluates all 15 nodes of a
+primitives: the error function and one deterministic adaptive GK15 engine. The engine evaluates all 15 nodes of a
 panel in one call and accepts vector-valued integrands, so a family of
 integrals over the same range (one per MGF argument, say) shares its panels.
 """
@@ -32,10 +31,6 @@ class QuadratureSpec:
 
 DEFAULT_QUADRATURE = QuadratureSpec()
 
-# exp(-z) < 1e-16 past here, so truncating the exponentially weighted
-# integrals at this point is below every tolerance the package uses.
-DEFAULT_CUTOFF = 40.0
-
 
 class QuadratureError(ArithmeticError):
     """Adaptive subdivision exhausted before reaching tolerance, or the
@@ -52,71 +47,6 @@ class QuadratureError(ArithmeticError):
         self.best_estimate = best_estimate
         self.error_bound = error_bound
         self.component = component
-
-
-_EULER_GAMMA = 0.5772156649015328606
-
-# Chebyshev coefficients of exp(x)*sqrt(x)*K0(x) in t = 4/x - 1 on x in [2, inf),
-# generated from a 64-node Chebyshev projection at 40 decimal digits
-# (max fit error ~8e-20 over x in [2, 700]).
-_K0_CHEB = (
-    1.2201515410329777273,
-    -0.031448101311964500543,
-    0.0015698838857300533749,
-    -0.00012849549581627802638,
-    1.3949813718876499364e-05,
-    -1.8317555227191194848e-06,
-    2.7668136394450150761e-07,
-    -4.6604898976879476656e-08,
-    8.5740340174142260858e-09,
-    -1.6975345093890615156e-09,
-    3.5773972814003284472e-10,
-    -7.9574892444773970377e-11,
-    1.855949114954926555e-11,
-    -4.5145978833745191751e-12,
-    1.1403405882073442347e-12,
-    -2.9800969231481783548e-13,
-    8.0328907750683743694e-14,
-    -2.2275133267462963604e-14,
-    6.3400764762766459661e-15,
-    -1.8485933779209071694e-15,
-    5.5120559994043333649e-16,
-    -1.6782311257549006383e-16,
-    5.2103917776435541125e-17,
-    -1.6475805939842632815e-17,
-    5.300433771177335771e-18,
-    -1.7331712005821000278e-18,
-    5.7551092028827293794e-19,
-    -1.939095605318355466e-19,
-)
-
-
-def bessel_k0(x: float) -> float:
-    """Modified Bessel function of the second kind, order zero, for x > 0."""
-    if not x > 0.0:
-        raise ValueError(f"bessel_k0 requires x > 0, got {x!r}")
-    if x <= 2.0:
-        # K0 = A(x) - ln(x/2) I0(x) with A = sum (x^2/4)^k/(k!)^2 (H_k - gamma);
-        # all cancellation is confined to the explicit log term.
-        y = 0.25 * x * x
-        i0 = 1.0
-        a = -_EULER_GAMMA
-        term = 1.0
-        hk = 0.0
-        k = 1
-        while term > 1e-19:
-            term *= y / (k * k)
-            hk += 1.0 / k
-            i0 += term
-            a += term * (hk - _EULER_GAMMA)
-            k += 1
-        return a - math.log(0.5 * x) * i0
-    t = 4.0 / x - 1.0
-    b1 = 0.0
-    b2 = 0.0
-    for c in _K0_CHEB[:0:-1]:
-        b1, b2 = 2.0 * t * b1 - b2 + c, b1
-    return (t * b1 - b2 + _K0_CHEB[0]) * math.exp(-x) / math.sqrt(x)
 
 
 # Error function: odd, saturating to +-1, and NaN for NaN.
@@ -181,12 +111,6 @@ def _gk15(f, a: float, b: float):
     return resk * h, err
 
 
-def semi_infinite_breaks(cutoff: float = DEFAULT_CUTOFF) -> tuple:
-    """Initial panels for an integrand over (0, cutoff] decaying like exp(-z),
-    graded towards the origin."""
-    return (0.0, cutoff / 64.0, cutoff / 16.0, cutoff / 4.0, cutoff)
-
-
 def integrate(f, breaks, spec: QuadratureSpec | None = None):
     """Integrate f over [breaks[0], breaks[-1]] by adaptive GK15 subdivision.
 
@@ -244,13 +168,3 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
         return math.fsum(values)
     return np.array([math.fsum(col) for col in values.T])
 
-
-def integrate_semi_infinite(f, spec: QuadratureSpec | None = None, *, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Integrate a scalar function f over (0, inf) for integrands decaying at
-    least like exp(-z).
-
-    The integral is truncated at ``cutoff``; ``f`` is called once per
-    quadrature node with a float. See ``integrate`` for the tolerance,
-    determinism and QuadratureError contracts.
-    """
-    return integrate(lambda z: [f(x) for x in z.tolist()], semi_infinite_breaks(cutoff), spec)

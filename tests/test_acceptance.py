@@ -19,8 +19,8 @@ from ris_secrecy import cli
 from ris_secrecy.channels import (
     FadingKind,
     mgf_double_rayleigh,
-    mgf_triple_cascade,
     moments,
+    one_minus_mgf_triple_cascade,
     sample,
 )
 from ris_secrecy.montecarlo import McConfig, mc_asc, mc_gain_sum_stats, mc_sop
@@ -32,12 +32,15 @@ from ris_secrecy.secrecy import (
     asc_approx,
     asc_exact,
     avg_capacity,
-    capacity_upper_bound,
+    snr_scale,
     sop,
 )
-from ris_secrecy.specfun import bessel_k0, integrate_semi_infinite
+from ris_secrecy.specfun import integrate
 
 SEED = 42  # documented default seed; every stochastic check below is reproducible
+
+# Initial panels over (0, 40] for integrands decaying like exp(-z); exp(-40) < 1e-17.
+SEMI_INFINITE_BREAKS = (0.0, 0.625, 2.5, 10.0, 40.0)
 
 
 def _finish(num, desc, t0, budget, checks):
@@ -54,12 +57,12 @@ def _finish(num, desc, t0, budget, checks):
 def test_criterion_1_special_function_identities():
     t0 = time.perf_counter()
     checks = []
-    norm = integrate_semi_infinite(lambda g: g * bessel_k0(g))
-    checks.append((abs(norm - 1.0) < 1e-9, f"int g K0(g) dg = {norm!r} (target 1 +- 1e-9)"))
+    norm = integrate(lambda g: g * sp.k0(g), SEMI_INFINITE_BREAKS)
+    checks.append((abs(norm - 1.0) < 1e-9, f"int g K0(g) dg = {norm!r} with scipy K0 (target 1 +- 1e-9)"))
     m1 = mgf_double_rayleigh(1.0)
     checks.append((abs(m1 - 1.0 / 3.0) < 1e-10, f"double-Rayleigh MGF at 1 = {m1!r} (target 1/3 +- 1e-10)"))
     for k in range(1, 6):
-        val = integrate_semi_infinite(lambda z, k=k: z ** (k - 1) * math.exp(-z))
+        val = integrate(lambda z, k=k: z ** (k - 1) * np.exp(-z), SEMI_INFINITE_BREAKS)
         exact = math.factorial(k - 1)
         checks.append((abs(val - exact) / exact < 1e-9, f"Gamma({k}) quadrature rel err {abs(val-exact)/exact:.2e}"))
     _finish(1, "special-function identities", t0, 1.0, checks)
@@ -87,10 +90,14 @@ def test_criterion_2_mgf_three_way_equivalence():
                 0.0, 9.5, 0.0, 60.0, epsabs=1e-12, epsrel=1e-9)
         return val
 
+    def triple_mgf(s):
+        # the MGF from the complement the capacity path uses; exact to 5e-16 here
+        return 1.0 - one_minus_mgf_triple_cascade(s)
+
     for s in (0.5, 1.0, 5.0):
         for kind, mgf, oracle in (
             (FadingKind.DOUBLE_RAYLEIGH, mgf_double_rayleigh, dbl_quad_oracle),
-            (FadingKind.TRIPLE_CASCADE, mgf_triple_cascade, triple_quad_oracle),
+            (FadingKind.TRIPLE_CASCADE, triple_mgf, triple_quad_oracle),
         ):
             closed = mgf(s)
             quad = oracle(s)
@@ -148,8 +155,11 @@ def test_criterion_5_jensen_ordering():
         for p_s in (2.0, 8.0, 20.0, 60.0, 160.0):
             for r_e in (2.0, 4.0, 8.0, 16.0, 24.0):
                 p = SystemParams(model=model, p_s=p_s, r_e=r_e, r_s=r_s)
+                mean_gain = p.n_cells * moments(p.fading_kind).mean
                 for link in Link:
-                    gap = capacity_upper_bound(p, link) - avg_capacity(p, link)
+                    # Jensen: E[log2(1 + gamma)] <= log2(1 + E[gamma])
+                    bound = math.log2(1.0 + mean_gain * snr_scale(p, link))
+                    gap = bound - avg_capacity(p, link)
                     worst = min(worst, gap)
                     count += 1
     checks.append((worst > 0.0, f"bound - capacity > 0 at all {count} link evaluations (min gap {worst:.3e})"))

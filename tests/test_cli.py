@@ -97,6 +97,32 @@ class TestConfigParsing:
             {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": None}},
             {"base": {"model": "v2v_ris_ap"},
              "sweep": {"param": "p_s", "start": 1, "stop": 2, "steps": 2.7}},
+            # float fields take numbers only: no booleans, strings or
+            # integers beyond the float range
+            {"base": {"model": "v2v_ris_ap", "p_s": True, "r_d": True}},
+            {"base": {"model": "v2v_ris_ap", "n_0": False}},
+            {"base": {"model": "v2v_ris_ap", "beta": True}},
+            {"base": {"model": "v2v_ris_ap", "r_e": True}},
+            {"base": {"model": "vanet_ris_relay", "r_s": True}},
+            {"base": {"model": "v2v_ris_ap", "p_s": "10"}},
+            {"base": {"model": "v2v_ris_ap", "p_s": 10 ** 400}},
+            {"base": {"model": "v2v_ris_ap"}, "c_th": True},
+            {"base": {"model": "v2v_ris_ap"}, "c_th": "1"},
+            {"base": {"model": "v2v_ris_ap"}, "c_th": math.inf},
+            {"base": {"model": "v2v_ris_ap"},
+             "sweep": {"param": "p_s", "start": True, "stop": 2, "steps": 3}},
+            {"base": {"model": "v2v_ris_ap"},
+             "sweep": {"param": "p_s", "start": 1, "stop": True, "steps": 3}},
+            # sections of the wrong JSON type
+            5,
+            {"base": 5},
+            {"base": {"model": "v2v_ris_ap"}, "sweep": 5},
+            {"base": {"model": "v2v_ris_ap"}, "mc": ""},
+            {"base": {"model": "v2v_ris_ap"}, "mc": [1000]},
+            {"base": {"model": "v2v_ris_ap"}, "outputs": 5},
+            {"base": {"model": "v2v_ris_ap"}, "outputs": "asc_exact"},
+            {"base": {"model": "v2v_ris_ap"}, "outputs": None},
+            {"base": {"model": "v2v_ris_ap"}, "outputs": [["asc_exact"]]},
         ],
     )
     def test_rejects_bad_documents(self, doc):
@@ -156,6 +182,15 @@ class TestEval:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert main(["eval", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("raw", [b'{"base": {"model": "v2v_ris_ap", "p_s": ' + b"1" * 5000 + b"}}",
+                                     b'{"base": {"model": "v2v_ris_\xff"}}'],
+                             ids=["integer_too_long", "not_utf8"])
+    def test_unreadable_documents_are_config_errors(self, tmp_path, capsys, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        assert main(["eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: invalid JSON")
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = _write(tmp_path, _v2v_doc(outputs=[]))

@@ -17,9 +17,16 @@ from ris_secrecy.montecarlo import (
     mc_gain_sum_stats,
     mc_points,
     mc_sop,
-    sample_snr_pairs,
+    sample_gain_sums,
 )
 from ris_secrecy.secrecy import Link, Model, SystemParams, asc_exact, snr_scale, sop
+
+
+def sample_snr_pairs(params, rng, n):
+    """n trials of the instantaneous SNR pair (gamma_d, gamma_e): the drawn
+    gain sums times each link's SNR scale."""
+    sum_d, sum_e = sample_gain_sums(params, rng, n)
+    return snr_scale(params, Link.DESTINATION) * sum_d, snr_scale(params, Link.EAVESDROPPER) * sum_e
 
 
 class TestConfigTypes:

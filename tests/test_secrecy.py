@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from ris_secrecy import channels, secrecy
-from ris_secrecy.channels import FadingKind, moments
+from ris_secrecy.channels import moments
 from ris_secrecy.secrecy import (
     Link,
     Model,
@@ -22,9 +22,7 @@ from ris_secrecy.secrecy import (
     asc_exact,
     asc_exact_clamped,
     avg_capacity,
-    capacity_upper_bound,
     link_capacities,
-    link_mgf,
     secrecy_report,
     snr_scale,
     sop,
@@ -121,6 +119,12 @@ def _capacity_mp(params: SystemParams, link: Link) -> float:
         return float(mp.quad(f, cuts) / mp.log(2))
 
 
+def _jensen_bound(params: SystemParams, link: Link) -> float:
+    """log2(1 + E[gamma]) = log2(1 + N E[g] scale), the Jensen upper bound on
+    the average link capacity."""
+    return math.log2(1.0 + params.n_cells * moments(params.fading_kind).mean * snr_scale(params, link))
+
+
 class TestSystemParams:
     def test_defaults_are_valid(self, v2v_params, relay_params):
         assert v2v_params.n_cells == 16
@@ -178,34 +182,6 @@ class TestSnrScale:
         assert snr_scale(relay_params, Link.DESTINATION) == pytest.approx(expected, rel=1e-14)
 
 
-class TestLinkMgf:
-    def test_at_zero(self, v2v_params, relay_params):
-        assert link_mgf(v2v_params, Link.DESTINATION, 0.0) == 1.0
-        assert link_mgf(relay_params, Link.EAVESDROPPER, 0.0) == 1.0
-
-    def test_single_cell_at_unit_argument(self, v2v_params):
-        p = replace(v2v_params, n_cells=1)
-        z = 1.0 / snr_scale(p, Link.DESTINATION)
-        assert link_mgf(p, Link.DESTINATION, z) == pytest.approx(1.0 / 3.0, rel=1e-12)
-
-    def test_iid_product_structure(self, v2v_params):
-        p1 = replace(v2v_params, n_cells=1)
-        p2 = replace(v2v_params, n_cells=2)
-        z = 0.7
-        assert link_mgf(p2, Link.DESTINATION, z) == pytest.approx(
-            link_mgf(p1, Link.DESTINATION, z) ** 2, rel=1e-14)
-
-    def test_domain_error(self, v2v_params):
-        with pytest.raises(ValueError):
-            link_mgf(v2v_params, Link.DESTINATION, -0.5)
-
-    def test_array_of_z_matches_scalar_calls(self, relay_params):
-        z = np.array([0.0, 0.01, 1.0, 30.0])
-        vals = link_mgf(relay_params, Link.DESTINATION, z)
-        for zi, v in zip(z, vals):
-            assert v == pytest.approx(link_mgf(relay_params, Link.DESTINATION, float(zi)), rel=1e-10)
-
-
 class TestAvgCapacity:
     def test_zero_power_limit(self, v2v_params):
         p = replace(v2v_params, p_s=1e-12)
@@ -221,7 +197,7 @@ class TestAvgCapacity:
         for p_s in (1.0, 10.0, 50.0):
             p = SystemParams(model=model, p_s=p_s, r_s=r_s)
             for link in Link:
-                assert avg_capacity(p, link) < capacity_upper_bound(p, link)
+                assert avg_capacity(p, link) < _jensen_bound(p, link)
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -523,6 +499,4 @@ class TestSecrecyReport:
 
     def test_jensen_bound_dominates_per_link_capacity(self, v2v_params):
         # the closed-form approximation is built from per-link upper bounds
-        assert avg_capacity(v2v_params, Link.DESTINATION) <= math.log2(
-            1.0 + v2v_params.n_cells * moments(FadingKind.DOUBLE_RAYLEIGH).mean
-            * snr_scale(v2v_params, Link.DESTINATION))
+        assert avg_capacity(v2v_params, Link.DESTINATION) <= _jensen_bound(v2v_params, Link.DESTINATION)

@@ -5,22 +5,12 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_secrecy.channels import mgf_double_rayleigh
-from ris_secrecy.specfun import (
-    QuadratureError,
-    QuadratureSpec,
-    bessel_k0,
-    erf,
-    integrate,
-    integrate_semi_infinite,
-)
-
-# K0(1) from the integral representation int_0^inf exp(-x cosh t) dt,
-# evaluated at 30 decimal digits (recomputed in test_k0_integral_oracle).
-K0_AT_1 = 0.42102443824070833
+from ris_secrecy.specfun import QuadratureError, QuadratureSpec, erf, integrate
 
 # 2F1(2, 1/2; 5/2; .) from arbitrary-precision summation (mpmath)
 HYP_AT_0p999 = 5.4756385061780335
@@ -46,41 +36,6 @@ ERF_AT_1 = 0.84270079294971487
 
 # e*E1(1) from the series E1(1) = -gamma + sum (-1)^(k+1)/(k k!)
 E_TIMES_E1_AT_1 = 0.59634736232319407
-
-
-class TestBesselK0:
-    def test_integral_oracle_at_one(self):
-        mp.mp.dps = 30
-        oracle = mp.quad(lambda t: mp.exp(-mp.cosh(t)), [0, 6])
-        assert abs(float(oracle) - K0_AT_1) < 1e-15
-        assert bessel_k0(1.0) == pytest.approx(K0_AT_1, rel=1e-13)
-
-    def test_reference_grid(self):
-        mp.mp.dps = 25
-        for x in np.logspace(-8, math.log10(700.0), 60):
-            ref = float(mp.besselk(0, mp.mpf(float(x))))
-            assert bessel_k0(float(x)) == pytest.approx(ref, rel=1e-12)
-
-    def test_underflows_to_zero_for_huge_argument(self):
-        assert bessel_k0(800.0) == 0.0
-
-    def test_strictly_decreasing(self):
-        assert bessel_k0(0.5) > bessel_k0(1.0)
-        grid = np.logspace(-6, 2.5, 200)
-        vals = [bessel_k0(float(x)) for x in grid]
-        assert all(v > 0.0 for v in vals)
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    @given(st.floats(min_value=1e-6, max_value=600.0),
-           st.floats(min_value=1.0000001, max_value=1.2))
-    @settings(max_examples=50, deadline=None)
-    def test_monotone_property(self, x, factor):
-        assert bessel_k0(x) > bessel_k0(x * factor) > 0.0
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, -1e-9])
-    def test_domain_error(self, bad):
-        with pytest.raises(ValueError):
-            bessel_k0(bad)
 
 
 class TestHyp2F1Special:
@@ -156,14 +111,22 @@ class TestErf:
         assert erf(-x) == -v
 
 
+# Initial panels over (0, 40] for integrands decaying like exp(-z), graded
+# towards the origin as in the capacity integral; exp(-40) < 1e-17.
+SEMI_INFINITE_BREAKS = (0.0, 0.625, 2.5, 10.0, 40.0)
+
+
 class TestIntegrateSemiInfinite:
+    """integrate() on exponentially decaying integrands over explicit breaks,
+    against closed forms and scipy's K0."""
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_gamma_function_values(self, k):
-        val = integrate_semi_infinite(lambda z: z ** (k - 1) * math.exp(-z))
+        val = integrate(lambda z: z ** (k - 1) * np.exp(-z), SEMI_INFINITE_BREAKS)
         assert val == pytest.approx(math.factorial(k - 1), rel=1e-9)
 
     def test_plain_exponential(self):
-        assert integrate_semi_infinite(lambda z: math.exp(-z)) == pytest.approx(1.0, rel=1e-10)
+        assert integrate(lambda z: np.exp(-z), SEMI_INFINITE_BREAKS) == pytest.approx(1.0, rel=1e-10)
 
     def test_exponential_integral_value(self):
         # independent oracle: E1(1) = -gamma + sum (-1)^(k+1)/(k k!)
@@ -173,21 +136,22 @@ class TestIntegrateSemiInfinite:
             term *= -1.0 / k
             e1 -= term / k
         assert abs(math.e * e1 - E_TIMES_E1_AT_1) < 1e-14
-        val = integrate_semi_infinite(lambda z: (1.0 - 1.0 / (1.0 + z)) * math.exp(-z) / z)
+        val = integrate(lambda z: (1.0 - 1.0 / (1.0 + z)) * np.exp(-z) / z, SEMI_INFINITE_BREAKS)
         assert val == pytest.approx(E_TIMES_E1_AT_1, rel=1e-9)
 
     def test_double_rayleigh_pdf_normalizes(self):
-        val = integrate_semi_infinite(lambda g: g * bessel_k0(g))
+        # the double-Rayleigh density g K0(g), with scipy's K0
+        val = integrate(lambda g: g * sp.k0(g), SEMI_INFINITE_BREAKS)
         assert val == pytest.approx(1.0, abs=1e-9)
 
     def test_deterministic(self):
-        f = lambda z: math.sin(3.0 * z) ** 2 * math.exp(-z)
-        assert integrate_semi_infinite(f) == integrate_semi_infinite(f)
+        f = lambda z: np.sin(3.0 * z) ** 2 * np.exp(-z)
+        assert integrate(f, SEMI_INFINITE_BREAKS) == integrate(f, SEMI_INFINITE_BREAKS)
 
     def test_nonconvergence_carries_best_estimate(self):
         spec = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0, max_subdivisions=2)
         with pytest.raises(QuadratureError) as exc_info:
-            integrate_semi_infinite(lambda z: math.cos(50.0 * z) * math.exp(-z), spec)
+            integrate(lambda z: np.cos(50.0 * z) * np.exp(-z), SEMI_INFINITE_BREAKS, spec)
         err = exc_info.value
         assert math.isfinite(err.best_estimate)
         assert err.error_bound > 0.0
@@ -207,7 +171,7 @@ class TestIntegrateSemiInfinite:
 
     def test_non_finite_integrand_raises(self):
         with pytest.raises(QuadratureError):
-            integrate_semi_infinite(lambda z: math.nan)
+            integrate(lambda z: np.full_like(z, math.nan), SEMI_INFINITE_BREAKS)
 
 
 class TestIntegrateVector:
