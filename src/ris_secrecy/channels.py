@@ -167,9 +167,18 @@ def one_minus_mgf_triple_cascade(s):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
+def rayleigh_inplace(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms U in [0, 1) into unit-scale Rayleigh gains in place and
+    return the array: sqrt(-2 log(1 - U)), the inverse transform. 1 - U is
+    in (0, 1], so the log never sees zero; no temporary array is made."""
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.multiply(u, -2.0, out=u)
+    return np.sqrt(u, out=u)
+
+
 def _rayleigh(rng: np.random.Generator, size):
-    # inverse-transform: 1-U is in (0, 1], so the log never sees zero
-    return np.sqrt(-2.0 * np.log1p(-rng.random(size)))
+    return rayleigh_inplace(np.asarray(rng.random(size)))
 
 
 def sample(kind: FadingKind, rng: np.random.Generator, size=None):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels
-from .channels import FadingKind
 from .secrecy import Link, Model, SystemParams, snr_scale
 
 THREADS_ENV_VAR = "RIS_SECRECY_THREADS"
@@ -79,6 +78,12 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
 
 
+# Size of a block's draw workspace. Row chunks of every factor array are
+# drawn into it, so a block holds about this much (or one row, where a row is
+# larger) plus its two n-long sums, whatever n_cells is.
+_CHUNK_BYTES = 1 << 20
+
+
 def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     """Draw n trials of the summed per-element gains for both links.
 
@@ -86,16 +91,46 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     and eavesdropper gains. For the relay model the source-leg draws are
     reused on both links (both receivers see the same source-to-RIS
     reflection).
+
+    The gains are products of k (n, N) arrays of Rayleigh factors: for v2v
+    the two factors of the destination link, then the two of the
+    eavesdropper link (k = 4); the relay puts its source leg first (k = 5).
+    Factor j is the stretch of ``rng``'s PCG64 stream that starts j*n*N
+    outputs on, as if the arrays were drawn whole one after the other. Each
+    factor is read from its own cursor on that stream, in row chunks of a
+    workspace of ``_CHUNK_BYTES``, so the sums are bit-identical to
+    whole-array draws and ``rng`` ends k*n*N outputs on, where those leave it.
     """
-    shape = (n, params.n_cells)
-    if params.model is Model.V2V_RIS_AP:
-        gd = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-        ge = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-        return gd.sum(axis=1), ge.sum(axis=1)
-    gs = channels.sample(FadingKind.RAYLEIGH, rng, shape)
-    gd = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-    ge = channels.sample(FadingKind.DOUBLE_RAYLEIGH, rng, shape)
-    return (gs * gd).sum(axis=1), (gs * ge).sum(axis=1)
+    n_cells = params.n_cells
+    k = 4 if params.model is Model.V2V_RIS_AP else 5
+    state = rng.bit_generator.state
+    cursors = []
+    for j in range(k):
+        bit_generator = np.random.PCG64()
+        bit_generator.state = state
+        bit_generator.advance(j * n * n_cells)
+        cursors.append(np.random.Generator(bit_generator))
+    rows = max(1, min(n, _CHUNK_BYTES // (8 * k * n_cells)))
+    work = np.empty(k * rows * n_cells)
+    sum_d = np.empty(n)
+    sum_e = np.empty(n)
+    for r0 in range(0, n, rows):
+        r1 = min(n, r0 + rows)
+        f = work[:k * (r1 - r0) * n_cells].reshape(k, r1 - r0, n_cells)
+        for cursor, factor in zip(cursors, f):
+            cursor.random(out=factor)
+        channels.rayleigh_inplace(f)
+        if k == 4:
+            gd = np.multiply(f[0], f[1], out=f[0])
+            ge = np.multiply(f[2], f[3], out=f[2])
+        else:  # the source leg f[0] times each receiver's double-Rayleigh leg
+            gd = np.multiply(f[0], np.multiply(f[1], f[2], out=f[1]), out=f[1])
+            ge = np.multiply(f[0], np.multiply(f[3], f[4], out=f[3]), out=f[3])
+        gd.sum(axis=1, out=sum_d[r0:r1])
+        ge.sum(axis=1, out=sum_e[r0:r1])
+    state["state"] = cursors[-1].bit_generator.state["state"]
+    rng.bit_generator.state = state
+    return sum_d, sum_e
 
 
 def _blocks(trials: int):

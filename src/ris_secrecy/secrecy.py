@@ -206,19 +206,37 @@ def asc_exact_clamped(params: SystemParams) -> float:
     return max(0.0, asc_exact(params))
 
 
+# The smallest normal double; a product below it keeps fewer digits.
+_TINY = 2.2250738585072014e-308
+
+
 def asc_approx(params: SystemParams) -> float:
     """Closed-form secrecy-capacity approximation from the per-link Jensen bounds."""
     rd = params.r_d ** -params.beta
     re_ = params.r_e ** -params.beta
     if params.model is Model.V2V_RIS_AP:
-        num = 2.0 * params.n_0 + params.n_cells * math.pi * params.p_s * rd
-        den = 2.0 * params.n_0 + params.n_cells * math.pi * params.p_s * re_
+        c, k = 2.0, params.n_cells * math.pi
+        coeff = k * params.p_s
+        powers = (rd, re_)
     else:
         rs = params.r_s ** -params.beta
+        c, k = 2.0 * math.sqrt(2.0), params.n_cells * math.pi ** 1.5
         coeff = params.n_cells * params.p_s * math.pi ** 1.5 * rs
-        num = 2.0 * math.sqrt(2.0) * params.n_0 + coeff * rd
-        den = 2.0 * math.sqrt(2.0) * params.n_0 + coeff * re_
-    return math.log2(num / den)
+        powers = (rd, re_, rs)
+    noise, term_d, term_e = c * params.n_0, coeff * rd, coeff * re_
+    ratio = (noise + term_d) / (noise + term_e)
+    if all(v >= _TINY for v in (params.p_s, coeff, noise, term_d, term_e, ratio, *powers)) \
+            and ratio < math.inf:
+        return math.log2(ratio)
+    # A product or the ratio left the normal double range and lost digits.
+    # Over c n_0 the bound terms are e^x, with x taken from the logs of the
+    # inputs, and log((1 + e^x_d) / (1 + e^x_e)) keeps every digit.
+    log_x = math.log(k) + math.log(params.p_s) - math.log(c) - math.log(params.n_0)
+    if params.model is Model.VANET_RIS_RELAY:
+        log_x -= params.beta * math.log(params.r_s)
+    x_d = log_x - params.beta * math.log(params.r_d)
+    x_e = log_x - params.beta * math.log(params.r_e)
+    return float(np.logaddexp(0.0, x_d) - np.logaddexp(0.0, x_e)) / math.log(2.0)
 
 
 def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) -> float:
@@ -233,8 +251,12 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     """
     if not c_th > 0.0:
         raise ValueError("c_th must be > 0")
-    nu = 2.0 ** c_th
-    ratio = (params.r_e / params.r_d) ** -params.beta  # r_e^-beta / r_d^-beta
+    try:
+        nu = 2.0 ** c_th
+        ratio = (params.r_e / params.r_d) ** -params.beta  # r_e^-beta / r_d^-beta
+    except OverflowError:
+        # either overflow drives the erf argument below to +inf
+        return 1.0
     n = params.n_cells
     # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta]), from the validated scale
     noise_term = (nu - 1.0) / snr_scale(params, Link.DESTINATION)

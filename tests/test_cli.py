@@ -222,6 +222,21 @@ class TestEval:
             _header, value = capsys.readouterr().out.splitlines()
             assert math.isfinite(float(value))
 
+    @pytest.mark.parametrize("doc,expected", [
+        # 2^c_th overflows
+        ({"base": {"model": "v2v_ris_ap"}, "c_th": 2000.0, "outputs": ["sop_corrected"]}, 1.0),
+        # (r_e/r_d)^-beta overflows
+        ({"base": {"model": "v2v_ris_ap", "r_e": 0.001, "r_d": 1000.0, "beta": 60.0},
+          "outputs": ["sop_corrected"]}, 1.0),
+        # N pi p_s r_e^-beta overflows; log2(2 / (16 pi 10^307))
+        ({"base": {"model": "v2v_ris_ap", "r_e": 0.001, "r_d": 4.0, "beta": 102.0},
+          "outputs": ["asc_approx"]}, -1024.4834212598928),
+    ])
+    def test_overflowing_closed_form_terms_succeed(self, tmp_path, capsys, doc, expected):
+        assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+        _header, value = capsys.readouterr().out.splitlines()
+        assert float(value) == pytest.approx(expected, rel=1e-12)
+
     def test_cascade_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(channels, "_TRIPLE_QUAD",
                             channels.QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))

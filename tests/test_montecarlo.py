@@ -1,12 +1,13 @@
 """Simulation-oracle contracts: determinism, moment agreement, estimator
 consistency and the analytic cross-checks."""
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ris_secrecy import cli
+from ris_secrecy import cli, montecarlo
 from ris_secrecy.channels import FadingKind, moments
 from ris_secrecy.montecarlo import (
     McConfig,
@@ -255,3 +256,98 @@ class TestSinglePassEngine:
     def test_rejects_bad_point_sets(self, points):
         with pytest.raises(ValueError):
             mc_points(points, McConfig(trials=10, seed=1))
+
+
+def _whole_array_gain_sums(params, rng, n):
+    """The draw as whole (n, N) factor arrays, one after the other: the
+    reference the chunked draw must reproduce bit for bit."""
+    shape = (n, params.n_cells)
+
+    def rayleigh():
+        return np.sqrt(-2.0 * np.log1p(-rng.random(shape)))
+
+    if params.model is Model.V2V_RIS_AP:
+        gd = rayleigh() * rayleigh()
+        ge = rayleigh() * rayleigh()
+        return gd.sum(axis=1), ge.sum(axis=1)
+    gs = rayleigh()
+    gd = rayleigh() * rayleigh()
+    ge = rayleigh() * rayleigh()
+    return (gs * gd).sum(axis=1), (gs * ge).sum(axis=1)
+
+
+def _factors(params):
+    return 4 if params.model is Model.V2V_RIS_AP else 5
+
+
+class TestChunkedDraw:
+    """sample_gain_sums draws each factor array from its own cursor on the
+    block stream, in row chunks of a bounded workspace."""
+
+    # rows per chunk: the default cap, one row, and 7 rows (uneven last chunks)
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "one_row", "seven_rows"])
+    @pytest.mark.parametrize("n", [1, 3000, 8192])
+    @pytest.mark.parametrize("n_cells", [1, 3, 16, 100])
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_bit_identical_to_whole_array_draw(self, model, n_cells, n, rows, monkeypatch):
+        params = replace(_MODELS[model], n_cells=n_cells)
+        if rows is not None:
+            monkeypatch.setattr(montecarlo, "_CHUNK_BYTES", 8 * _factors(params) * n_cells * rows)
+        ref_rng, rng = np.random.default_rng(2024), np.random.default_rng(2024)
+        ref = _whole_array_gain_sums(params, ref_rng, n)
+        got = sample_gain_sums(params, rng, n)
+        assert all(np.array_equal(a, b) for a, b in zip(ref, got))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+    def test_buffered_32_bit_output_survives(self, relay_params):
+        ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        for g in (ref_rng, rng):
+            g.integers(0, 2 ** 31, dtype=np.int32)  # leaves half a 64-bit output buffered
+        _whole_array_gain_sums(relay_params, ref_rng, 100)
+        sample_gain_sums(relay_params, rng, 100)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_output_per_double(self):
+        # random(a + b) is random(a) then random(b), and advance(a) skips
+        # exactly the outputs random(a) uses
+        whole = np.random.default_rng(9).random(1000)
+        split = np.random.default_rng(9)
+        assert np.array_equal(np.concatenate([split.random(300), split.random(700)]), whole)
+        cursor = np.random.default_rng(9)
+        cursor.bit_generator.advance(300)
+        assert np.array_equal(cursor.random(700), whole[300:])
+        assert cursor.bit_generator.state == split.bit_generator.state
+
+    @pytest.mark.parametrize("n_cells", [1, 2, 3, 8, 9, 16, 100, 129, 256, 1000])
+    def test_row_sums_do_not_depend_on_row_count(self, n_cells):
+        a = np.random.default_rng(n_cells).random((300, n_cells)) * 1e3
+        whole = a.sum(axis=1)
+        for r0, r1 in ((0, 1), (0, 7), (5, 6), (17, 300), (0, 300)):
+            out = np.empty(r1 - r0)
+            a[r0:r1].sum(axis=1, out=out)
+            assert np.array_equal(out, whole[r0:r1])
+
+    def test_relay_block_memory_is_bounded(self):
+        params = replace(_MODELS["relay"], n_cells=256)
+        tracemalloc.start()
+        try:
+            sample_gain_sums(params, np.random.default_rng(1), 8192)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20  # whole-array factors would take 84 MB
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_huge_cell_count_runs_within_one_row_plus_cap(self, model):
+        # one row of the factor arrays is larger than the cap here
+        params = replace(_MODELS[model], n_cells=10 ** 5)
+        row_bytes = 8 * _factors(params) * params.n_cells
+        tracemalloc.start()
+        try:
+            run = mc_points([(params, 1.0)], McConfig(trials=64, seed=3))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < montecarlo._CHUNK_BYTES + row_bytes
+        assert math.isfinite(run.points[0].asc_diff.value)

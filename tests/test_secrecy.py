@@ -470,6 +470,84 @@ class TestSop:
         with pytest.raises(ValueError):
             sop(v2v_params, 0.0)
 
+    @pytest.mark.parametrize("params,c_th", [
+        # 2^c_th overflows
+        (SystemParams(model=Model.V2V_RIS_AP), 2000.0),
+        # (r_e/r_d)^-beta overflows
+        (SystemParams(model=Model.V2V_RIS_AP, r_e=0.001, r_d=1000.0, beta=60.0), 1.0),
+        (SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, r_e=0.001, r_d=1000.0, beta=60.0), 1.0),
+    ])
+    def test_overflowing_terms_give_certain_outage(self, params, c_th):
+        for mode in SopMode:
+            assert sop(params, c_th, mode) == 1.0
+
+
+def _asc_approx_mp(params):
+    """log2 of the Jensen-bound ratio at 50 digits, straight from the formula."""
+    with mp.workdps(50):
+        n, p_s, n_0 = mp.mpf(params.n_cells), mp.mpf(params.p_s), mp.mpf(params.n_0)
+        rd, re_ = mp.mpf(params.r_d) ** -params.beta, mp.mpf(params.r_e) ** -params.beta
+        if params.model is Model.V2V_RIS_AP:
+            c, coeff = 2, n * mp.pi * p_s
+        else:
+            c, coeff = 2 * mp.sqrt(2), n * p_s * mp.pi ** 1.5 * mp.mpf(params.r_s) ** -params.beta
+        return float(mp.log((c * n_0 + coeff * rd) / (c * n_0 + coeff * re_), 2))
+
+
+def _wide(lo, hi):
+    """Log-uniform over [lo, hi], with the ends drawn often."""
+    return st.one_of(_log_uniform(lo, hi), st.sampled_from((lo, hi)))
+
+
+@st.composite
+def _domain_points(draw, model):
+    """A valid point anywhere in the domain: every float field over many
+    decades, so terms of the closed forms overflow or underflow."""
+    kwargs = {
+        "p_s": draw(_wide(1e-300, 1e300)),
+        "n_0": draw(_wide(1e-300, 1e300)),
+        "r_d": draw(_wide(1e-3, 1e3)),
+        "r_e": draw(_wide(1e-3, 1e3)),
+        "beta": draw(_wide(0.1, 120.0)),
+        "n_cells": draw(st.integers(min_value=1, max_value=10 ** 5)),
+    }
+    if model is Model.VANET_RIS_RELAY:
+        kwargs["r_s"] = draw(_wide(1e-3, 1e3))
+    return _valid_point(SystemParams, model=model, **kwargs)
+
+
+class TestClosedFormDomain:
+    """Every valid point gives a finite closed-form value, including points
+    where 2^c_th, r^-beta or the Jensen-bound terms leave the double range."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_sop_is_a_probability(self, model, data):
+        p = data.draw(_domain_points(model))
+        c_th = data.draw(st.one_of(_log_uniform(1e-300, 1e308),
+                                   st.floats(min_value=0.0, max_value=1e308, exclude_min=True)))
+        for mode in SopMode:
+            value = sop(p, c_th, mode)
+            assert math.isfinite(value) and 0.0 <= value <= 1.0
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_asc_approx_is_finite_and_accurate(self, model, data):
+        p = data.draw(_domain_points(model))
+        value = asc_approx(p)
+        assert math.isfinite(value)
+        assert value == pytest.approx(_asc_approx_mp(p), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("params", [
+        # N pi p_s r_e^-beta overflows while the SNR scale 1e307 is valid
+        SystemParams(model=Model.V2V_RIS_AP, r_e=0.001, r_d=4.0, beta=102.0),
+        SystemParams(model=Model.VANET_RIS_RELAY, r_s=1.0, r_e=0.001, r_d=4.0, beta=102.0),
+    ])
+    def test_overflowing_bound_term(self, params):
+        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14)
+
 
 class TestSecrecyReport:
     def test_consistent_with_individual_metrics(self, v2v_params):
