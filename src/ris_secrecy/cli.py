@@ -8,13 +8,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import channels
-from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
-from .secrecy import Link, Model, SopMode, SystemParams, asc_approx, link_capacities, sop
+from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_gain_sum_stats, mc_points
+from .secrecy import Model, SopMode, SystemParams, asc_approx, link_capacities, sop
 from .specfun import QuadratureError
 
 SWEEPABLE = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s", "c_th")
@@ -184,29 +184,9 @@ def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None =
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Canonical JSON form of a RunConfig; re-parsing it yields an equal config."""
-    base = {
-        "model": cfg.base.model.value,
-        "p_s": cfg.base.p_s,
-        "n_0": cfg.base.n_0,
-        "beta": cfg.base.beta,
-        "n_cells": cfg.base.n_cells,
-        "r_d": cfg.base.r_d,
-        "r_e": cfg.base.r_e,
-    }
-    if cfg.base.model is Model.VANET_RIS_RELAY:
-        base["r_s"] = cfg.base.r_s
-    doc = {"base": base}
-    if cfg.sweep is not None:
-        doc["sweep"] = {
-            "param": cfg.sweep.param,
-            "start": cfg.sweep.start,
-            "stop": cfg.sweep.stop,
-            "steps": cfg.sweep.steps,
-            "scale": cfg.sweep.scale,
-        }
-    doc["c_th"] = cfg.c_th
-    if cfg.mc is not None:
-        doc["mc"] = {"trials": cfg.mc.trials, "seed": cfg.mc.seed, "batch": cfg.mc.batch}
+    doc = {key: value for key, value in asdict(cfg).items() if value is not None}
+    doc["base"] = {key: value for key, value in doc["base"].items() if value is not None}
+    doc["base"]["model"] = cfg.base.model.value
     doc["outputs"] = list(cfg.outputs)
     return doc
 
@@ -216,6 +196,8 @@ def _point(cfg: RunConfig, value=None):
     if value is None:
         return cfg.base, cfg.c_th
     if cfg.sweep.param == "c_th":
+        if not 0.0 < value < math.inf:
+            raise ConfigError(f"c_th={value!r}: c_th must be finite and > 0")
         return cfg.base, float(value)
     try:
         return replace(cfg.base, **{cfg.sweep.param: value}), cfg.c_th
@@ -258,8 +240,12 @@ def _analytic_row(params: SystemParams, c_th: float, cfg: RunConfig, capacities)
     return row
 
 
-def _mc_row(res: McPointResult, cfg: RunConfig) -> dict:
-    row = {}
+def _mc_row(res: McPointResult | None, cfg: RunConfig) -> dict:
+    """The requested MC metrics at one point, plus its destination
+    ``gain_sum`` estimates for the relay variance check."""
+    if res is None:
+        return {}
+    row = {"gain_sum": res.gain_sum}
     if "mc_asc" in cfg.outputs:
         row["mc_asc_diff"] = res.asc_diff.value
         row["mc_asc_pos"] = res.asc_pos.value
@@ -269,32 +255,6 @@ def _mc_row(res: McPointResult, cfg: RunConfig) -> dict:
         row["mc_sop"] = res.sop.value
         row["mc_sop_se"] = res.sop.std_error
     return row
-
-
-def _run_mc(points, mc: McConfig, moments_for: SystemParams | None = None):
-    """Monte-Carlo results at every (params, c_th) point, in order.
-
-    Points with the same cell count share one engine pass, so every block is
-    drawn once per distinct n_cells. With ``moments_for``, the pass at its
-    cell count also returns the (mean, variance) estimates of its destination
-    gain sum. Returns (results, gain_sum).
-    """
-    groups = {}
-    for k, (params, _c_th) in enumerate(points):
-        groups.setdefault(params.n_cells, []).append(k)
-    if moments_for is not None:
-        groups.setdefault(moments_for.n_cells, [])
-    results = [None] * len(points)
-    gain_sum = None
-    for n_cells, members in groups.items():
-        wants_moments = moments_for is not None and n_cells == moments_for.n_cells
-        run = mc_points([points[k] for k in members] or [(moments_for, None)], mc,
-                        gain_moments=Link.DESTINATION if wants_moments else None)
-        for k, res in zip(members, run.points):
-            results[k] = res
-        if wants_moments:
-            gain_sum = run.gain_sum
-    return results, gain_sum
 
 
 def _run_capacities(cfg: RunConfig, values, points) -> np.ndarray:
@@ -334,7 +294,7 @@ def _rows(cfg: RunConfig):
         capacities = _run_capacities(cfg, values, points)
     mc_results = [None] * len(points)
     if MC_OUTPUTS.intersection(cfg.outputs):
-        mc_results, _gain_sum = _run_mc(points, cfg.mc)
+        mc_results = mc_points(points, cfg.mc)
     rows = []
     for (params, c_th), caps, res in zip(points, capacities, mc_results):
         row = _analytic_row(params, c_th, cfg, caps)
@@ -352,12 +312,7 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
         out.write(",".join(cols) + "\n")
         out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
         return
-    items = [("model", cfg.base.model.value), ("p_s", cfg.base.p_s), ("n_0", cfg.base.n_0),
-             ("beta", cfg.base.beta), ("n_cells", cfg.base.n_cells), ("r_d", cfg.base.r_d),
-             ("r_e", cfg.base.r_e)]
-    if cfg.base.model is Model.VANET_RIS_RELAY:
-        items.append(("r_s", cfg.base.r_s))
-    items.append(("c_th", cfg.c_th))
+    items = list(config_to_dict(cfg)["base"].items()) + [("c_th", cfg.c_th)]
     if "c_d" in row:
         items += [("c_d", row["c_d"]), ("c_e", row["c_e"])]
     items += [(c, row[c]) for c in cols]
@@ -384,46 +339,47 @@ def run_validate(cfg: RunConfig, out, mode: SopMode, sop_tol: float = 0.02) -> i
     """
     if cfg.mc is None:
         raise ConfigError("validate requires an 'mc' config block")
-    values, points = _resolve_points(cfg)
+    if not 0.0 < sop_tol < math.inf:
+        raise ConfigError(f"--sop-tol must be finite and > 0, got {sop_tol!r}")
+    sop_name = f"sop_{mode.value}"
+    values, rows = _rows(replace(cfg, outputs=("asc_exact", sop_name, "mc_asc", "mc_sop")))
     relay = cfg.base.model is Model.VANET_RIS_RELAY
-    capacities = _run_capacities(cfg, values, points)
-    mc_results, gain_sum = _run_mc(points, cfg.mc, moments_for=cfg.base if relay else None)
+    if relay:
+        n = cfg.base.n_cells
+        cells = values if cfg.sweep is not None and cfg.sweep.param == "n_cells" else [n] * len(rows)
+        gain_sum = next((row["gain_sum"] for cell, row in zip(cells, rows) if cell == n), None)
+        if gain_sum is None:  # the sweep skips the base cell count
+            gain_sum = mc_gain_sum_stats(cfg.base, cfg.mc)
     all_ok = True
-    for value, (params, c_th), (c_d, c_e), res in zip(values, points, capacities, mc_results):
+    for value, row in zip(values, rows):
         label = "base point" if value is None else f"{cfg.sweep.param}={value:g}"
-        analytic = float(c_d - c_e)
-        diff = res.asc_diff
-        gap = abs(analytic - diff.value)
-        bound = 3.0 * diff.std_error
-        if bound > 0.1 * max(abs(analytic), 1e-6):
-            status = "INCONCLUSIVE (std error too large to conclude)"
-            all_ok = False
-        elif gap <= bound:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            all_ok = False
-        out.write(f"{label}: asc_exact={analytic:.6g} mc={diff.value:.6g}"
-                  f" +-{diff.std_error:.2g} |gap|={gap:.3g} tol(3se)={bound:.3g} {status}\n")
-        analytic_sop = sop(params, c_th, mode)
-        mc_est = res.sop
-        gap = abs(analytic_sop - mc_est.value)
-        tol = sop_tol + 3.0 * mc_est.std_error
-        if mc_est.std_error > 0.5 * sop_tol:
-            status = "INCONCLUSIVE (std error too large to conclude)"
-            all_ok = False
-        elif gap <= tol:
-            status = "PASS"
-        else:
-            status = "FAIL"
-            all_ok = False
-        out.write(f"{label}: sop[{mode.value}]={analytic_sop:.6g} mc={mc_est.value:.6g}"
-                  f" +-{mc_est.std_error:.2g} |gap|={gap:.3g} tol({sop_tol:g}+3se)={tol:.3g}"
+        analytic, mc, se = row["asc_exact"], row["mc_asc_diff"], row["mc_asc_diff_se"]
+        gap = abs(analytic - mc)
+        bound = 3.0 * se
+        status = _verdict(gap, bound, inconclusive=bound > 0.1 * max(abs(analytic), 1e-6))
+        all_ok = all_ok and status == "PASS"
+        out.write(f"{label}: asc_exact={analytic:.6g} mc={mc:.6g}"
+                  f" +-{se:.2g} |gap|={gap:.3g} tol(3se)={bound:.3g} {status}\n")
+        analytic, mc, se = row[sop_name], row["mc_sop"], row["mc_sop_se"]
+        gap = abs(analytic - mc)
+        tol = sop_tol + 3.0 * se
+        status = _verdict(gap, tol, inconclusive=se > 0.5 * sop_tol)
+        all_ok = all_ok and status == "PASS"
+        out.write(f"{label}: sop[{mode.value}]={analytic:.6g} mc={mc:.6g}"
+                  f" +-{se:.2g} |gap|={gap:.3g} tol({sop_tol:g}+3se)={tol:.3g}"
                   f" {status}\n")
     if relay:
         all_ok = _adjudicate_gain_variance(cfg, out, gain_sum[1]) and all_ok
     out.write("VALIDATION: %s\n" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1
+
+
+def _verdict(gap: float, tol: float, *, inconclusive: bool) -> str:
+    """PASS when ``gap`` is within ``tol``, FAIL otherwise, and INCONCLUSIVE
+    when the Monte-Carlo error is too large for either."""
+    if inconclusive:
+        return "INCONCLUSIVE (std error too large to conclude)"
+    return "PASS" if gap <= tol else "FAIL"
 
 
 def _adjudicate_gain_variance(cfg: RunConfig, out, var_est: McEstimate) -> bool:

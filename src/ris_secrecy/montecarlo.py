@@ -7,9 +7,10 @@ therefore bit-identical for a given (trials, seed) regardless of the batch
 size used for dispatch or the number of worker threads.
 
 One engine, ``mc_points``, does all the sampling: it draws each block once
-and reduces it at every requested point, since the per-cell gain sums depend
-only on the model, the cell count and (trials, seed). ``mc_asc``, ``mc_sop``
-and ``mc_gain_sum_stats`` are single-point views of it.
+per distinct (model, cell count) and reduces it at every point that shares
+them, since the per-cell gain sums depend only on the model, the cell count
+and (trials, seed). ``mc_asc``, ``mc_sop`` and ``mc_gain_sum_stats`` are
+single-point views of it.
 """
 import math
 import os
@@ -161,42 +162,46 @@ class McPointResult:
     ``asc_diff`` averages log2(1+gamma_d) - log2(1+gamma_e) (can be negative,
     matches the analytic difference form), ``asc_pos`` averages max(.., 0);
     ``sop`` is Pr[max(Cs, 0) < c_th], or None when the point has no c_th.
+    ``gain_sum`` is the (mean, variance) estimate pair of the destination
+    gain sum, shared by every point drawn in the same pass.
     """
 
     asc_diff: McEstimate
     asc_pos: McEstimate
     sop: McEstimate | None
+    gain_sum: tuple
 
 
-@dataclass(frozen=True)
-class McRun:
-    """Per-point results in input order, plus the (mean, variance) estimates
-    of one link's summed gains when ``gain_moments`` was requested."""
+def mc_points(points, cfg: McConfig) -> list:
+    """Estimate the MC metrics at many points, one result per point in order.
 
-    points: tuple
-    gain_sum: tuple | None
-
-
-def mc_points(points, cfg: McConfig, *, gain_moments: Link | None = None) -> McRun:
-    """Estimate the MC metrics at many points from one pass over the blocks.
-
-    ``points`` is a non-empty sequence of ``(SystemParams, c_th)`` pairs that
-    share ``model`` and ``n_cells``; ``c_th`` may be None when no outage
-    estimate is wanted. The gain sums depend only on the model, the cell
-    count and (trials, seed), so each block is drawn once and every point
-    only rescales and reduces it: all points see the same channels (common
-    random numbers). ``gain_moments`` also collects the raw moments up to the
-    fourth of that link's gain sum, for the variance adjudication.
+    ``points`` is a non-empty sequence of ``(SystemParams, c_th)`` pairs;
+    ``c_th`` may be None when no outage estimate is wanted. The gain sums
+    depend only on the model, the cell count and (trials, seed), so the
+    points are grouped by (model, n_cells) and each group is one pass that
+    draws every block once and only rescales and reduces it per point: the
+    points of a group see the same channels (common random numbers).
     """
     points = list(points)
     if not points:
         raise ValueError("mc_points needs at least one point")
-    draw_params = points[0][0]
-    for params, c_th in points:
-        if params.model is not draw_params.model or params.n_cells != draw_params.n_cells:
-            raise ValueError("all points of one run must share model and n_cells")
+    groups = {}
+    for k, (params, c_th) in enumerate(points):
         if c_th is not None and not c_th > 0.0:
             raise ValueError("c_th must be > 0")
+        groups.setdefault((params.model, params.n_cells), []).append(k)
+    results = [None] * len(points)
+    for members in groups.values():
+        for k, res in zip(members, _mc_pass([points[k] for k in members], cfg)):
+            results[k] = res
+    return results
+
+
+def _mc_pass(points, cfg: McConfig) -> list:
+    """``mc_points`` for points that share model and n_cells: one pass over
+    the blocks, which also sums the first four powers of the destination
+    gain sum for its (mean, variance) estimates."""
+    draw_params = points[0][0]
     scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), c_th)
               for params, c_th in points]
 
@@ -209,40 +214,22 @@ def mc_points(points, cfg: McConfig, *, gain_moments: Link | None = None) -> McR
             pos = np.maximum(cs, 0.0)
             outages = 0 if c_th is None else int((pos < c_th).sum())
             stats.append((cs.sum(), (cs * cs).sum(), pos.sum(), (pos * pos).sum(), outages))
-        if gain_moments is None:
-            return stats, None
-        x = sum_d if gain_moments is Link.DESTINATION else sum_e
-        return stats, (x.sum(), (x ** 2).sum(), (x ** 3).sum(), (x ** 4).sum())
+        return stats, (sum_d.sum(), (sum_d ** 2).sum(), (sum_d ** 3).sum(), (sum_d ** 4).sum())
 
     parts = _map_blocks(work, cfg)
     n = cfg.trials
+    # sum() adds the blocks in order from 0, as a running total would
+    gain_sum = _gain_sum_estimates(*map(sum, zip(*(moments for _stats, moments in parts))), n)
     results = []
     for k, (_params, c_th) in enumerate(points):
-        sd = sd2 = sp = sp2 = 0.0
-        outages = 0
-        for stats, _moments in parts:
-            a, b, c, d, o = stats[k]
-            sd += a
-            sd2 += b
-            sp += c
-            sp2 += d
-            outages += o
+        sd, sd2, sp, sp2, outages = map(sum, zip(*(stats[k] for stats, _moments in parts)))
         sop_est = None
         if c_th is not None:
             p = outages / n
             sop_est = McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n)
         results.append(McPointResult(_moment_estimate(sd, sd2, n), _moment_estimate(sp, sp2, n),
-                                     sop_est))
-    gain_sum = None
-    if gain_moments is not None:
-        s1 = s2 = s3 = s4 = 0.0
-        for _stats, (a, b, c, d) in parts:
-            s1 += a
-            s2 += b
-            s3 += c
-            s4 += d
-        gain_sum = _gain_sum_estimates(s1, s2, s3, s4, n)
-    return McRun(points=tuple(results), gain_sum=gain_sum)
+                                     sop_est, gain_sum))
+    return results
 
 
 def _moment_estimate(total: float, total_sq: float, n: int) -> McEstimate:
@@ -277,20 +264,20 @@ def mc_asc(params: SystemParams, cfg: McConfig):
     difference form), the second averages max(.., 0). Both are computed from
     the same trials.
     """
-    res = mc_points([(params, None)], cfg).points[0]
+    res = mc_points([(params, None)], cfg)[0]
     return res.asc_diff, res.asc_pos
 
 
 def mc_sop(params: SystemParams, c_th: float, cfg: McConfig) -> McEstimate:
     """Estimate the secrecy outage probability Pr[max(Cs, 0) < c_th]."""
-    return mc_points([(params, c_th)], cfg).points[0].sop
+    return mc_points([(params, c_th)], cfg)[0].sop
 
 
-def mc_gain_sum_stats(params: SystemParams, cfg: McConfig, *, link: Link = Link.DESTINATION):
-    """Mean and variance of the summed per-element gains on one link.
+def mc_gain_sum_stats(params: SystemParams, cfg: McConfig):
+    """Mean and variance of the summed per-element destination gains.
 
     Returns (mean_estimate, variance_estimate); the variance standard error
     uses the fourth central moment, so the estimates can adjudicate between
     candidate closed-form constants.
     """
-    return mc_points([(params, None)], cfg, gain_moments=link).gain_sum
+    return mc_points([(params, None)], cfg)[0].gain_sum

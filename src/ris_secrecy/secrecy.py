@@ -113,13 +113,37 @@ def _link_distance(params: SystemParams, link: Link) -> float:
     return params.r_d if link is Link.DESTINATION else params.r_e
 
 
+# The smallest normal double; a product below it keeps fewer digits.
+_TINY = 2.2250738585072014e-308
+
+
 def snr_scale(params: SystemParams, link: Link) -> float:
     """SNR scale multiplying the summed gains: p_s r_i^-beta / n_0, with an
-    extra r_s^-beta hop loss for the relay model."""
-    scale = params.p_s * _link_distance(params, link) ** -params.beta / params.n_0
-    if params.model is Model.VANET_RIS_RELAY:
-        scale *= params.r_s ** -params.beta
-    return scale
+    extra r_s^-beta hop loss for the relay model.
+
+    Raises OverflowError when the scale is beyond the double range.
+    """
+    relay = params.model is Model.VANET_RIS_RELAY
+    distance = _link_distance(params, link)
+    try:
+        path = distance ** -params.beta
+        hop = params.r_s ** -params.beta if relay else 1.0
+    except OverflowError:
+        path = hop = math.inf
+    power = params.p_s * path
+    scale = power / params.n_0
+    steps = [path, power, scale]
+    if relay:
+        scale *= hop
+        steps += [hop, scale]
+    if all(_TINY <= v < math.inf for v in steps):
+        return scale
+    # A step left the normal double range and lost digits (or overflowed):
+    # the sum of the logs keeps them.
+    log_scale = math.log(params.p_s) - params.beta * math.log(distance) - math.log(params.n_0)
+    if relay:
+        log_scale -= params.beta * math.log(params.r_s)
+    return math.exp(log_scale)
 
 
 # Points per capacity run. Every link of a run is one column of a single
@@ -206,33 +230,32 @@ def asc_exact_clamped(params: SystemParams) -> float:
     return max(0.0, asc_exact(params))
 
 
-# The smallest normal double; a product below it keeps fewer digits.
-_TINY = 2.2250738585072014e-308
-
-
 def asc_approx(params: SystemParams) -> float:
     """Closed-form secrecy-capacity approximation from the per-link Jensen bounds."""
-    rd = params.r_d ** -params.beta
-    re_ = params.r_e ** -params.beta
-    if params.model is Model.V2V_RIS_AP:
+    relay = params.model is Model.VANET_RIS_RELAY
+    try:
+        rd = params.r_d ** -params.beta
+        re_ = params.r_e ** -params.beta
+        rs = params.r_s ** -params.beta if relay else 1.0
+    except OverflowError:  # a path loss beyond the double range; the logs below hold it
+        rd = re_ = rs = math.inf
+    if not relay:
         c, k = 2.0, params.n_cells * math.pi
         coeff = k * params.p_s
         powers = (rd, re_)
     else:
-        rs = params.r_s ** -params.beta
         c, k = 2.0 * math.sqrt(2.0), params.n_cells * math.pi ** 1.5
         coeff = params.n_cells * params.p_s * math.pi ** 1.5 * rs
         powers = (rd, re_, rs)
     noise, term_d, term_e = c * params.n_0, coeff * rd, coeff * re_
     ratio = (noise + term_d) / (noise + term_e)
-    if all(v >= _TINY for v in (params.p_s, coeff, noise, term_d, term_e, ratio, *powers)) \
-            and ratio < math.inf:
+    if all(_TINY <= v < math.inf for v in (params.p_s, coeff, noise, term_d, term_e, ratio, *powers)):
         return math.log2(ratio)
     # A product or the ratio left the normal double range and lost digits.
     # Over c n_0 the bound terms are e^x, with x taken from the logs of the
     # inputs, and log((1 + e^x_d) / (1 + e^x_e)) keeps every digit.
     log_x = math.log(k) + math.log(params.p_s) - math.log(c) - math.log(params.n_0)
-    if params.model is Model.VANET_RIS_RELAY:
+    if relay:
         log_x -= params.beta * math.log(params.r_s)
     x_d = log_x - params.beta * math.log(params.r_d)
     x_e = log_x - params.beta * math.log(params.r_e)

@@ -214,6 +214,16 @@ class TestEval:
         assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("outputs", [["sop_corrected"], ["asc_exact"], ["mc_sop"]])
+    def test_non_positive_threshold_sweep_point_is_a_config_error(self, tmp_path, capsys, outputs):
+        # the thresholds -1, 0 and 1: the first two are outside c_th > 0
+        doc = {"base": {"model": "v2v_ris_ap"}, "outputs": outputs, "mc": {"trials": 1000, "seed": 1},
+               "sweep": {"param": "c_th", "start": -1.0, "stop": 1.0, "steps": 3}}
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert out.read_text() == ""
+        assert "config error: c_th=-1.0" in capsys.readouterr().err
+
     def test_high_snr_points_succeed(self, tmp_path, capsys):
         for base in ({"model": "v2v_ris_ap", "p_s": 1e12, "r_d": 0.001},
                      {"model": "vanet_ris_relay", "p_s": 1e6, "r_s": 0.01, "r_d": 0.01}):
@@ -516,6 +526,15 @@ class TestValidate:
     def test_requires_mc_block(self, tmp_path):
         doc = _v2v_doc(outputs=["asc_exact"])
         assert main(["validate", "--config", _write(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("sop_tol", ["nan", "inf", "-0.02", "0"])
+    def test_sop_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, sop_tol):
+        doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1000, "seed": 1})
+        out = tmp_path / "report.txt"
+        code = main(["validate", "--config", _write(tmp_path, doc), "--out", str(out), "--sop-tol", sop_tol])
+        assert code == 2
+        assert out.read_text() == ""
+        assert "--sop-tol must be finite and > 0" in capsys.readouterr().err
 
 
 class TestRecipes:

@@ -1,5 +1,6 @@
 """Simulation-oracle contracts: determinism, moment agreement, estimator
 consistency and the analytic cross-checks."""
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -62,11 +63,11 @@ class TestDeterminism:
         points = [(replace(base, p_s=p_s), c_th) for p_s, c_th in ((2.0, 0.5), (10.0, 1.0), (40.0, 2.0))]
         cfg = McConfig(trials=30_000, seed=404)
         monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        ref = mc_points(points, cfg, gain_moments=Link.DESTINATION)
+        ref = mc_points(points, cfg)
         for run_cfg, threads in ((cfg, "3"), (cfg, "4"), (replace(cfg, batch=100), "3"),
                                  (replace(cfg, batch=10 ** 6), "4"), (replace(cfg, batch=100), "1")):
             monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-            assert mc_points(points, run_cfg, gain_moments=Link.DESTINATION) == ref
+            assert mc_points(points, run_cfg) == ref
 
     def test_sop_identical_across_threads(self, relay_params, monkeypatch):
         cfg = McConfig(trials=30_000, seed=11)
@@ -213,43 +214,68 @@ class TestSinglePassEngine:
                                              if not (m == "v2v" and s == "r_s")])
     def test_bit_equal_to_per_point_reference(self, model, sweep, cfg):
         points = _POINT_SETS[sweep](_MODELS[model])
-        # one engine run takes one cell count, so n_cells points are split per value
-        results = [None] * len(points)
-        for n_cells in {p.n_cells for p, _ in points}:
-            members = [k for k, (p, _) in enumerate(points) if p.n_cells == n_cells]
-            run = mc_points([points[k] for k in members], cfg)
-            for k, res in zip(members, run.points):
-                results[k] = res
+        results = mc_points(points, cfg)
+        assert len(results) == len(points)
         for (params, c_th), res in zip(points, results):
             diff, pos, sop_est = _reference_point(params, c_th, cfg)
             assert (res.asc_diff, res.asc_pos, res.sop) == (diff, pos, sop_est)
 
-    def test_cli_grouping_matches_single_point_views(self):
-        base = _MODELS["relay"]
-        points = _POINT_SETS["n_cells"](base)
+    def test_mixed_groups_match_single_point_views_in_order(self):
+        # cell counts 4, 16, 4, 9 of both models, interleaved, in one call
+        points = [(replace(_MODELS[model], n_cells=n_cells, p_s=p_s), c_th)
+                  for n_cells, p_s, c_th in ((4, 2.0, 0.5), (16, 10.0, 1.0), (4, 40.0, 2.0), (9, 10.0, 1.0))
+                  for model in ("relay", "v2v")]
         cfg = McConfig(trials=9_000, seed=8)
-        results, gain_sum = cli._run_mc(points, cfg, moments_for=replace(base, n_cells=7))
+        results = mc_points(points, cfg)
+        assert len(results) == len(points)
         for (params, c_th), res in zip(points, results):
             assert (res.asc_diff, res.asc_pos) == mc_asc(params, cfg)
             assert res.sop == mc_sop(params, c_th, cfg)
-        assert gain_sum == mc_gain_sum_stats(replace(base, n_cells=7), cfg)
+            assert res.gain_sum == mc_gain_sum_stats(params, cfg)
 
-    def test_gain_moments_match_view_on_both_links(self, relay_params):
+    def test_points_of_a_group_share_the_gain_sum_moments(self, relay_params):
         cfg = McConfig(trials=20_000, seed=5)
-        points = [(relay_params, 1.0), (replace(relay_params, p_s=100.0), 2.0)]
-        for link in (Link.DESTINATION, Link.EAVESDROPPER):
-            run = mc_points(points, cfg, gain_moments=link)
-            assert run.gain_sum == mc_gain_sum_stats(relay_params, cfg, link=link)
-        assert mc_points(points, cfg).gain_sum is None
+        points = [(relay_params, 1.0), (replace(relay_params, p_s=100.0), 2.0),
+                  (replace(relay_params, r_s=5.0), None), (replace(relay_params, n_cells=8), 1.0)]
+        results = mc_points(points, cfg)
+        expected = mc_gain_sum_stats(relay_params, cfg)
+        assert [res.gain_sum for res in results[:3]] == [expected] * 3
+        assert results[3].gain_sum == mc_gain_sum_stats(replace(relay_params, n_cells=8), cfg)
+        assert results[3].gain_sum != expected
+
+    def test_relay_validate_skipping_the_base_cell_count(self, tmp_path, monkeypatch, capsys):
+        # the sweep's cell counts 4, 10 and 16 leave out the base N = 9
+        draws = []
+        original = montecarlo.sample_gain_sums
+
+        def counting(params, rng, n):
+            draws.append(params.n_cells)
+            return original(params, rng, n)
+
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", counting)
+        trials = 20_000
+        doc = {"base": {"model": "vanet_ris_relay", "n_cells": 9},
+               "sweep": {"param": "n_cells", "start": 4.0, "stop": 16.0, "steps": 3},
+               "mc": {"trials": trials, "seed": 3}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate", "--config", str(path)]) in (0, 1)
+        blocks = math.ceil(trials / 8192)
+        assert sorted(set(draws)) == [4, 9, 10, 16]
+        assert len(draws) == (3 + 1) * blocks
+        base = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=9)
+        _mean, var = mc_gain_sum_stats(base, McConfig(trials=trials, seed=3))
+        assert f"gain-sum variance (N=9): mc={var.value:.6g} +-{var.std_error:.2g}" in capsys.readouterr().out
 
     def test_point_without_threshold_has_no_outage_estimate(self, v2v_params):
-        run = mc_points([(v2v_params, None)], McConfig(trials=1_000, seed=1))
-        assert run.points[0].sop is None
+        (res,) = mc_points([(v2v_params, None)], McConfig(trials=1_000, seed=1))
+        assert res.sop is None
 
     @pytest.mark.parametrize("points", [
         [],
-        [(SystemParams(model=Model.V2V_RIS_AP), 1.0), (SystemParams(model=Model.V2V_RIS_AP, n_cells=8), 1.0)],
-        [(SystemParams(model=Model.V2V_RIS_AP), 1.0), (SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0), 1.0)],
+        [(SystemParams(model=Model.V2V_RIS_AP), -1.0)],
+        # a valid first group does not hide a bad threshold in a later one
+        [(SystemParams(model=Model.V2V_RIS_AP), 1.0), (SystemParams(model=Model.V2V_RIS_AP, n_cells=8), -0.5)],
         [(SystemParams(model=Model.V2V_RIS_AP), 0.0)],
         [(SystemParams(model=Model.V2V_RIS_AP), float("nan"))],
     ])
@@ -345,9 +371,9 @@ class TestChunkedDraw:
         row_bytes = 8 * _factors(params) * params.n_cells
         tracemalloc.start()
         try:
-            run = mc_points([(params, 1.0)], McConfig(trials=64, seed=3))
+            (res,) = mc_points([(params, 1.0)], McConfig(trials=64, seed=3))
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < montecarlo._CHUNK_BYTES + row_bytes
-        assert math.isfinite(run.points[0].asc_diff.value)
+        assert math.isfinite(res.asc_diff.value)

@@ -33,6 +33,7 @@ SNR_SCALE_V2V_D = 0.2368307135172497          # 10 * 4^-2.7
 SNR_SCALE_V2V_E = 0.03644660123190654         # 10 * 8^-2.7
 ASC_APPROX_V2V_DEFAULT = 1.8593708133970917
 ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
+_SMALLEST_NORMAL = 2.2250738585072014e-308
 
 
 # Adaptive scalar reference for the average link capacity: QUADPACK (scipy)
@@ -180,6 +181,26 @@ class TestSnrScale:
     def test_relay_factorizes_through_source_hop(self, v2v_params, relay_params):
         expected = snr_scale(v2v_params, Link.DESTINATION) * relay_params.r_s ** -relay_params.beta
         assert snr_scale(relay_params, Link.DESTINATION) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("beta", [7.0, 7.5])
+    def test_subnormal_power_keeps_its_digits(self, beta):
+        # p_s r_d^-beta is subnormal here while the scale 1000^-beta is normal
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e-300, n_0=1e-300, r_d=1000.0, beta=beta)
+        assert snr_scale(p, Link.DESTINATION) == pytest.approx(1000.0 ** -beta, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath_product_over_the_domain(self, model, data):
+        p = data.draw(_domain_points(model))
+        for link, r in ((Link.DESTINATION, p.r_d), (Link.EAVESDROPPER, p.r_e)):
+            with mp.workdps(40):
+                ref = mp.mpf(p.p_s) * mp.mpf(r) ** -mp.mpf(p.beta) / mp.mpf(p.n_0)
+                if model is Model.VANET_RIS_RELAY:
+                    ref *= mp.mpf(p.r_s) ** -mp.mpf(p.beta)
+                if ref < _SMALLEST_NORMAL:
+                    continue  # a subnormal scale cannot hold 12 digits
+                assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
 
 
 class TestAvgCapacity:
