@@ -104,7 +104,8 @@ def _one_minus_mgf_dbl(s):
     # difference stays above pi/3 - 0.44, so no digits cancel.
     with np.errstate(invalid="ignore", over="ignore"):
         r2 = 1.0 - s * s
-        out = s * (np.arccos(s) - s * np.sqrt(r2)) / (r2 * np.sqrt(r2))
+        r = np.sqrt(r2)
+        out = s * (np.arccos(s) - s * r) / (r2 * r)
     high = s >= _COMPLEMENT_S
     if high.any():
         out[high] = 1.0 - _mgf_dbl(s[high])

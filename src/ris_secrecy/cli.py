@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 validation failure, 2 config error, 3 numerical
 failure.
 """
 import argparse
+import atexit
+import gc
+import io
 import json
 import math
 import sys
@@ -431,6 +434,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # At interpreter exit, move every object still alive into the permanent
+    # generation, so that the final collections do not walk the tens of
+    # thousands of objects NumPy and this package leave (about 20 ms per
+    # command). Only shutdown changes; registering again replaces the earlier
+    # registration, so repeated calls add one handler.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -467,8 +477,13 @@ def main(argv=None) -> int:
     try:
         if args.out is None:
             return run(sys.stdout)
+        # render first and write the file only for a finished run, so that a
+        # failing one leaves an existing --out file as it was
+        buf = io.StringIO()
+        code = run(buf)
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            return run(fh)
+            fh.write(buf.getvalue())
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

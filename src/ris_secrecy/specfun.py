@@ -166,5 +166,16 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
     values = np.array([p[3] for p in sorted(heap + unsplittable, key=lambda p: p[1])])
     if values.ndim == 1:
         return math.fsum(values)
-    return np.array([math.fsum(col) for col in values.T])
+    return _column_fsums(values)
+
+
+def _column_fsums(values):
+    """The correctly rounded sum of each column of a (k, m) array, as m values.
+
+    ``math.fsum`` reads each column as a memoryview slice of plain doubles:
+    iterating a NumPy column would box every element as a NumPy scalar first.
+    """
+    k = values.shape[0]
+    flat = memoryview(np.ascontiguousarray(values.T).ravel())
+    return np.array([math.fsum(flat[i:i + k]) for i in range(0, len(flat), k)])
 

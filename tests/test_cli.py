@@ -212,7 +212,16 @@ class TestEval:
                        mc={"trials": 1000, "seed": 1})
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
-        assert out.read_text() == ""
+        assert not out.exists()
+
+    def test_failing_sweep_leaves_an_existing_out_file_as_it_was(self, tmp_path):
+        doc = {"base": {"model": "v2v_ris_ap"}, "outputs": ["sop_corrected"],
+               "sweep": {"param": "c_th", "start": -1.0, "stop": 1.0, "steps": 3}}
+        out = tmp_path / "sweep.csv"
+        previous = b"c_th,sop_corrected\r\n0.5,0.25\n"
+        out.write_bytes(previous)
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert out.read_bytes() == previous
 
     @pytest.mark.parametrize("outputs", [["sop_corrected"], ["asc_exact"], ["mc_sop"]])
     def test_non_positive_threshold_sweep_point_is_a_config_error(self, tmp_path, capsys, outputs):
@@ -221,7 +230,7 @@ class TestEval:
                "sweep": {"param": "c_th", "start": -1.0, "stop": 1.0, "steps": 3}}
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
-        assert out.read_text() == ""
+        assert not out.exists()
         assert "config error: c_th=-1.0" in capsys.readouterr().err
 
     def test_high_snr_points_succeed(self, tmp_path, capsys):
@@ -470,7 +479,7 @@ class TestCapacityRuns:
         err = capsys.readouterr().err
         assert f"sweep row {bad_row} (p_s={value!r}) failed" in err
         assert "did not converge" in err
-        assert out.read_text() == ""
+        assert not out.exists()
 
 
 class TestValidate:
@@ -533,7 +542,7 @@ class TestValidate:
         out = tmp_path / "report.txt"
         code = main(["validate", "--config", _write(tmp_path, doc), "--out", str(out), "--sop-tol", sop_tol])
         assert code == 2
-        assert out.read_text() == ""
+        assert not out.exists()
         assert "--sop-tol must be finite and > 0" in capsys.readouterr().err
 
 
@@ -570,3 +579,57 @@ class TestRecipes:
         header, rows = _read_csv(out)
         assert header[0] == "p_s"
         assert len(rows) == 25
+
+
+# Calls cli.main once per argument list, as a library caller in one process
+# would, then exits with the last return code. gc.freeze is swapped for a
+# wrapper that counts its calls (cli looks it up when main runs); the host's
+# own atexit handler, registered first and so run last, writes that count. It
+# prints whether the calls left the collector running and nothing frozen.
+EXIT_HOST = """
+import atexit, gc, json, sys
+from ris_secrecy import cli
+
+freeze, freezes = gc.freeze, []
+gc.freeze = lambda: freezes.append(freeze())
+marker, runs = sys.argv[1], json.loads(sys.argv[2])
+atexit.register(lambda: open(marker, "w").write(f"host handler ran after {len(freezes)} freeze"))
+for argv in runs:
+    code = cli.main(argv)
+print(gc.isenabled(), gc.get_freeze_count())
+sys.exit(code)
+"""
+
+
+class TestInterpreterExit:
+    SWEEP = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 5})
+    BAD_SWEEP = {"base": {"model": "v2v_ris_ap"}, "outputs": ["sop_corrected"],
+                 "sweep": {"param": "c_th", "start": -1.0, "stop": 1.0, "steps": 3}}
+    TINY_VALIDATE = _v2v_doc(outputs=["asc_exact"], mc={"trials": 10, "seed": 42})
+
+    @pytest.mark.parametrize("second, command, code", [
+        (SWEEP, "sweep", 0),
+        (BAD_SWEEP, "sweep", 2),
+        (TINY_VALIDATE, "validate", 1),
+    ])
+    def test_host_handlers_run_and_outputs_are_complete(self, tmp_path, second, command, code):
+        first_out, second_out = tmp_path / "first.out", tmp_path / "second.out"
+        runs = [["sweep", "--config", _write(tmp_path, self.SWEEP, "first.json"), "--out", str(first_out)],
+                [command, "--config", _write(tmp_path, second, "second.json"), "--out", str(second_out)]]
+        marker = tmp_path / "marker"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", EXIT_HOST, str(marker), json.dumps(runs)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert marker.read_text() == "host handler ran after 1 freeze"
+        assert proc.stdout == "True 0\n"
+        header, rows = _read_csv(first_out)
+        assert header == ["p_s", "asc_approx"] and len(rows) == 5
+        if code == 0:
+            assert second_out.read_bytes() == first_out.read_bytes()
+        elif code == 2:
+            assert not second_out.exists()
+            assert "config error: c_th=-1.0" in proc.stderr
+        else:
+            assert second_out.read_text().endswith("VALIDATION: FAIL\n")

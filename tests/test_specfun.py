@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ris_secrecy.channels import mgf_double_rayleigh
-from ris_secrecy.specfun import QuadratureError, QuadratureSpec, erf, integrate
+from ris_secrecy.specfun import QuadratureError, QuadratureSpec, _column_fsums, erf, integrate
 
 # 2F1(2, 1/2; 5/2; .) from arbitrary-precision summation (mpmath)
 HYP_AT_0p999 = 5.4756385061780335
@@ -224,3 +224,19 @@ class TestIntegrateVector:
                              (0.0, 2.5, 10.0, 40.0))
             placed.append(vals[j])
         assert len(set(placed)) == 1
+
+    @given(k=st.integers(1, 64), m=st.integers(1, 800), seed=st.integers(0, 2**32 - 1),
+           extra=st.lists(st.floats(min_value=-1e300, max_value=1e300), max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_column_resum_is_fsum_of_each_column(self, k, m, seed, extra):
+        rng = np.random.default_rng(seed)
+        # mixed signs and magnitudes from 1e-300 to 1e300
+        values = rng.choice([-1.0, 1.0], (k, m)) * 10.0 ** rng.uniform(-300.0, 300.0, (k, m))
+        # exact cancellations: in about half the columns the last k//2 entries
+        # negate the first k//2
+        half = k // 2
+        cancel = rng.random(m) < 0.5
+        values[k - half:, cancel] = -values[:half, cancel]
+        values.flat[rng.integers(0, values.size, len(extra))] = extra
+        expected = np.array([math.fsum(col) for col in values.T])
+        assert _column_fsums(values).tobytes() == expected.tobytes()
