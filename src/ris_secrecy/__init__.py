@@ -6,7 +6,7 @@ building-mounted RIS relay (triple-cascaded gains). The package computes the
 average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
-from .channels import ChannelMoments, FadingKind, moments, sample
+from .channels import ChannelMoments, FadingKind, moments
 from .montecarlo import McConfig, McEstimate, mc_asc, mc_gain_sum_stats, mc_sop
 from .secrecy import (
     Link,
@@ -16,7 +16,6 @@ from .secrecy import (
     SystemParams,
     asc_approx,
     asc_exact,
-    asc_exact_clamped,
     avg_capacity,
     secrecy_report,
     snr_scale,
@@ -27,10 +26,10 @@ from .specfun import QuadratureError
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelMoments", "FadingKind", "moments", "sample",
+    "ChannelMoments", "FadingKind", "moments",
     "McConfig", "McEstimate", "mc_asc", "mc_gain_sum_stats", "mc_sop",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
-    "asc_approx", "asc_exact", "asc_exact_clamped", "avg_capacity",
+    "asc_approx", "asc_exact", "avg_capacity",
     "secrecy_report", "snr_scale", "sop",
     "QuadratureError",
     "__version__",

@@ -1,11 +1,11 @@
 """Per-element fading-channel models.
 
-Three gain laws appear in the two system models: unit-scale Rayleigh
-(PDF g*exp(-g^2/2)), double-Rayleigh (product of two Rayleighs, PDF
-g*K0(g)) and the triple cascade (product of three Rayleighs). This module
-provides their exact moments, the closed-form double-Rayleigh MGF, the
-complements 1 - MGF (accurate where the MGF is near one) that the capacity
-integrals use, and reproducible samplers.
+Two gain laws appear in the two system models, both products of
+independent unit-scale Rayleigh factors (PDF g*exp(-g^2/2)): the
+double-Rayleigh (two factors, PDF g*K0(g)) and the triple cascade (three).
+This module provides their exact moments, the complements 1 - MGF (accurate
+where the MGF is near one) that the capacity integrals use, and the Rayleigh
+inverse transform the Monte-Carlo draws use.
 """
 import math
 from dataclasses import dataclass
@@ -17,7 +17,6 @@ from .specfun import QuadratureError, QuadratureSpec, integrate
 
 
 class FadingKind(Enum):
-    RAYLEIGH = "rayleigh"
     DOUBLE_RAYLEIGH = "double_rayleigh"
     TRIPLE_CASCADE = "triple_cascade"
 
@@ -33,7 +32,6 @@ class ChannelMoments:
 
 
 _MOMENTS = {
-    FadingKind.RAYLEIGH: ChannelMoments(math.sqrt(math.pi / 2.0), 2.0 - math.pi / 2.0),
     FadingKind.DOUBLE_RAYLEIGH: ChannelMoments(math.pi / 2.0, 4.0 - math.pi ** 2 / 4.0),
     FadingKind.TRIPLE_CASCADE: ChannelMoments((math.pi / 2.0) ** 1.5, 8.0 - (math.pi / 2.0) ** 3),
 }
@@ -112,17 +110,6 @@ def _one_minus_mgf_dbl(s):
     return out
 
 
-def mgf_double_rayleigh(s):
-    """E[exp(-s*g)] for the double-Rayleigh gain, s >= 0.
-
-    Accepts a scalar (returns a float) or an array (returns an array of the
-    same shape).
-    """
-    arr = _as_arguments(s, "mgf_double_rayleigh")
-    out = _mgf_dbl(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
-
-
 def one_minus_mgf_double_rayleigh(s):
     """1 - E[exp(-s*g)] for the double-Rayleigh gain, s >= 0, accurate to a
     few ulps relative also where the MGF is close to one.
@@ -177,21 +164,3 @@ def rayleigh_inplace(u: np.ndarray) -> np.ndarray:
     np.multiply(u, -2.0, out=u)
     return np.sqrt(u, out=u)
 
-
-def _rayleigh(rng: np.random.Generator, size):
-    return rayleigh_inplace(np.asarray(rng.random(size)))
-
-
-def sample(kind: FadingKind, rng: np.random.Generator, size=None):
-    """Draw gains from the given law using the supplied generator.
-
-    Cascades are drawn as products of independent Rayleigh factors in a
-    fixed order, so identical generator state yields identical output.
-    """
-    if kind is FadingKind.RAYLEIGH:
-        out = _rayleigh(rng, size)
-    elif kind is FadingKind.DOUBLE_RAYLEIGH:
-        out = _rayleigh(rng, size) * _rayleigh(rng, size)
-    else:
-        out = _rayleigh(rng, size) * _rayleigh(rng, size) * _rayleigh(rng, size)
-    return float(out) if size is None else out

@@ -10,6 +10,7 @@ import gc
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 
@@ -160,11 +161,12 @@ def build_run_config(doc: dict, *, seed: int | None = None, trials: int | None =
     mc = None
     if doc.get("mc") is not None:
         m = _section("mc", doc["mc"], ("trials", "seed", "batch"))
+        if _integer("mc.batch", m.get("batch", 1)) < 1:  # accepted and checked, but has no effect
+            raise ConfigError("batch must be >= 1")
         try:
             mc = McConfig(
                 trials=_integer("mc.trials", m.get("trials", McConfig.trials)),
                 seed=_integer("mc.seed", m.get("seed", McConfig.seed)),
-                batch=_integer("mc.batch", m.get("batch", McConfig.batch)),
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
@@ -280,18 +282,12 @@ def _fmt(v) -> str:
     return repr(int(v)) if isinstance(v, (int, np.integer)) else repr(float(v))
 
 
-def _resolve_points(cfg: RunConfig):
-    """(sweep values, [(params, c_th)]) for the whole run, resolved before any
-    work so that an out-of-domain point fails before any output."""
-    values = cfg.sweep.values() if cfg.sweep is not None else [None]
-    return values, [_point(cfg, value) for value in values]
-
-
 def _rows(cfg: RunConfig):
     """(sweep values, [row]) with every requested metric of every point of the
     run, keyed by column name. All points are resolved, and all capacities and
     Monte-Carlo results computed, before the caller writes any output."""
-    values, points = _resolve_points(cfg)
+    values = cfg.sweep.values() if cfg.sweep is not None else [None]
+    points = [_point(cfg, value) for value in values]
     capacities = [None] * len(points)
     if "asc_exact" in cfg.outputs:
         capacities = _run_capacities(cfg, values, points)
@@ -433,6 +429,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_path(path: str) -> None:
+    """Reject, before the run, an --out path that cannot become a file. The
+    file is not opened, so an existing one stays as it is until written."""
+    if os.path.isdir(path):
+        raise ConfigError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"--out {path!r} is in a directory that does not exist")
+
+
+def _write_output(option: str, path: str, text: str) -> None:
+    """Write ``text`` to the file ``path``; any error is a config error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {option} {path!r}: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     # At interpreter exit, move every object still alive into the permanent
     # generation, so that the final collections do not walk the tens of
@@ -453,14 +467,11 @@ def main(argv=None) -> int:
             default_threads()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+        if args.out is not None and args.dump_config is None:
+            _check_out_path(args.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.dump_config is not None:
-        with open(args.dump_config, "w", encoding="utf-8") as fh:
-            json.dump(config_to_dict(cfg), fh, indent=2)
-            fh.write("\n")
-        return 0
 
     def run(out) -> int:
         if args.command == "eval":
@@ -475,14 +486,16 @@ def main(argv=None) -> int:
         return run_validate(cfg, out, mode, sop_tol=args.sop_tol)
 
     try:
+        if args.dump_config is not None:
+            _write_output("--dump-config", args.dump_config, json.dumps(config_to_dict(cfg), indent=2) + "\n")
+            return 0
         if args.out is None:
             return run(sys.stdout)
         # render first and write the file only for a finished run, so that a
         # failing one leaves an existing --out file as it was
         buf = io.StringIO()
         code = run(buf)
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+        _write_output("--out", args.out, buf.getvalue())
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

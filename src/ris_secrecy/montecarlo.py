@@ -3,8 +3,8 @@
 This module is the independent ground truth for the analytic formulas. All
 randomness is blocked: the trial index space is cut into fixed 8192-trial
 blocks and block i draws from a generator seeded by (seed, i). Estimates are
-therefore bit-identical for a given (trials, seed) regardless of the batch
-size used for dispatch or the number of worker threads.
+therefore bit-identical for a given (trials, seed) regardless of the number
+of worker threads.
 
 One engine, ``mc_points``, does all the sampling: it draws each block once
 per distinct (model, cell count) and reduces it at every point that shares
@@ -24,26 +24,19 @@ from .secrecy import Link, Model, SystemParams, snr_scale
 
 THREADS_ENV_VAR = "RIS_SECRECY_THREADS"
 
-_BLOCK_TRIALS = 8192  # randomness granularity; independent of McConfig.batch
+_BLOCK_TRIALS = 8192  # randomness granularity, and the work of one worker task
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget and reproducibility knobs for a Monte-Carlo run.
-
-    ``batch`` only groups blocks per executor task; it never changes the
-    drawn samples or the estimates.
-    """
+    """Trial budget and seed of a Monte-Carlo run."""
 
     trials: int = 100_000
     seed: int = 42
-    batch: int = _BLOCK_TRIALS
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
 
@@ -139,20 +132,16 @@ def _blocks(trials: int):
     return [(i, min(_BLOCK_TRIALS, trials - i * _BLOCK_TRIALS)) for i in range(n_blocks)]
 
 
-def _map_blocks(block_fn, cfg: McConfig):
-    """Run block_fn(block_index, block_size) over all blocks on
-    ``default_threads()`` workers, returning results in block order regardless
-    of scheduling. ``cfg.batch`` only sets how many blocks one executor task
-    covers."""
+def _map_blocks(block_fn, trials: int):
+    """Run block_fn(block_index, block_size) over the blocks of ``trials``
+    on ``default_threads()`` workers, one executor task per block, returning
+    results in block order regardless of scheduling."""
     threads = default_threads()
-    blocks = _blocks(cfg.trials)
+    blocks = _blocks(trials)
     if threads <= 1 or len(blocks) == 1:
         return [block_fn(i, n) for i, n in blocks]
-    per_task = max(1, cfg.batch // _BLOCK_TRIALS)
-    chunks = [blocks[i:i + per_task] for i in range(0, len(blocks), per_task)]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        nested = pool.map(lambda chunk: [block_fn(i, n) for i, n in chunk], chunks)
-        return [res for group in nested for res in group]
+        return list(pool.map(block_fn, *zip(*blocks)))
 
 
 @dataclass(frozen=True)
@@ -216,7 +205,7 @@ def _mc_pass(points, cfg: McConfig) -> list:
             stats.append((cs.sum(), (cs * cs).sum(), pos.sum(), (pos * pos).sum(), outages))
         return stats, (sum_d.sum(), (sum_d ** 2).sum(), (sum_d ** 3).sum(), (sum_d ** 4).sum())
 
-    parts = _map_blocks(work, cfg)
+    parts = _map_blocks(work, cfg.trials)
     n = cfg.trials
     # sum() adds the blocks in order from 0, as a running total would
     gain_sum = _gain_sum_estimates(*map(sum, zip(*(moments for _stats, moments in parts))), n)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import channels
 from .channels import FadingKind
-from .specfun import QuadratureError, erf, integrate
+from .specfun import QuadratureError, integrate
 
 
 class Model(Enum):
@@ -109,10 +109,6 @@ class SecrecyReport:
                 raise ValueError("outage probabilities must lie in [0, 1]")
 
 
-def _link_distance(params: SystemParams, link: Link) -> float:
-    return params.r_d if link is Link.DESTINATION else params.r_e
-
-
 # The smallest normal double; a product below it keeps fewer digits.
 _TINY = 2.2250738585072014e-308
 
@@ -124,7 +120,7 @@ def snr_scale(params: SystemParams, link: Link) -> float:
     Raises OverflowError when the scale is beyond the double range.
     """
     relay = params.model is Model.VANET_RIS_RELAY
-    distance = _link_distance(params, link)
+    distance = params.r_d if link is Link.DESTINATION else params.r_e
     try:
         path = distance ** -params.beta
         hop = params.r_s ** -params.beta if relay else 1.0
@@ -218,16 +214,11 @@ def avg_capacity(params: SystemParams, link: Link) -> float:
 def asc_exact(params: SystemParams) -> float:
     """Average secrecy capacity as the signed difference of link capacities.
 
-    Negative when the eavesdropper link is the stronger one; see
-    asc_exact_clamped for the nonnegative variant.
+    Negative when the eavesdropper link is the stronger one; max(0, asc_exact)
+    is comparable to the positive-part Monte-Carlo estimator.
     """
     c_d, c_e = link_capacities([params])[0]
     return float(c_d - c_e)
-
-
-def asc_exact_clamped(params: SystemParams) -> float:
-    """max(0, asc_exact): comparable to the positive-part Monte-Carlo estimator."""
-    return max(0.0, asc_exact(params))
 
 
 def asc_approx(params: SystemParams) -> float:
@@ -294,7 +285,7 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
             mean_coeff = n * channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF
             variance = n * channels.PAPER_LITERAL_TRIPLE_VARIANCE
     numer = noise_term + mean_coeff * (nu * ratio - 1.0)
-    return 0.5 * (1.0 + erf(numer / math.sqrt(2.0 * variance)))
+    return 0.5 * (1.0 + math.erf(numer / math.sqrt(2.0 * variance)))
 
 
 def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:

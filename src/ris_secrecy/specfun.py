@@ -1,9 +1,9 @@
-"""The error function and the Gauss-Kronrod quadrature engine.
+"""The Gauss-Kronrod quadrature engine.
 
-Every analytic secrecy expression in the package is built from these
-primitives: the error function and one deterministic adaptive GK15 engine. The engine evaluates all 15 nodes of a
-panel in one call and accepts vector-valued integrands, so a family of
-integrals over the same range (one per MGF argument, say) shares its panels.
+Every integral in the package goes through one deterministic adaptive GK15
+engine. It evaluates all 15 nodes of a panel in one call and accepts
+vector-valued integrands, so a family of integrals over the same range (one
+per MGF argument, say) shares its panels.
 """
 import heapq
 import math
@@ -47,10 +47,6 @@ class QuadratureError(ArithmeticError):
         self.best_estimate = best_estimate
         self.error_bound = error_bound
         self.component = component
-
-
-# Error function: odd, saturating to +-1, and NaN for NaN.
-erf = math.erf
 
 
 # 15-point Gauss-Kronrod rule (QUADPACK dqk15 constants, Piessens et al. 1983):

@@ -1,0 +1,59 @@
+"""Golden outputs of the CLI: the commands, and a script that rewrites their
+committed outputs from the current code.
+
+    PYTHONPATH=src python tests/golden/regenerate.py
+
+Each case is one CLI command run on a recipe; its output is committed in this
+directory as ``<case>.csv`` or ``<case>.txt``. ``tests/test_golden.py`` reruns
+every case and compares it with that file, so a change to any of these
+numbers shows up as a test failure and a re-baseline as a diff of this
+directory. Run the script only for a deliberate change of outputs, and say
+why with the diff.
+"""
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from ris_secrecy import cli
+
+HERE = Path(__file__).resolve().parent
+RECIPES = HERE.parent.parent / "recipes"
+ALL_OUTPUTS = ["asc_exact", "asc_approx", "sop_corrected", "sop_paper_literal", "mc_asc", "mc_sop"]
+
+# case name -> (recipe, CLI arguments after --config, outputs replacing the
+# recipe's, or None to keep them)
+CASES = {f"sweep-{fig}.csv": (fig, ["sweep"], None) for fig in
+         ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9")}
+CASES.update({f"eval-{fig}.csv": (fig, ["eval", "--csv"], ALL_OUTPUTS) for fig in ("fig4", "fig5")})
+CASES.update({f"validate-fig5-{mode}.txt": ("fig5", ["validate", "--trials", "20000", "--mode", mode], None)
+              for mode in ("corrected", "paper-literal")})
+
+
+def run_case(name: str, workdir: Path) -> tuple:
+    """(exit code, output text) of one case, run in this process with
+    ``cli.main``; the config and the output file go to ``workdir``."""
+    recipe, args, outputs = CASES[name]
+    doc = json.loads((RECIPES / f"{recipe}.json").read_text(encoding="utf-8"))
+    if outputs is not None:
+        doc["outputs"] = outputs
+    config = workdir / f"{name}.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / name
+    code = cli.main([args[0], "--config", str(config), "--out", str(out)] + args[1:])
+    return code, out.read_text(encoding="utf-8")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in CASES:
+            code, text = run_case(name, Path(tmp))
+            if code not in (0, 1):
+                print(f"{name}: exit code {code}", file=sys.stderr)
+                return 1
+            (HERE / name).write_text(text, encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,6 +1,6 @@
-"""Channel-law contracts: moments, MGFs and their complements, and samplers,
-each checked against an oracle that does not share code with the
-implementation."""
+"""Channel-law contracts: moments, MGFs and their complements, and the
+per-cell gains the Monte-Carlo engine draws, each checked against an oracle
+that does not share code with the implementation."""
 import math
 import warnings
 
@@ -15,11 +15,11 @@ from ris_secrecy.channels import (
     PAPER_LITERAL_TRIPLE_VARIANCE,
     ChannelMoments,
     FadingKind,
-    mgf_double_rayleigh,
+    _mgf_dbl,
     moments,
     one_minus_mgf_double_rayleigh,
     one_minus_mgf_triple_cascade,
-    sample,
+    rayleigh_inplace,
 )
 
 # mpmath nested-quadrature oracle values for the triple-cascade MGF
@@ -35,6 +35,14 @@ def _mgf_dbl_hypergeometric(s: float) -> float:
         sm = mp.mpf(s)
         return float(mp.mpf(4) / 3 * mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, (sm - 1) / (sm + 1))
                      / (1 + sm) ** 2)
+
+
+def mgf_double_rayleigh(s):
+    """The double-Rayleigh MGF from the shipped elementary kernel, which the
+    complement uses from s = 0.5 up, for a scalar or an array."""
+    arr = np.asarray(s, dtype=float)
+    out = _mgf_dbl(np.atleast_1d(arr))
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def mgf_triple_cascade(s):
@@ -58,9 +66,6 @@ def _mgf_triple_2d_quadrature(s: float) -> float:
 
 class TestMoments:
     def test_closed_forms(self):
-        ray = moments(FadingKind.RAYLEIGH)
-        assert ray.mean == pytest.approx(math.sqrt(math.pi / 2), rel=1e-15)
-        assert ray.variance == pytest.approx(2 - math.pi / 2, rel=1e-15)
         dbl = moments(FadingKind.DOUBLE_RAYLEIGH)
         assert dbl.mean == pytest.approx(math.pi / 2, rel=1e-15)
         assert dbl.variance == pytest.approx(4 - math.pi ** 2 / 4, rel=1e-15)
@@ -74,10 +79,10 @@ class TestMoments:
         assert PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF == pytest.approx(math.pi ** 3 / (2 * math.sqrt(2)), rel=1e-15)
         assert PAPER_LITERAL_TRIPLE_VARIANCE != moments(FadingKind.TRIPLE_CASCADE).variance
 
-    def test_monte_carlo_adjudicates_triple_variance(self):
-        # the product-sampler oracle decides between the two candidate constant sets
+    def test_monte_carlo_adjudicates_triple_variance(self, cell_gains):
+        # the drawn products of Rayleigh factors decide between the two candidate constant sets
         rng = np.random.default_rng(2718)
-        x = sample(FadingKind.TRIPLE_CASCADE, rng, 1_000_000)
+        x = cell_gains(FadingKind.TRIPLE_CASCADE, rng, 1_000_000)
         m = x.mean()
         var = x.var(ddof=1)
         m2 = ((x - m) ** 2).mean()
@@ -122,7 +127,7 @@ class TestMgfDoubleRayleigh:
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            mgf_double_rayleigh(-0.1)
+            one_minus_mgf_double_rayleigh(-0.1)
 
 
 class TestMgfTripleCascade:
@@ -244,13 +249,10 @@ class TestMgfProperties:
             # on the complement, which is what carries the relative accuracy
             assert 1.0 - arr == pytest.approx(1.0 - scalar, rel=1e-10)
 
-    def test_three_way_equivalence_with_sampling(self):
+    def test_three_way_equivalence_with_sampling(self, cell_gains):
         # closed form vs 2-D quadrature vs Monte-Carlo, per the channel contract
         rng = np.random.default_rng(31415)
-        draws = {
-            FadingKind.DOUBLE_RAYLEIGH: sample(FadingKind.DOUBLE_RAYLEIGH, rng, 1_000_000),
-            FadingKind.TRIPLE_CASCADE: sample(FadingKind.TRIPLE_CASCADE, rng, 1_000_000),
-        }
+        draws = {kind: cell_gains(kind, rng, 1_000_000) for kind in FadingKind}
         for s in (0.5, 1.0, 5.0):
             for kind, mgf in ((FadingKind.DOUBLE_RAYLEIGH, mgf_double_rayleigh),
                               (FadingKind.TRIPLE_CASCADE, mgf_triple_cascade)):
@@ -260,41 +262,49 @@ class TestMgfProperties:
                 assert abs(mgf(s) - mc) < 4.0 * se
 
 
+def _ks_below_one_percent_critical(x_sorted, cdf) -> bool:
+    """Kolmogorov-Smirnov: sorted draws against their CDF values."""
+    n = x_sorted.size
+    ks = max(np.max(np.abs(cdf - np.arange(1, n + 1) / n)), np.max(np.abs(cdf - np.arange(0, n) / n)))
+    return ks < 1.6276 / math.sqrt(n)
+
+
 class TestSampler:
+    """The per-cell gains of the Monte-Carlo engine, and its Rayleigh factor."""
+
     @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_deterministic_for_fixed_seed(self, kind):
-        a = sample(kind, np.random.default_rng(7), 100)
-        b = sample(kind, np.random.default_rng(7), 100)
+    def test_deterministic_for_fixed_seed(self, kind, cell_gains):
+        a = cell_gains(kind, np.random.default_rng(7), 100)
+        b = cell_gains(kind, np.random.default_rng(7), 100)
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_mean_matches_analytic(self, kind):
+    def test_mean_matches_analytic(self, kind, cell_gains):
         rng = np.random.default_rng(99)
-        x = sample(kind, rng, 1_000_000)
+        x = cell_gains(kind, rng, 1_000_000)
         mom = moments(kind)
         tol = 4.0 * math.sqrt(mom.variance / x.size)
         assert abs(x.mean() - mom.mean) < tol
 
-    def test_scalar_draw(self):
-        v = sample(FadingKind.RAYLEIGH, np.random.default_rng(1))
-        assert isinstance(v, float) and v > 0.0
+    def test_rayleigh_factor_mean_matches_analytic(self):
+        x = rayleigh_inplace(np.random.default_rng(99).random(1_000_000))
+        tol = 4.0 * math.sqrt((2.0 - math.pi / 2.0) / x.size)
+        assert abs(x.mean() - math.sqrt(math.pi / 2.0)) < tol
 
     @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_kolmogorov_smirnov_against_numeric_cdf(self, kind):
-        n = 100_000
-        x = np.sort(sample(kind, np.random.default_rng(1234), n))
-        if kind is FadingKind.RAYLEIGH:
-            cdf = 1.0 - np.exp(-0.5 * x * x)
-        elif kind is FadingKind.DOUBLE_RAYLEIGH:
+    def test_kolmogorov_smirnov_against_numeric_cdf(self, kind, cell_gains):
+        x = np.sort(cell_gains(kind, np.random.default_rng(1234), 100_000))
+        if kind is FadingKind.DOUBLE_RAYLEIGH:
             cdf = 1.0 - x * sp.k1(x)
         else:
             grid = np.linspace(1e-6, x[-1] + 1.0, 900)
             cdf_grid = np.array([_triple_cdf(g) for g in grid])
             cdf = np.interp(x, grid, cdf_grid)
-        ks = np.max(np.abs(cdf - np.arange(1, n + 1) / n))
-        ks = max(ks, np.max(np.abs(cdf - np.arange(0, n) / n)))
-        critical_1pct = 1.6276 / math.sqrt(n)
-        assert ks < critical_1pct
+        assert _ks_below_one_percent_critical(x, cdf)
+
+    def test_rayleigh_factor_kolmogorov_smirnov(self):
+        x = np.sort(rayleigh_inplace(np.random.default_rng(1234).random(100_000)))
+        assert _ks_below_one_percent_critical(x, 1.0 - np.exp(-0.5 * x * x))
 
 
 def _triple_cdf(g: float) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ris_secrecy import channels, montecarlo, secrecy
+from ris_secrecy import channels, cli, montecarlo, secrecy
 from ris_secrecy.cli import (
     ConfigError,
     RunConfig,
@@ -297,6 +297,78 @@ class TestEval:
         cfg_path2 = _write(tmp_path, resolved, name="resolved_as_input.json")
         assert main(["eval", "--config", cfg_path2, "--dump-config", str(dump2)]) == 0
         assert dump1.read_bytes() == dump2.read_bytes()
+
+
+class TestOutputPaths:
+    """--out and --dump-config targets are checked before any work, and a
+    write that still fails is a config error (exit 2), not a traceback."""
+
+    SWEEP = _v2v_doc(outputs=["asc_exact", "mc_asc"], mc={"trials": 1000, "seed": 1},
+                     sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
+
+    def test_missing_out_directory_fails_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
+        def engine(*_args):
+            raise AssertionError("an engine ran before the --out check")
+
+        monkeypatch.setattr(cli, "link_capacities", engine)
+        monkeypatch.setattr(cli, "mc_points", engine)
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), "--out", str(out)]) == 2
+        assert not out.parent.exists()
+        err = capsys.readouterr().err
+        assert err == f"config error: --out {str(out)!r} is in a directory that does not exist\n"
+
+    @pytest.mark.parametrize("option", ["--out", "--dump-config"])
+    @pytest.mark.parametrize("target", ["missing_directory", "directory"])
+    def test_unusable_target_is_a_config_error(self, tmp_path, capsys, option, target):
+        path = tmp_path / "missing" / "x" if target == "missing_directory" else tmp_path
+        cfg = _write(tmp_path, self.SWEEP)
+        before = sorted(tmp_path.iterdir())
+        assert main(["sweep", "--config", cfg, option, str(path)]) == 2
+        assert sorted(tmp_path.iterdir()) == before
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and option in err and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    @pytest.mark.parametrize("option", ["--out", "--dump-config"])
+    def test_failing_write_is_a_config_error(self, tmp_path, capsys, option):
+        # every write to /dev/full fails with ENOSPC, as on a full disk
+        assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), option, "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write {option} '/dev/full': No space left on device\n"
+
+
+class TestIgnoredBatchKey:
+    """mc.batch once set how many blocks one worker task drew. Configs that
+    carry it still parse and are checked, and it changes no output."""
+
+    SWEEP = _v2v_doc(outputs=["asc_approx", "mc_asc", "mc_sop"],
+                     sweep={"param": "p_s", "start": 2.0, "stop": 20.0, "steps": 3})
+    MC = {"trials": 20_000, "seed": 42}
+
+    def _sweep(self, tmp_path, doc, name):
+        out = tmp_path / f"{name}.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc, f"{name}.json"), "--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_batch_changes_no_output_byte(self, tmp_path):
+        without = self._sweep(tmp_path, dict(self.SWEEP, mc=self.MC), "without")
+        assert self._sweep(tmp_path, dict(self.SWEEP, mc=dict(self.MC, batch=8192)), "with") == without
+
+    @pytest.mark.parametrize("batch", [0, 8192.5, True], ids=["zero", "fraction", "boolean"])
+    def test_bad_batch_is_a_config_error(self, tmp_path, capsys, batch):
+        doc = dict(self.SWEEP, mc=dict(self.MC, batch=batch))
+        assert main(["sweep", "--config", _write(tmp_path, doc)]) == 2
+        assert "batch" in capsys.readouterr().err
+
+    def test_dump_config_drops_batch_and_reruns_identically(self, tmp_path):
+        doc = dict(self.SWEEP, mc=dict(self.MC, batch=8192))
+        dump = tmp_path / "resolved.json"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--dump-config", str(dump)]) == 0
+        resolved = json.loads(dump.read_text())
+        assert resolved["mc"] == self.MC
+        assert build_run_config(resolved) == build_run_config(doc)
+        assert self._sweep(tmp_path, resolved, "resolved") == self._sweep(tmp_path, doc, "original")
 
 
 class TestSweep:

@@ -20,7 +20,6 @@ from ris_secrecy.secrecy import (
     SystemParams,
     asc_approx,
     asc_exact,
-    asc_exact_clamped,
     avg_capacity,
     link_capacities,
     secrecy_report,
@@ -414,12 +413,6 @@ class TestAscExact:
         ref = _capacity_mp(p, Link.DESTINATION) - _capacity_mp(p, Link.EAVESDROPPER)
         assert ref == pytest.approx(35.0076, abs=1e-3)
         assert asc_exact(p) == pytest.approx(ref, rel=1e-9)
-
-    def test_clamped_accessor(self, v2v_params):
-        worse = replace(v2v_params, r_d=8.0, r_e=4.0)
-        assert asc_exact(worse) < 0.0
-        assert asc_exact_clamped(worse) == 0.0
-        assert asc_exact_clamped(v2v_params) == asc_exact(v2v_params)
 
 
 class TestAscApprox:

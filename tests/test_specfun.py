@@ -9,8 +9,8 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ris_secrecy.channels import mgf_double_rayleigh
-from ris_secrecy.specfun import QuadratureError, QuadratureSpec, _column_fsums, erf, integrate
+from ris_secrecy.channels import _as_arguments, _mgf_dbl
+from ris_secrecy.specfun import QuadratureError, QuadratureSpec, _column_fsums, integrate
 
 # 2F1(2, 1/2; 5/2; .) from arbitrary-precision summation (mpmath)
 HYP_AT_0p999 = 5.4756385061780335
@@ -22,17 +22,14 @@ def hyp2f1_special(x: float) -> float:
     """The paper's instance 2F1(2, 1/2; 5/2; x), -1 <= x < 1, as realised by the
     package's double-Rayleigh MGF: M(s) = (4/3) 2F1(x)/(1+s)^2, s = (1+x)/(1-x).
 
-    Arguments past x = 1 map to s < 0, which the MGF rejects; x = 1 itself
-    maps to s = inf and is rejected here.
+    Arguments outside [-1, 1] map to s < 0, which the package's MGF argument
+    check rejects; x = 1 itself maps to s = inf and is rejected here.
     """
     if x == 1.0:
         raise ValueError("x = 1 maps to s = inf")
     s = (1.0 + x) / (1.0 - x)
-    return 0.75 * (1.0 + s) ** 2 * mgf_double_rayleigh(s)
+    return 0.75 * (1.0 + s) ** 2 * float(_mgf_dbl(_as_arguments([s], "hyp2f1_special"))[0])
 
-
-# erf(1) from the alternating series 2/sqrt(pi) sum (-1)^n/(n!(2n+1))
-ERF_AT_1 = 0.84270079294971487
 
 # e*E1(1) from the series E1(1) = -gamma + sum (-1)^(k+1)/(k k!)
 E_TIMES_E1_AT_1 = 0.59634736232319407
@@ -76,39 +73,6 @@ class TestHyp2F1Special:
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             hyp2f1_special(bad)
-
-
-class TestErf:
-    def test_at_zero(self):
-        assert erf(0.0) == 0.0
-
-    def test_series_oracle_at_one(self):
-        total = 0.0
-        term = 1.0
-        for n in range(0, 40):
-            total += term / (2 * n + 1)
-            term *= -1.0 / (n + 1)
-        oracle = 2.0 / math.sqrt(math.pi) * total
-        assert abs(oracle - ERF_AT_1) < 1e-15
-        assert erf(1.0) == pytest.approx(ERF_AT_1, rel=1e-13)
-
-    def test_saturates(self):
-        assert erf(6.0) == 1.0
-        assert erf(-7.5) == -1.0
-        assert erf(math.inf) == 1.0
-
-    def test_reference_grid(self):
-        for x in np.linspace(-5.9, 5.9, 119):
-            if x == 0.0:
-                continue
-            assert erf(float(x)) == pytest.approx(math.erf(float(x)), rel=1e-12)
-
-    @given(st.floats(min_value=-8.0, max_value=8.0))
-    @settings(max_examples=100, deadline=None)
-    def test_odd_and_bounded(self, x):
-        v = erf(x)
-        assert -1.0 <= v <= 1.0
-        assert erf(-x) == -v
 
 
 # Initial panels over (0, 40] for integrands decaying like exp(-z), graded
