@@ -6,7 +6,6 @@ building-mounted RIS relay (triple-cascaded gains). The package computes the
 average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
-from .channels import ChannelMoments, FadingKind, moments
 from .montecarlo import McConfig, McEstimate, mc_asc, mc_gain_sum_stats, mc_sop
 from .secrecy import (
     Link,
@@ -26,7 +25,6 @@ from .specfun import QuadratureError
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChannelMoments", "FadingKind", "moments",
     "McConfig", "McEstimate", "mc_asc", "mc_gain_sum_stats", "mc_sop",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
     "asc_approx", "asc_exact", "avg_capacity",

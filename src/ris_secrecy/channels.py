@@ -8,33 +8,17 @@ where the MGF is near one) that the capacity integrals use, and the Rayleigh
 inverse transform the Monte-Carlo draws use.
 """
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .specfun import QuadratureError, QuadratureSpec, integrate
 
-
-class FadingKind(Enum):
-    DOUBLE_RAYLEIGH = "double_rayleigh"
-    TRIPLE_CASCADE = "triple_cascade"
-
-
-@dataclass(frozen=True)
-class ChannelMoments:
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not (self.mean > 0.0 and self.variance > 0.0):
-            raise ValueError("channel moments must be positive")
-
-
-_MOMENTS = {
-    FadingKind.DOUBLE_RAYLEIGH: ChannelMoments(math.pi / 2.0, 4.0 - math.pi ** 2 / 4.0),
-    FadingKind.TRIPLE_CASCADE: ChannelMoments((math.pi / 2.0) ** 1.5, 8.0 - (math.pi / 2.0) ** 3),
-}
+# Exact per-element gain moments: the V2V access point's links are
+# double-Rayleigh, the relay's links the triple cascade.
+DOUBLE_RAYLEIGH_MEAN = math.pi / 2.0
+DOUBLE_RAYLEIGH_VARIANCE = 4.0 - math.pi ** 2 / 4.0
+TRIPLE_CASCADE_MEAN = (math.pi / 2.0) ** 1.5
+TRIPLE_CASCADE_VARIANCE = 8.0 - (math.pi / 2.0) ** 3
 
 # A variant constant set for the triple cascade circulates whose variance
 # and mean coefficient are mutually inconsistent with the cascade moments
@@ -48,11 +32,6 @@ PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF = math.pi ** 3 / (2.0 * math.sqrt(2.0))
 # matters for values below 1e-289 (s < 1e-289), which keep about 8 digits.
 _TRIPLE_BREAKS = (0.0, 1.0, 8.7)
 _TRIPLE_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=400)
-
-
-def moments(kind: FadingKind) -> ChannelMoments:
-    """Exact mean and variance of the per-element gain."""
-    return _MOMENTS[kind]
 
 
 # Near s = 1 the elementary form cancels; there the MGF is evaluated as

@@ -22,8 +22,17 @@ from .secrecy import Model, SopMode, SystemParams, asc_approx, link_capacities, 
 from .specfun import QuadratureError
 
 SWEEPABLE = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s", "c_th")
-OUTPUT_NAMES = ("asc_exact", "asc_approx", "sop_corrected", "sop_paper_literal", "mc_asc", "mc_sop")
-MC_OUTPUTS = frozenset({"mc_asc", "mc_sop"})
+# Every output and its value columns, in CSV column order. The Monte-Carlo
+# outputs and their columns are the ``mc_`` ones; the standard error of each
+# such column follows all the values, as ``<column>_se``.
+OUTPUT_COLUMNS = {
+    "asc_exact": ("asc_exact",),
+    "asc_approx": ("asc_approx",),
+    "sop_corrected": ("sop_corrected",),
+    "sop_paper_literal": ("sop_paper_literal",),
+    "mc_asc": ("mc_asc_diff", "mc_asc_pos"),
+    "mc_sop": ("mc_sop",),
+}
 DEFAULT_OUTPUTS = ("asc_exact", "asc_approx", "sop_corrected")
 
 _BASE_DEFAULTS = {"p_s": 10.0, "n_0": 1.0, "beta": 2.7, "n_cells": 16, "r_d": 4.0, "r_e": 8.0}
@@ -81,9 +90,9 @@ class RunConfig:
         if not self.outputs:
             raise ConfigError("at least one output must be requested")
         for out in self.outputs:
-            if out not in OUTPUT_NAMES:
-                raise ConfigError(f"unknown output {out!r}; valid outputs: {OUTPUT_NAMES}")
-        if MC_OUTPUTS.intersection(self.outputs) and self.mc is None:
+            if out not in OUTPUT_COLUMNS:
+                raise ConfigError(f"unknown output {out!r}; valid outputs: {tuple(OUTPUT_COLUMNS)}")
+        if _wants_mc(self.outputs) and self.mc is None:
             raise ConfigError("Monte-Carlo outputs require an 'mc' config block")
         if not 0.0 < self.c_th < math.inf:
             raise ConfigError("c_th must be finite and > 0")
@@ -210,55 +219,37 @@ def _point(cfg: RunConfig, value=None):
         raise ConfigError(f"{cfg.sweep.param}={value!r}: {exc}") from None
 
 
+def _wants_mc(outputs) -> bool:
+    return any(out.startswith("mc_") for out in outputs)
+
+
 def _columns(outputs):
-    cols = []
-    se_cols = []
-    for out in OUTPUT_NAMES:
-        if out not in outputs:
-            continue
-        if out == "mc_asc":
-            cols += ["mc_asc_diff", "mc_asc_pos"]
-            se_cols += ["mc_asc_diff_se", "mc_asc_pos_se"]
-        elif out == "mc_sop":
-            cols.append("mc_sop")
-            se_cols.append("mc_sop_se")
-        else:
-            cols.append(out)
-    return cols + se_cols
+    """The CSV columns of ``outputs``: their value columns, then the standard
+    error of each Monte-Carlo one."""
+    cols = [col for out, out_cols in OUTPUT_COLUMNS.items() if out in outputs for col in out_cols]
+    return cols + [col + "_se" for col in cols if col.startswith("mc_")]
 
 
-def _analytic_row(params: SystemParams, c_th: float, cfg: RunConfig, capacities) -> dict:
-    """The requested analytic metrics at one point; ``capacities`` is its
-    (c_d, c_e) from the run's capacity engine call, used for asc_exact."""
+def _row(params: SystemParams, c_th: float, outputs, capacities, res: McPointResult | None) -> dict:
+    """The metrics of one point, keyed by column name: the closed forms in
+    ``outputs``, asc_exact with its (c_d, c_e) from the run's capacity engine
+    call when there is one, and every field of the Monte-Carlo result ``res``
+    (its destination ``gain_sum`` estimates too, for the relay variance
+    check). The writers select the columns."""
     row = {}
-    if "asc_exact" in cfg.outputs:
+    if capacities is not None:
         c_d, c_e = (float(c) for c in capacities)
-        row["c_d"] = c_d
-        row["c_e"] = c_e
-        row["asc_exact"] = c_d - c_e
-    if "asc_approx" in cfg.outputs:
+        row.update(c_d=c_d, c_e=c_e, asc_exact=c_d - c_e)
+    if "asc_approx" in outputs:
         row["asc_approx"] = asc_approx(params)
-    if "sop_corrected" in cfg.outputs:
-        row["sop_corrected"] = sop(params, c_th, SopMode.CORRECTED)
-    if "sop_paper_literal" in cfg.outputs:
-        row["sop_paper_literal"] = sop(params, c_th, SopMode.PAPER_LITERAL)
-    return row
-
-
-def _mc_row(res: McPointResult | None, cfg: RunConfig) -> dict:
-    """The requested MC metrics at one point, plus its destination
-    ``gain_sum`` estimates for the relay variance check."""
-    if res is None:
-        return {}
-    row = {"gain_sum": res.gain_sum}
-    if "mc_asc" in cfg.outputs:
-        row["mc_asc_diff"] = res.asc_diff.value
-        row["mc_asc_pos"] = res.asc_pos.value
-        row["mc_asc_diff_se"] = res.asc_diff.std_error
-        row["mc_asc_pos_se"] = res.asc_pos.std_error
-    if "mc_sop" in cfg.outputs:
-        row["mc_sop"] = res.sop.value
-        row["mc_sop_se"] = res.sop.std_error
+    for mode in SopMode:
+        if f"sop_{mode.value}" in outputs:
+            row[f"sop_{mode.value}"] = sop(params, c_th, mode)
+    if res is not None:
+        row.update(gain_sum=res.gain_sum,
+                   mc_asc_diff=res.asc_diff.value, mc_asc_diff_se=res.asc_diff.std_error,
+                   mc_asc_pos=res.asc_pos.value, mc_asc_pos_se=res.asc_pos.std_error,
+                   mc_sop=res.sop.value, mc_sop_se=res.sop.std_error)
     return row
 
 
@@ -292,14 +283,10 @@ def _rows(cfg: RunConfig):
     if "asc_exact" in cfg.outputs:
         capacities = _run_capacities(cfg, values, points)
     mc_results = [None] * len(points)
-    if MC_OUTPUTS.intersection(cfg.outputs):
+    if _wants_mc(cfg.outputs):
         mc_results = mc_points(points, cfg.mc)
-    rows = []
-    for (params, c_th), caps, res in zip(points, capacities, mc_results):
-        row = _analytic_row(params, c_th, cfg, caps)
-        row.update(_mc_row(res, cfg))
-        rows.append(row)
-    return values, rows
+    return values, [_row(params, c_th, cfg.outputs, caps, res)
+                    for (params, c_th), caps, res in zip(points, capacities, mc_results)]
 
 
 def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
@@ -385,7 +372,7 @@ def _adjudicate_gain_variance(cfg: RunConfig, out, var_est: McEstimate) -> bool:
     """Print the measured variance of the summed relay gains next to both
     closed-form candidates (the report always shows the two constants)."""
     n = cfg.base.n_cells
-    corrected = n * channels.moments(channels.FadingKind.TRIPLE_CASCADE).variance
+    corrected = n * channels.TRIPLE_CASCADE_VARIANCE
     literal = n * channels.PAPER_LITERAL_TRIPLE_VARIANCE
     se = max(var_est.std_error, 1e-300)
     z_corr = abs(var_est.value - corrected) / se

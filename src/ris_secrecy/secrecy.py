@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from . import channels
-from .channels import FadingKind
 from .specfun import QuadratureError, integrate
 
 
@@ -80,12 +79,6 @@ class SystemParams:
             scales = [math.inf]
         if not all(0.0 < v < math.inf for v in scales):
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
-
-    @property
-    def fading_kind(self) -> FadingKind:
-        if self.model is Model.V2V_RIS_AP:
-            return FadingKind.DOUBLE_RAYLEIGH
-        return FadingKind.TRIPLE_CASCADE
 
 
 @dataclass(frozen=True)
@@ -268,24 +261,21 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     try:
         nu = 2.0 ** c_th
         ratio = (params.r_e / params.r_d) ** -params.beta  # r_e^-beta / r_d^-beta
-    except OverflowError:
-        # either overflow drives the erf argument below to +inf
+    except (OverflowError, ZeroDivisionError):
+        # an overflow, or r_e / r_d underflowing to 0, drives the erf
+        # argument below to +inf
         return 1.0
-    n = params.n_cells
     # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta]), from the validated scale
     noise_term = (nu - 1.0) / snr_scale(params, Link.DESTINATION)
     if params.model is Model.V2V_RIS_AP:
-        mean_coeff = n * math.pi / 2.0
-        variance = n * channels.moments(FadingKind.DOUBLE_RAYLEIGH).variance
+        mean, variance = channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE
+    elif mode is SopMode.CORRECTED:
+        mean, variance = channels.TRIPLE_CASCADE_MEAN, channels.TRIPLE_CASCADE_VARIANCE
     else:
-        if mode is SopMode.CORRECTED:
-            mean_coeff = n * channels.moments(FadingKind.TRIPLE_CASCADE).mean
-            variance = n * channels.moments(FadingKind.TRIPLE_CASCADE).variance
-        else:
-            mean_coeff = n * channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF
-            variance = n * channels.PAPER_LITERAL_TRIPLE_VARIANCE
-    numer = noise_term + mean_coeff * (nu * ratio - 1.0)
-    return 0.5 * (1.0 + math.erf(numer / math.sqrt(2.0 * variance)))
+        mean, variance = channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF, channels.PAPER_LITERAL_TRIPLE_VARIANCE
+    n = params.n_cells
+    numer = noise_term + n * mean * (nu * ratio - 1.0)
+    return 0.5 * (1.0 + math.erf(numer / math.sqrt(2.0 * (n * variance))))
 
 
 def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:

@@ -1,6 +1,6 @@
 import pytest
 
-from ris_secrecy import FadingKind, Model, SystemParams
+from ris_secrecy import Model, SystemParams
 from ris_secrecy.montecarlo import sample_gain_sums
 
 
@@ -15,16 +15,17 @@ def relay_params():
 
 
 # One-cell systems whose destination gain sum is a single per-cell gain
-_ONE_CELL = {FadingKind.DOUBLE_RAYLEIGH: SystemParams(model=Model.V2V_RIS_AP, n_cells=1),
-             FadingKind.TRIPLE_CASCADE: SystemParams(model=Model.VANET_RIS_RELAY, n_cells=1, r_s=10.0)}
+_ONE_CELL = {Model.V2V_RIS_AP: SystemParams(model=Model.V2V_RIS_AP, n_cells=1),
+             Model.VANET_RIS_RELAY: SystemParams(model=Model.VANET_RIS_RELAY, n_cells=1, r_s=10.0)}
 
 
 @pytest.fixture
 def cell_gains():
-    """draw(kind, rng, n): n per-cell gains of one fading law, drawn as the
-    Monte-Carlo engine draws them (the destination gain sums of a one-cell
-    v2v system for the double-Rayleigh, of a one-cell relay for the cascade)."""
-    def draw(kind, rng, n):
-        return sample_gain_sums(_ONE_CELL[kind], rng, n)[0]
+    """draw(model, rng, n): n per-cell gains of one model's fading law, drawn
+    as the Monte-Carlo engine draws them (the destination gain sums of a
+    one-cell system: double-Rayleigh for v2v, the triple cascade for the
+    relay)."""
+    def draw(model, rng, n):
+        return sample_gain_sums(_ONE_CELL[model], rng, n)[0]
 
     return draw

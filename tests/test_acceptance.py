@@ -17,8 +17,8 @@ import scipy.special as sp
 
 from ris_secrecy import cli
 from ris_secrecy.channels import (
-    FadingKind,
-    moments,
+    DOUBLE_RAYLEIGH_MEAN,
+    TRIPLE_CASCADE_MEAN,
     one_minus_mgf_double_rayleigh,
     one_minus_mgf_triple_cascade,
 )
@@ -71,7 +71,7 @@ def test_criterion_2_mgf_three_way_equivalence(cell_gains):
     t0 = time.perf_counter()
     checks = []
     rng = np.random.default_rng(SEED)
-    draws = {kind: cell_gains(kind, rng, 1_000_000) for kind in FadingKind}
+    draws = {model: cell_gains(model, rng, 1_000_000) for model in Model}
 
     def dbl_quad_oracle(s):
         val, _ = sint.quad(lambda g: math.exp(-s * g) * g * sp.k0(g), 0.0, 80.0,
@@ -87,20 +87,20 @@ def test_criterion_2_mgf_three_way_equivalence(cell_gains):
         return val
 
     for s in (0.5, 1.0, 5.0):
-        for kind, one_minus_mgf, oracle in (
-            (FadingKind.DOUBLE_RAYLEIGH, one_minus_mgf_double_rayleigh, dbl_quad_oracle),
-            (FadingKind.TRIPLE_CASCADE, one_minus_mgf_triple_cascade, triple_quad_oracle),
+        for model, law, one_minus_mgf, oracle in (
+            (Model.V2V_RIS_AP, "double_rayleigh", one_minus_mgf_double_rayleigh, dbl_quad_oracle),
+            (Model.VANET_RIS_RELAY, "triple_cascade", one_minus_mgf_triple_cascade, triple_quad_oracle),
         ):
             # the MGF from the complement the capacity path uses; exact to 5e-16 here
             closed = 1.0 - one_minus_mgf(s)
             quad = oracle(s)
             rel = abs(closed - quad) / quad
-            checks.append((rel < 1e-6, f"{kind.value} MGF({s}) vs quadrature rel {rel:.2e}"))
-            x = np.exp(-s * draws[kind])
+            checks.append((rel < 1e-6, f"{law} MGF({s}) vs quadrature rel {rel:.2e}"))
+            x = np.exp(-s * draws[model])
             mc = x.mean()
             se = x.std(ddof=1) / math.sqrt(x.size)
             z = abs(closed - mc) / se
-            checks.append((z < 4.0, f"{kind.value} MGF({s}) vs MC z = {z:.2f}"))
+            checks.append((z < 4.0, f"{law} MGF({s}) vs MC z = {z:.2f}"))
     _finish(2, "MGF three-way equivalence", t0, 30.0, checks)
 
 
@@ -148,7 +148,7 @@ def test_criterion_5_jensen_ordering():
         for p_s in (2.0, 8.0, 20.0, 60.0, 160.0):
             for r_e in (2.0, 4.0, 8.0, 16.0, 24.0):
                 p = SystemParams(model=model, p_s=p_s, r_e=r_e, r_s=r_s)
-                mean_gain = p.n_cells * moments(p.fading_kind).mean
+                mean_gain = p.n_cells * (DOUBLE_RAYLEIGH_MEAN if model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN)
                 for link in Link:
                     # Jensen: E[log2(1 + gamma)] <= log2(1 + E[gamma])
                     bound = math.log2(1.0 + mean_gain * snr_scale(p, link))

@@ -10,13 +10,15 @@ import pytest
 import scipy.integrate as sint
 import scipy.special as sp
 
+from ris_secrecy import Model
 from ris_secrecy.channels import (
+    DOUBLE_RAYLEIGH_MEAN,
+    DOUBLE_RAYLEIGH_VARIANCE,
     PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF,
     PAPER_LITERAL_TRIPLE_VARIANCE,
-    ChannelMoments,
-    FadingKind,
+    TRIPLE_CASCADE_MEAN,
+    TRIPLE_CASCADE_VARIANCE,
     _mgf_dbl,
-    moments,
     one_minus_mgf_double_rayleigh,
     one_minus_mgf_triple_cascade,
     rayleigh_inplace,
@@ -66,37 +68,28 @@ def _mgf_triple_2d_quadrature(s: float) -> float:
 
 class TestMoments:
     def test_closed_forms(self):
-        dbl = moments(FadingKind.DOUBLE_RAYLEIGH)
-        assert dbl.mean == pytest.approx(math.pi / 2, rel=1e-15)
-        assert dbl.variance == pytest.approx(4 - math.pi ** 2 / 4, rel=1e-15)
-        tri = moments(FadingKind.TRIPLE_CASCADE)
-        assert tri.mean == pytest.approx((math.pi / 2) ** 1.5, rel=1e-15)
-        assert tri.variance == pytest.approx(8 - (math.pi / 2) ** 3, rel=1e-15)
+        assert DOUBLE_RAYLEIGH_MEAN == pytest.approx(math.pi / 2, rel=1e-15)
+        assert DOUBLE_RAYLEIGH_VARIANCE == pytest.approx(4 - math.pi ** 2 / 4, rel=1e-15)
+        assert TRIPLE_CASCADE_MEAN == pytest.approx((math.pi / 2) ** 1.5, rel=1e-15)
+        assert TRIPLE_CASCADE_VARIANCE == pytest.approx(8 - (math.pi / 2) ** 3, rel=1e-15)
 
     def test_paper_literal_constants_are_distinct(self):
         # the variant constants differ from the consistent ones; both stay available
         assert PAPER_LITERAL_TRIPLE_VARIANCE == pytest.approx(8 - (math.pi / 2) ** 1.5, rel=1e-15)
         assert PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF == pytest.approx(math.pi ** 3 / (2 * math.sqrt(2)), rel=1e-15)
-        assert PAPER_LITERAL_TRIPLE_VARIANCE != moments(FadingKind.TRIPLE_CASCADE).variance
+        assert PAPER_LITERAL_TRIPLE_VARIANCE != TRIPLE_CASCADE_VARIANCE
 
     def test_monte_carlo_adjudicates_triple_variance(self, cell_gains):
         # the drawn products of Rayleigh factors decide between the two candidate constant sets
         rng = np.random.default_rng(2718)
-        x = cell_gains(FadingKind.TRIPLE_CASCADE, rng, 1_000_000)
+        x = cell_gains(Model.VANET_RIS_RELAY, rng, 1_000_000)
         m = x.mean()
         var = x.var(ddof=1)
         m2 = ((x - m) ** 2).mean()
         m4 = ((x - m) ** 4).mean()
         se_var = math.sqrt((m4 - m2 * m2) / x.size)
-        corrected = moments(FadingKind.TRIPLE_CASCADE).variance
-        assert abs(var - corrected) < 4.0 * se_var
+        assert abs(var - TRIPLE_CASCADE_VARIANCE) < 4.0 * se_var
         assert abs(var - PAPER_LITERAL_TRIPLE_VARIANCE) > 10.0 * se_var
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ChannelMoments(mean=0.0, variance=1.0)
-        with pytest.raises(ValueError):
-            ChannelMoments(mean=1.0, variance=-1.0)
 
 
 class TestMgfDoubleRayleigh:
@@ -196,14 +189,15 @@ class TestMgfComplements:
         assert one_minus_mgf_triple_cascade(s) / s == pytest.approx((math.pi / 2.0) ** 1.5, rel=1e-8)
 
     @pytest.mark.parametrize(
-        "one_minus_mgf,kind",
-        [(one_minus_mgf_double_rayleigh, FadingKind.DOUBLE_RAYLEIGH),
-         (one_minus_mgf_triple_cascade, FadingKind.TRIPLE_CASCADE)],
+        "one_minus_mgf,mean",
+        [(one_minus_mgf_double_rayleigh, DOUBLE_RAYLEIGH_MEAN),
+         (one_minus_mgf_triple_cascade, TRIPLE_CASCADE_MEAN)],
+        ids=["one_minus_mgf_double_rayleigh", "one_minus_mgf_triple_cascade"],
     )
-    def test_small_argument_slope_is_the_mean(self, one_minus_mgf, kind):
+    def test_small_argument_slope_is_the_mean(self, one_minus_mgf, mean):
         # 1 - M(s) = s E[g] - s^2 E[g^2]/2 + ..., so q/s -> E[g] to O(s)
         for s in (1e-200, 1e-12):
-            assert one_minus_mgf(s) / s == pytest.approx(moments(kind).mean, rel=1e-11)
+            assert one_minus_mgf(s) / s == pytest.approx(mean, rel=1e-11)
 
     @pytest.mark.parametrize("one_minus_mgf", [one_minus_mgf_double_rayleigh, one_minus_mgf_triple_cascade])
     def test_limits_shapes_and_domain(self, one_minus_mgf):
@@ -226,14 +220,15 @@ class TestMgfProperties:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     @pytest.mark.parametrize(
-        "mgf,kind",
-        [(mgf_double_rayleigh, FadingKind.DOUBLE_RAYLEIGH),
-         (mgf_triple_cascade, FadingKind.TRIPLE_CASCADE)],
+        "mgf,mean",
+        [(mgf_double_rayleigh, DOUBLE_RAYLEIGH_MEAN),
+         (mgf_triple_cascade, TRIPLE_CASCADE_MEAN)],
+        ids=["mgf_double_rayleigh", "mgf_triple_cascade"],
     )
-    def test_slope_at_zero_is_mean(self, mgf, kind):
+    def test_slope_at_zero_is_mean(self, mgf, mean):
         h = 1e-5
         slope = (1.0 - mgf(h)) / h
-        assert slope == pytest.approx(moments(kind).mean, rel=1e-4)
+        assert slope == pytest.approx(mean, rel=1e-4)
 
     @pytest.mark.parametrize("mgf", [mgf_double_rayleigh, mgf_triple_cascade])
     def test_array_call_matches_scalar_calls(self, mgf):
@@ -252,11 +247,11 @@ class TestMgfProperties:
     def test_three_way_equivalence_with_sampling(self, cell_gains):
         # closed form vs 2-D quadrature vs Monte-Carlo, per the channel contract
         rng = np.random.default_rng(31415)
-        draws = {kind: cell_gains(kind, rng, 1_000_000) for kind in FadingKind}
+        draws = {model: cell_gains(model, rng, 1_000_000) for model in Model}
         for s in (0.5, 1.0, 5.0):
-            for kind, mgf in ((FadingKind.DOUBLE_RAYLEIGH, mgf_double_rayleigh),
-                              (FadingKind.TRIPLE_CASCADE, mgf_triple_cascade)):
-                x = np.exp(-s * draws[kind])
+            for model, mgf in ((Model.V2V_RIS_AP, mgf_double_rayleigh),
+                               (Model.VANET_RIS_RELAY, mgf_triple_cascade)):
+                x = np.exp(-s * draws[model])
                 mc = x.mean()
                 se = x.std(ddof=1) / math.sqrt(x.size)
                 assert abs(mgf(s) - mc) < 4.0 * se
@@ -272,29 +267,30 @@ def _ks_below_one_percent_critical(x_sorted, cdf) -> bool:
 class TestSampler:
     """The per-cell gains of the Monte-Carlo engine, and its Rayleigh factor."""
 
-    @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_deterministic_for_fixed_seed(self, kind, cell_gains):
-        a = cell_gains(kind, np.random.default_rng(7), 100)
-        b = cell_gains(kind, np.random.default_rng(7), 100)
+    @pytest.mark.parametrize("model", list(Model))
+    def test_deterministic_for_fixed_seed(self, model, cell_gains):
+        a = cell_gains(model, np.random.default_rng(7), 100)
+        b = cell_gains(model, np.random.default_rng(7), 100)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_mean_matches_analytic(self, kind, cell_gains):
+    @pytest.mark.parametrize("model", list(Model))
+    def test_mean_matches_analytic(self, model, cell_gains):
         rng = np.random.default_rng(99)
-        x = cell_gains(kind, rng, 1_000_000)
-        mom = moments(kind)
-        tol = 4.0 * math.sqrt(mom.variance / x.size)
-        assert abs(x.mean() - mom.mean) < tol
+        x = cell_gains(model, rng, 1_000_000)
+        mean, variance = ((DOUBLE_RAYLEIGH_MEAN, DOUBLE_RAYLEIGH_VARIANCE) if model is Model.V2V_RIS_AP
+                          else (TRIPLE_CASCADE_MEAN, TRIPLE_CASCADE_VARIANCE))
+        tol = 4.0 * math.sqrt(variance / x.size)
+        assert abs(x.mean() - mean) < tol
 
     def test_rayleigh_factor_mean_matches_analytic(self):
         x = rayleigh_inplace(np.random.default_rng(99).random(1_000_000))
         tol = 4.0 * math.sqrt((2.0 - math.pi / 2.0) / x.size)
         assert abs(x.mean() - math.sqrt(math.pi / 2.0)) < tol
 
-    @pytest.mark.parametrize("kind", list(FadingKind))
-    def test_kolmogorov_smirnov_against_numeric_cdf(self, kind, cell_gains):
-        x = np.sort(cell_gains(kind, np.random.default_rng(1234), 100_000))
-        if kind is FadingKind.DOUBLE_RAYLEIGH:
+    @pytest.mark.parametrize("model", list(Model))
+    def test_kolmogorov_smirnov_against_numeric_cdf(self, model, cell_gains):
+        x = np.sort(cell_gains(model, np.random.default_rng(1234), 100_000))
+        if model is Model.V2V_RIS_AP:
             cdf = 1.0 - x * sp.k1(x)
         else:
             grid = np.linspace(1e-6, x[-1] + 1.0, 900)

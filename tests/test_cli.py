@@ -256,6 +256,15 @@ class TestEval:
         _header, value = capsys.readouterr().out.splitlines()
         assert float(value) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("model", ["v2v_ris_ap", "vanet_ris_relay"])
+    def test_underflowing_distance_ratio_gives_outage_one(self, tmp_path, capsys, model):
+        # r_e / r_d underflows to 0, so (r_e / r_d)^-beta cannot be formed;
+        # the outage probability takes its limit, 1
+        doc = {"base": {"model": model, "r_e": 1e-30, "r_d": 1e300, "beta": 0.1}}
+        assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        assert float(row[header.index("sop_corrected")]) == 1.0
+
     def test_cascade_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(channels, "_TRIPLE_QUAD",
                             channels.QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))
