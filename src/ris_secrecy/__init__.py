@@ -6,7 +6,7 @@ building-mounted RIS relay (triple-cascaded gains). The package computes the
 average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
-from .montecarlo import McConfig, McEstimate, mc_asc, mc_gain_sum_stats, mc_sop
+from .montecarlo import McConfig, McEstimate, mc_points
 from .secrecy import (
     Link,
     Model,
@@ -14,8 +14,7 @@ from .secrecy import (
     SopMode,
     SystemParams,
     asc_approx,
-    asc_exact,
-    avg_capacity,
+    link_capacities,
     secrecy_report,
     snr_scale,
     sop,
@@ -25,10 +24,9 @@ from .specfun import QuadratureError
 __version__ = "0.1.0"
 
 __all__ = [
-    "McConfig", "McEstimate", "mc_asc", "mc_gain_sum_stats", "mc_sop",
+    "McConfig", "McEstimate", "mc_points",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
-    "asc_approx", "asc_exact", "avg_capacity",
-    "secrecy_report", "snr_scale", "sop",
+    "asc_approx", "link_capacities", "secrecy_report", "snr_scale", "sop",
     "QuadratureError",
     "__version__",
 ]

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from .specfun import QuadratureError, QuadratureSpec, integrate
+from .specfun import QuadratureError, integrate
 
 # Exact per-element gain moments: the V2V access point's links are
 # double-Rayleigh, the relay's links the triple cascade.
@@ -28,10 +28,10 @@ PAPER_LITERAL_TRIPLE_VARIANCE = 8.0 - (math.pi / 2.0) ** 1.5
 PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF = math.pi ** 3 / (2.0 * math.sqrt(2.0))
 
 # Conditioning integral of the triple-cascade 1 - MGF over the Rayleigh
-# factor, truncated at 8.7 where exp(-y^2/2) < 4e-17. The absolute floor only
-# matters for values below 1e-289 (s < 1e-289), which keep about 8 digits.
+# factor, truncated at 8.7 where exp(-y^2/2) < 4e-17. Its absolute floor of
+# 1e-300 (at rel_tol 1e-11) only matters for values below 1e-289
+# (s < 1e-289), which keep about 8 digits.
 _TRIPLE_BREAKS = (0.0, 1.0, 8.7)
-_TRIPLE_QUAD = QuadratureSpec(rel_tol=1e-11, abs_tol=1e-300, max_subdivisions=400)
 
 
 # Near s = 1 the elementary form cancels; there the MGF is evaluated as
@@ -127,7 +127,8 @@ def one_minus_mgf_triple_cascade(s):
             return (y * np.exp(-0.5 * y * y))[:, None] * _one_minus_mgf_dbl(np.multiply.outer(y, sl))
 
         try:
-            out[live] = integrate(integrand, _TRIPLE_BREAKS, _TRIPLE_QUAD)
+            out[live] = integrate(integrand, _TRIPLE_BREAKS, rel_tol=1e-11, abs_tol=1e-300,
+                                  max_subdivisions=400)
         except QuadratureError as exc:
             exc.component = int(np.flatnonzero(live)[exc.component])
             raise

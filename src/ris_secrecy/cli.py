@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import channels
-from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_gain_sum_stats, mc_points
+from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
 from .secrecy import Model, SopMode, SystemParams, asc_approx, link_capacities, sop
 from .specfun import QuadratureError
 
@@ -335,7 +335,7 @@ def run_validate(cfg: RunConfig, out, mode: SopMode, sop_tol: float = 0.02) -> i
         cells = values if cfg.sweep is not None and cfg.sweep.param == "n_cells" else [n] * len(rows)
         gain_sum = next((row["gain_sum"] for cell, row in zip(cells, rows) if cell == n), None)
         if gain_sum is None:  # the sweep skips the base cell count
-            gain_sum = mc_gain_sum_stats(cfg.base, cfg.mc)
+            gain_sum = mc_points([(cfg.base, None)], cfg.mc)[0].gain_sum
     all_ok = True
     for value, row in zip(values, rows):
         label = "base point" if value is None else f"{cfg.sweep.param}={value:g}"

@@ -9,12 +9,10 @@ of worker threads.
 One engine, ``mc_points``, does all the sampling: it draws each block once
 per distinct (model, cell count) and reduces it at every point that shares
 them, since the per-cell gain sums depend only on the model, the cell count
-and (trials, seed). ``mc_asc``, ``mc_sop`` and ``mc_gain_sum_stats`` are
-single-point views of it.
+and (trials, seed). A one-point list gives the estimates at a single point.
 """
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,6 +138,8 @@ def _map_blocks(block_fn, trials: int):
     blocks = _blocks(trials)
     if threads <= 1 or len(blocks) == 1:
         return [block_fn(i, n) for i, n in blocks]
+    # imported here, so that single-threaded runs do not pay for loading it
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(block_fn, *zip(*blocks)))
 
@@ -244,29 +244,3 @@ def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int):
     var_est = McEstimate(value=var, std_error=math.sqrt(var_of_var), trials=n)
     return mean_est, var_est
 
-
-def mc_asc(params: SystemParams, cfg: McConfig):
-    """Estimate the average secrecy capacity by simulation.
-
-    Returns (difference_estimate, positive_part_estimate): the first averages
-    log2(1+gamma_d) - log2(1+gamma_e) (can be negative, matches the analytic
-    difference form), the second averages max(.., 0). Both are computed from
-    the same trials.
-    """
-    res = mc_points([(params, None)], cfg)[0]
-    return res.asc_diff, res.asc_pos
-
-
-def mc_sop(params: SystemParams, c_th: float, cfg: McConfig) -> McEstimate:
-    """Estimate the secrecy outage probability Pr[max(Cs, 0) < c_th]."""
-    return mc_points([(params, c_th)], cfg)[0].sop
-
-
-def mc_gain_sum_stats(params: SystemParams, cfg: McConfig):
-    """Mean and variance of the summed per-element destination gains.
-
-    Returns (mean_estimate, variance_estimate); the variance standard error
-    uses the fourth central moment, so the estimates can adjudicate between
-    candidate closed-form constants.
-    """
-    return mc_points([(params, None)], cfg)[0].gain_sum

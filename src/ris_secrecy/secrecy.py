@@ -129,10 +129,22 @@ def snr_scale(params: SystemParams, link: Link) -> float:
         return scale
     # A step left the normal double range and lost digits (or overflowed):
     # the sum of the logs keeps them.
-    log_scale = math.log(params.p_s) - params.beta * math.log(distance) - math.log(params.n_0)
-    if relay:
-        log_scale -= params.beta * math.log(params.r_s)
-    return math.exp(log_scale)
+    return math.exp(math.log(params.p_s) + _log_path_loss(params, distance) - math.log(params.n_0))
+
+
+def _log_path_loss(params: SystemParams, distance: float) -> float:
+    """log(distance^-beta), plus log(r_s^-beta) for the relay model.
+
+    The two relay terms can each be about 1e5 and cancel; the log of the
+    product distance * r_s keeps the digits their sum loses, wherever that
+    product is a normal double.
+    """
+    if params.model is Model.V2V_RIS_AP:
+        return -params.beta * math.log(distance)
+    product = distance * params.r_s
+    if _TINY <= product < math.inf:
+        return -params.beta * math.log(product)
+    return -params.beta * math.log(distance) - params.beta * math.log(params.r_s)
 
 
 # Points per capacity run. Every link of a run is one column of a single
@@ -199,21 +211,6 @@ def link_capacities(points) -> np.ndarray:
     return out
 
 
-def avg_capacity(params: SystemParams, link: Link) -> float:
-    """Average link capacity in bits/s/Hz via the MGF integral identity."""
-    return float(_capacity_run([(params, link)])[0])
-
-
-def asc_exact(params: SystemParams) -> float:
-    """Average secrecy capacity as the signed difference of link capacities.
-
-    Negative when the eavesdropper link is the stronger one; max(0, asc_exact)
-    is comparable to the positive-part Monte-Carlo estimator.
-    """
-    c_d, c_e = link_capacities([params])[0]
-    return float(c_d - c_e)
-
-
 def asc_approx(params: SystemParams) -> float:
     """Closed-form secrecy-capacity approximation from the per-link Jensen bounds."""
     relay = params.model is Model.VANET_RIS_RELAY
@@ -239,10 +236,8 @@ def asc_approx(params: SystemParams) -> float:
     # Over c n_0 the bound terms are e^x, with x taken from the logs of the
     # inputs, and log((1 + e^x_d) / (1 + e^x_e)) keeps every digit.
     log_x = math.log(k) + math.log(params.p_s) - math.log(c) - math.log(params.n_0)
-    if relay:
-        log_x -= params.beta * math.log(params.r_s)
-    x_d = log_x - params.beta * math.log(params.r_d)
-    x_e = log_x - params.beta * math.log(params.r_e)
+    x_d = log_x + _log_path_loss(params, params.r_d)
+    x_e = log_x + _log_path_loss(params, params.r_e)
     return float(np.logaddexp(0.0, x_d) - np.logaddexp(0.0, x_e)) / math.log(2.0)
 
 

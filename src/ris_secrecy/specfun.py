@@ -7,29 +7,8 @@ per MGF argument, say) shares its panels.
 """
 import heapq
 import math
-from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances for the adaptive quadrature engine."""
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise ValueError("rel_tol must be > 0")
-        if self.abs_tol < 0.0:
-            raise ValueError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 class QuadratureError(ArithmeticError):
@@ -107,7 +86,8 @@ def _gk15(f, a: float, b: float):
     return resk * h, err
 
 
-def integrate(f, breaks, spec: QuadratureSpec | None = None):
+def integrate(f, breaks, *, rel_tol: float = 1e-9, abs_tol: float = 1e-12,
+              max_subdivisions: int = 2000):
     """Integrate f over [breaks[0], breaks[-1]] by adaptive GK15 subdivision.
 
     ``f`` receives the 15 nodes of a panel as a 1-D array and returns one
@@ -121,22 +101,20 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
     first or the integrand is not finite; for a vector integrand its
     ``component`` is the index of the component furthest from convergence.
     """
-    if spec is None:
-        spec = DEFAULT_QUADRATURE
     first = [_gk15(f, a, b) for a, b in zip(breaks[:-1], breaks[1:])]
     total = sum(v for v, _e in first)
     toterr = sum(e for _v, e in first)
-    norm = 1.0 / np.maximum(np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total)),
+    norm = 1.0 / np.maximum(np.maximum(abs_tol, rel_tol * np.abs(total)),
                             np.finfo(float).tiny)
     heap = [(-np.max(e * norm), a, b, v, e) for (v, e), a, b in zip(first, breaks[:-1], breaks[1:])]
     heapq.heapify(heap)
     unsplittable = []
     splits = 0
-    while not np.all(toterr <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total))):
+    while not np.all(toterr <= np.maximum(abs_tol, rel_tol * np.abs(total))):
         finite = np.all(np.isfinite(toterr))
-        if splits >= spec.max_subdivisions or not heap or not finite:
+        if splits >= max_subdivisions or not heap or not finite:
             worst = int(np.argmax(np.atleast_1d(toterr)))
-            reason = (f"did not converge within {spec.max_subdivisions} subdivisions"
+            reason = (f"did not converge within {max_subdivisions} subdivisions"
                       if finite else "met a non-finite integrand value")
             raise QuadratureError(
                 f"adaptive quadrature {reason}",
@@ -168,10 +146,8 @@ def integrate(f, breaks, spec: QuadratureSpec | None = None):
 def _column_fsums(values):
     """The correctly rounded sum of each column of a (k, m) array, as m values.
 
-    ``math.fsum`` reads each column as a memoryview slice of plain doubles:
-    iterating a NumPy column would box every element as a NumPy scalar first.
+    ``math.fsum`` reads each column as a list of Python floats: iterating a
+    NumPy column would box every element as a NumPy scalar first.
     """
-    k = values.shape[0]
-    flat = memoryview(np.ascontiguousarray(values.T).ravel())
-    return np.array([math.fsum(flat[i:i + k]) for i in range(0, len(flat), k)])
+    return np.array(list(map(math.fsum, values.T.tolist())))
 

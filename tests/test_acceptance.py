@@ -22,15 +22,14 @@ from ris_secrecy.channels import (
     one_minus_mgf_double_rayleigh,
     one_minus_mgf_triple_cascade,
 )
-from ris_secrecy.montecarlo import McConfig, mc_asc, mc_gain_sum_stats, mc_sop
+from ris_secrecy.montecarlo import McConfig, mc_points
 from ris_secrecy.secrecy import (
     Link,
     Model,
     SopMode,
     SystemParams,
     asc_approx,
-    asc_exact,
-    avg_capacity,
+    link_capacities,
     snr_scale,
     sop,
 )
@@ -40,6 +39,11 @@ SEED = 42  # documented default seed; every stochastic check below is reproducib
 
 # Initial panels over (0, 40] for integrands decaying like exp(-z); exp(-40) < 1e-17.
 SEMI_INFINITE_BREAKS = (0.0, 0.625, 2.5, 10.0, 40.0)
+
+
+def _asc_exact(params):
+    c_d, c_e = link_capacities([params])[0]
+    return c_d - c_e
 
 
 def _finish(num, desc, t0, budget, checks):
@@ -107,7 +111,7 @@ def test_criterion_2_mgf_three_way_equivalence(cell_gains):
 def test_criterion_3_moment_adjudication():
     t0 = time.perf_counter()
     params = SystemParams(model=Model.VANET_RIS_RELAY, n_cells=16, r_s=10.0)
-    _mean_est, var_est = mc_gain_sum_stats(params, McConfig(trials=1_000_000, seed=SEED))
+    _mean_est, var_est = mc_points([(params, None)], McConfig(trials=1_000_000, seed=SEED))[0].gain_sum
     corrected = 16 * (8.0 - (math.pi / 2.0) ** 3)
     literal = 16 * (8.0 - (math.pi / 2.0) ** 1.5)
     rel_gap = abs(var_est.value - corrected) / corrected
@@ -128,8 +132,8 @@ def test_criterion_4_asc_cross_validation():
     for model, r_s in ((Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)):
         for n in (16, 32):
             p = SystemParams(model=model, n_cells=n, r_s=r_s)
-            analytic = asc_exact(p)
-            diff, _ = mc_asc(p, McConfig(trials=100_000, seed=SEED))
+            analytic = _asc_exact(p)
+            diff = mc_points([(p, None)], McConfig(trials=100_000, seed=SEED))[0].asc_diff
             z = abs(analytic - diff.value) / diff.std_error
             checks.append((z < 3.0,
                            f"{model.value} N={n}: asc_exact={analytic:.6f} mc={diff.value:.6f}"
@@ -149,10 +153,10 @@ def test_criterion_5_jensen_ordering():
             for r_e in (2.0, 4.0, 8.0, 16.0, 24.0):
                 p = SystemParams(model=model, p_s=p_s, r_e=r_e, r_s=r_s)
                 mean_gain = p.n_cells * (DOUBLE_RAYLEIGH_MEAN if model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN)
-                for link in Link:
+                for link, capacity in zip(Link, link_capacities([p])[0]):
                     # Jensen: E[log2(1 + gamma)] <= log2(1 + E[gamma])
                     bound = math.log2(1.0 + mean_gain * snr_scale(p, link))
-                    gap = bound - avg_capacity(p, link)
+                    gap = bound - capacity
                     worst = min(worst, gap)
                     count += 1
     checks.append((worst > 0.0, f"bound - capacity > 0 at all {count} link evaluations (min gap {worst:.3e})"))
@@ -175,7 +179,7 @@ def test_criterion_6_trend_suite():
     cth_grid = list(np.linspace(0.5, 2.5, 8))
     for model, r_s in ((Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)):
         base = SystemParams(model=model, r_s=r_s)
-        for fn, tag in ((asc_exact, "asc_exact"), (asc_approx, "asc_approx")):
+        for fn, tag in ((_asc_exact, "asc_exact"), (asc_approx, "asc_approx")):
             vals = [fn(replace(base, p_s=v)) for v in p_grid]
             checks.append((_monotone(vals, "up"), f"{model.value} {tag} non-decreasing in p_s"))
             vals = [fn(replace(base, r_e=v)) for v in re_grid]
@@ -183,7 +187,7 @@ def test_criterion_6_trend_suite():
             vals = [fn(replace(base, n_cells=v)) for v in n_grid]
             checks.append((_monotone(vals, "up"), f"{model.value} {tag} non-decreasing in n_cells"))
     relay = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0)
-    for fn, tag in ((asc_exact, "asc_exact"), (asc_approx, "asc_approx")):
+    for fn, tag in ((_asc_exact, "asc_exact"), (asc_approx, "asc_approx")):
         vals = [fn(replace(relay, r_s=v)) for v in rs_grid]
         checks.append((_monotone(vals, "down"), f"relay {tag} non-increasing in r_s"))
     v2v = SystemParams(model=Model.V2V_RIS_AP)
@@ -210,15 +214,15 @@ def test_criterion_7_sop_formula_vs_mc():
     for n in (16, 32):
         for c_th in (1.0, 1.5):
             p = SystemParams(model=Model.V2V_RIS_AP, n_cells=n)
-            gap = abs(sop(p, c_th) - mc_sop(p, c_th, cfg).value)
+            gap = abs(sop(p, c_th) - mc_points([(p, c_th)], cfg)[0].sop.value)
             checks.append((gap < 0.02, f"v2v N={n} c_th={c_th}: |formula - mc| = {gap:.4f} (tol 0.02)"))
             q = SystemParams(model=Model.VANET_RIS_RELAY, n_cells=n, r_s=10.0)
-            gap = abs(sop(q, c_th, SopMode.CORRECTED) - mc_sop(q, c_th, cfg).value)
+            gap = abs(sop(q, c_th, SopMode.CORRECTED) - mc_points([(q, c_th)], cfg)[0].sop.value)
             checks.append((gap < 0.03, f"relay N={n} c_th={c_th} corrected: gap = {gap:.4f} (tol 0.03)"))
     # the paper_literal constants are reported, not asserted small: the gap is
     # the documented consequence of that constant set
     interior = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0)
-    mc = mc_sop(interior, 1.0, cfg).value
+    mc = mc_points([(interior, 1.0)], cfg)[0].sop.value
     lit_gap = abs(sop(interior, 1.0, SopMode.PAPER_LITERAL) - mc)
     corr_gap = abs(sop(interior, 1.0, SopMode.CORRECTED) - mc)
     checks.append((True, f"relay p_s=1000 reported gaps: corrected {corr_gap:.4f},"
@@ -234,13 +238,14 @@ def test_criterion_8_determinism(tmp_path, monkeypatch):
     runs = []
     for threads in ("1", "1", "4"):
         monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-        runs.append(mc_asc(p, cfg))
+        res = mc_points([(p, None)], cfg)[0]
+        runs.append((res.asc_diff, res.asc_pos))
     checks.append((runs[0] == runs[1] == runs[2],
                    "mc_asc bit-identical across re-runs and across 1 vs 4 threads"))
     sops = []
     for threads in ("1", "3"):
         monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-        sops.append(mc_sop(p, 1.0, cfg))
+        sops.append(mc_points([(p, 1.0)], cfg)[0].sop)
     checks.append((sops[0] == sops[1], "mc_sop bit-identical across 1 vs 3 threads"))
 
     doc = {

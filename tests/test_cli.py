@@ -21,7 +21,6 @@ from ris_secrecy.cli import (
     main,
 )
 from ris_secrecy.secrecy import Model
-from ris_secrecy.specfun import QuadratureSpec
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 RECIPES = REPO_ROOT / "recipes"
@@ -266,8 +265,9 @@ class TestEval:
         assert float(row[header.index("sop_corrected")]) == 1.0
 
     def test_cascade_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(channels, "_TRIPLE_QUAD",
-                            channels.QuadratureSpec(rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))
+        original = channels.integrate
+        monkeypatch.setattr(channels, "integrate", lambda f, breaks, **_tols: original(
+            f, breaks, rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))
         cfg = _write(tmp_path, {"base": {"model": "vanet_ris_relay"}, "outputs": ["asc_exact"]})
         assert main(["eval", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -517,9 +517,9 @@ class TestCapacityRuns:
         calls = []
         original = secrecy.integrate
 
-        def counting(f, breaks, spec=None):
-            calls.append(spec)
-            return original(f, breaks, spec)
+        def counting(f, breaks, **tols):
+            calls.append(tols)
+            return original(f, breaks, **tols)
 
         monkeypatch.setattr(secrecy, "integrate", counting)
         return calls
@@ -552,8 +552,8 @@ class TestCapacityRuns:
             return q
 
         monkeypatch.setattr(channels, "one_minus_mgf_triple_cascade", rough)
-        monkeypatch.setattr(secrecy, "integrate", lambda f, breaks, spec=None: original_integrate(
-            f, breaks, QuadratureSpec(max_subdivisions=30)))
+        monkeypatch.setattr(secrecy, "integrate", lambda f, breaks, **_tols: original_integrate(
+            f, breaks, max_subdivisions=30))
         out = tmp_path / "s.csv"
         assert main(["sweep", "--config", _write(tmp_path, self.RELAY_SWEEP), "--out", str(out)]) == 3
         value = SweepSpec("p_s", 1.0, 50.0, 25).values()[bad_row]

@@ -20,13 +20,15 @@ from ris_secrecy.montecarlo import (
     McEstimate,
     _block_rng,
     _blocks,
-    mc_asc,
-    mc_gain_sum_stats,
     mc_points,
-    mc_sop,
     sample_gain_sums,
 )
-from ris_secrecy.secrecy import Link, Model, SystemParams, asc_exact, snr_scale, sop
+from ris_secrecy.secrecy import Link, Model, SystemParams, link_capacities, snr_scale, sop
+
+
+def _one_point(params, c_th, cfg):
+    """The mc_points result of a one-point run."""
+    return mc_points([(params, c_th)], cfg)[0]
 
 
 def sample_snr_pairs(params, rng, n):
@@ -54,12 +56,12 @@ class TestDeterminism:
     def test_identical_across_runs_and_threads(self, v2v_params, monkeypatch):
         cfg = McConfig(trials=30_000, seed=404)
         monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        ref_diff, ref_pos = mc_asc(v2v_params, cfg)
+        ref = _one_point(v2v_params, None, cfg)
         for threads in ("1", "2", "3", "4"):
             monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-            diff, pos = mc_asc(v2v_params, cfg)
-            assert diff == ref_diff
-            assert pos == ref_pos
+            res = _one_point(v2v_params, None, cfg)
+            assert res.asc_diff == ref.asc_diff
+            assert res.asc_pos == ref.asc_pos
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_multi_point_run_identical_across_threads(self, model, r_s, monkeypatch):
@@ -75,9 +77,9 @@ class TestDeterminism:
     def test_sop_identical_across_threads(self, relay_params, monkeypatch):
         cfg = McConfig(trials=30_000, seed=11)
         monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        single = mc_sop(relay_params, 1.0, cfg)
+        single = _one_point(relay_params, 1.0, cfg).sop
         monkeypatch.setenv("RIS_SECRECY_THREADS", "4")
-        assert mc_sop(relay_params, 1.0, cfg) == single
+        assert _one_point(relay_params, 1.0, cfg).sop == single
 
     def test_snr_pair_stream_reproducible(self, relay_params):
         a = sample_snr_pairs(relay_params, np.random.default_rng(5), 3)
@@ -110,7 +112,7 @@ class TestSnrSampling:
         assert abs(g32.mean() - 2.0 * g16.mean()) < 4.0 * se
 
     def test_gain_sum_moments_adjudicate_variance(self, relay_params):
-        mean_est, var_est = mc_gain_sum_stats(relay_params, McConfig(trials=200_000, seed=17))
+        mean_est, var_est = _one_point(relay_params, None, McConfig(trials=200_000, seed=17)).gain_sum
         n = relay_params.n_cells
         corrected = n * TRIPLE_CASCADE_VARIANCE
         literal = n * (8.0 - (math.pi / 2.0) ** 1.5)
@@ -123,54 +125,55 @@ class TestMcAsc:
     def test_positive_part_dominates_difference(self, v2v_params, relay_params):
         cfg = McConfig(trials=20_000, seed=2)
         for p in (v2v_params, replace(v2v_params, r_d=8.0, r_e=4.0), relay_params):
-            diff, pos = mc_asc(p, cfg)
-            assert pos.value >= diff.value
+            res = _one_point(p, None, cfg)
+            assert res.asc_pos.value >= res.asc_diff.value
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_cross_validates_quadrature(self, model, r_s):
         p = SystemParams(model=model, r_s=r_s)
-        diff, _ = mc_asc(p, McConfig(trials=100_000, seed=42))
-        assert abs(diff.value - asc_exact(p)) < 3.0 * diff.std_error
+        diff = _one_point(p, None, McConfig(trials=100_000, seed=42)).asc_diff
+        c_d, c_e = link_capacities([p])[0]
+        assert abs(diff.value - (c_d - c_e)) < 3.0 * diff.std_error
 
 
 class TestMcSop:
     def test_zero_power_always_in_outage(self, v2v_params):
         p = replace(v2v_params, p_s=1e-280)
-        est = mc_sop(p, 1.0, McConfig(trials=5_000, seed=3))
+        est = _one_point(p, 1.0, McConfig(trials=5_000, seed=3)).sop
         assert est.value == 1.0
 
     def test_tiny_threshold_limit(self):
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=100.0, r_d=2.0, r_e=20.0)
-        est = mc_sop(p, 1e-9, McConfig(trials=50_000, seed=6))
+        est = _one_point(p, 1e-9, McConfig(trials=50_000, seed=6)).sop
         assert est.value < 0.05
 
     def test_monotone_in_threshold_under_common_randomness(self, v2v_params):
         cfg = McConfig(trials=30_000, seed=12)
-        lo = mc_sop(v2v_params, 0.8, cfg)
-        hi = mc_sop(v2v_params, 1.6, cfg)
+        lo = _one_point(v2v_params, 0.8, cfg).sop
+        hi = _one_point(v2v_params, 1.6, cfg).sop
         assert lo.value <= hi.value
 
     def test_bounds_and_binomial_error(self, v2v_params):
-        est = mc_sop(v2v_params, 1.5, McConfig(trials=10_000, seed=13))
+        est = _one_point(v2v_params, 1.5, McConfig(trials=10_000, seed=13)).sop
         assert 0.0 <= est.value <= 1.0
         assert est.std_error == pytest.approx(
             math.sqrt(est.value * (1.0 - est.value) / est.trials), rel=1e-12)
 
     def test_matches_erf_formula_within_advertised_gap(self, v2v_params):
-        est = mc_sop(v2v_params, 1.0, McConfig(trials=100_000, seed=42))
+        est = _one_point(v2v_params, 1.0, McConfig(trials=100_000, seed=42)).sop
         assert abs(est.value - sop(v2v_params, 1.0)) < 0.02
 
     def test_threshold_validation(self, v2v_params):
         with pytest.raises(ValueError):
-            mc_sop(v2v_params, 0.0, McConfig(trials=10, seed=1))
+            _one_point(v2v_params, 0.0, McConfig(trials=10, seed=1))
 
 
 class TestEstimatorConsistency:
     def test_quadrupling_trials_halves_std_error(self, v2v_params):
         ratios = []
         for seed in range(5):
-            small, _ = mc_asc(v2v_params, McConfig(trials=20_000, seed=seed))
-            large, _ = mc_asc(v2v_params, McConfig(trials=80_000, seed=seed + 100))
+            small = _one_point(v2v_params, None, McConfig(trials=20_000, seed=seed)).asc_diff
+            large = _one_point(v2v_params, None, McConfig(trials=80_000, seed=seed + 100)).asc_diff
             ratios.append(small.std_error / large.std_error)
         assert abs(np.mean(ratios) - 2.0) < 0.4
 
@@ -233,18 +236,16 @@ class TestSinglePassEngine:
         results = mc_points(points, cfg)
         assert len(results) == len(points)
         for (params, c_th), res in zip(points, results):
-            assert (res.asc_diff, res.asc_pos) == mc_asc(params, cfg)
-            assert res.sop == mc_sop(params, c_th, cfg)
-            assert res.gain_sum == mc_gain_sum_stats(params, cfg)
+            assert res == _one_point(params, c_th, cfg)
 
     def test_points_of_a_group_share_the_gain_sum_moments(self, relay_params):
         cfg = McConfig(trials=20_000, seed=5)
         points = [(relay_params, 1.0), (replace(relay_params, p_s=100.0), 2.0),
                   (replace(relay_params, r_s=5.0), None), (replace(relay_params, n_cells=8), 1.0)]
         results = mc_points(points, cfg)
-        expected = mc_gain_sum_stats(relay_params, cfg)
+        expected = _one_point(relay_params, None, cfg).gain_sum
         assert [res.gain_sum for res in results[:3]] == [expected] * 3
-        assert results[3].gain_sum == mc_gain_sum_stats(replace(relay_params, n_cells=8), cfg)
+        assert results[3].gain_sum == _one_point(replace(relay_params, n_cells=8), None, cfg).gain_sum
         assert results[3].gain_sum != expected
 
     def test_relay_validate_skipping_the_base_cell_count(self, tmp_path, monkeypatch, capsys):
@@ -268,7 +269,7 @@ class TestSinglePassEngine:
         assert sorted(set(draws)) == [4, 9, 10, 16]
         assert len(draws) == (3 + 1) * blocks
         base = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=9)
-        _mean, var = mc_gain_sum_stats(base, McConfig(trials=trials, seed=3))
+        _mean, var = _one_point(base, None, McConfig(trials=trials, seed=3)).gain_sum
         assert f"gain-sum variance (N=9): mc={var.value:.6g} +-{var.std_error:.2g}" in capsys.readouterr().out
 
     def test_point_without_threshold_has_no_outage_estimate(self, v2v_params):

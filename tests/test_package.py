@@ -1,11 +1,16 @@
-"""The public surface: every exported name resolves, and the README's library
-quickstart runs as written."""
+"""The public surface: every exported name resolves, the README's library
+quickstart runs as written, and importing the CLI loads no more than it
+needs."""
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ris_secrecy
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+README = REPO_ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -20,3 +25,14 @@ def test_readme_quickstart_runs(capsys):
     exec(compile(block, "README.md (Library quickstart)", "exec"), {})
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 and "+-" in lines[1]
+
+
+def test_cli_import_leaves_the_thread_pool_unloaded():
+    # only a multi-threaded Monte-Carlo run needs concurrent.futures (which
+    # also loads logging), so a fresh interpreter must not import it with the CLI
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, ris_secrecy.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -18,8 +18,6 @@ from ris_secrecy.secrecy import (
     SopMode,
     SystemParams,
     asc_approx,
-    asc_exact,
-    avg_capacity,
     link_capacities,
     secrecy_report,
     snr_scale,
@@ -32,6 +30,11 @@ SNR_SCALE_V2V_E = 0.03644660123190654         # 10 * 8^-2.7
 ASC_APPROX_V2V_DEFAULT = 1.8593708133970917
 ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
 _SMALLEST_NORMAL = 2.2250738585072014e-308
+# A relay point whose hop loss r_s^-beta and destination path loss r_d^-beta
+# are each far outside the double range (logs of about +2.3e4 and -2.3e4) and
+# cancel: the destination SNR scale is about 2.33.
+CANCELLING_RELAY = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1.0, n_0=1.0, n_cells=1, r_s=1e-300,
+                                r_d=math.exp(690.75), r_e=1e300, beta=math.exp(3.5))
 
 
 # Adaptive scalar reference for the average link capacity: QUADPACK (scipy)
@@ -192,32 +195,44 @@ class TestSnrScale:
     @settings(max_examples=300, deadline=None)
     def test_matches_mpmath_product_over_the_domain(self, model, data):
         p = data.draw(_domain_points(model))
-        for link, r in ((Link.DESTINATION, p.r_d), (Link.EAVESDROPPER, p.r_e)):
-            with mp.workdps(40):
-                ref = mp.mpf(p.p_s) * mp.mpf(r) ** -mp.mpf(p.beta) / mp.mpf(p.n_0)
-                if model is Model.VANET_RIS_RELAY:
-                    ref *= mp.mpf(p.r_s) ** -mp.mpf(p.beta)
-                if ref < _SMALLEST_NORMAL:
-                    continue  # a subnormal scale cannot hold 12 digits
-                assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
+        for link in Link:
+            ref = _snr_scale_mp(p, link)
+            if ref < _SMALLEST_NORMAL:
+                continue  # a subnormal scale cannot hold 12 digits
+            assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
+
+    def test_relay_hop_cancelling_the_link_path(self):
+        for link in Link:
+            assert snr_scale(CANCELLING_RELAY, link) == pytest.approx(
+                float(_snr_scale_mp(CANCELLING_RELAY, link)), rel=1e-14, abs=0.0)
+
+
+def _snr_scale_mp(params: SystemParams, link: Link):
+    """p_s r^-beta [r_s^-beta] / n_0 at 40 digits."""
+    r = params.r_d if link is Link.DESTINATION else params.r_e
+    with mp.workdps(40):
+        ref = mp.mpf(params.p_s) * mp.mpf(r) ** -mp.mpf(params.beta) / mp.mpf(params.n_0)
+        if params.model is Model.VANET_RIS_RELAY:
+            ref *= mp.mpf(params.r_s) ** -mp.mpf(params.beta)
+        return ref
 
 
 class TestAvgCapacity:
     def test_zero_power_limit(self, v2v_params):
         p = replace(v2v_params, p_s=1e-12)
-        assert avg_capacity(p, Link.DESTINATION) < 1e-9
+        assert link_capacities([p])[0, 0] < 1e-9
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_destination_beats_eavesdropper_when_closer(self, model, r_s):
-        p = SystemParams(model=model, r_d=4.0, r_e=8.0, r_s=r_s)
-        assert avg_capacity(p, Link.DESTINATION) > avg_capacity(p, Link.EAVESDROPPER)
+        c_d, c_e = link_capacities([SystemParams(model=model, r_d=4.0, r_e=8.0, r_s=r_s)])[0]
+        assert c_d > c_e
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_jensen_upper_bound(self, model, r_s):
         for p_s in (1.0, 10.0, 50.0):
             p = SystemParams(model=model, p_s=p_s, r_s=r_s)
-            for link in Link:
-                assert avg_capacity(p, link) < _jensen_bound(p, link)
+            for link, capacity in zip(Link, link_capacities([p])[0]):
+                assert capacity < _jensen_bound(p, link)
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -230,8 +245,8 @@ class TestAvgCapacity:
     ])
     def test_against_adaptive_scalar_reference(self, kwargs):
         p = SystemParams(**kwargs)
-        for link in Link:
-            assert avg_capacity(p, link) == pytest.approx(_capacity_ref(p, link), rel=1e-8)
+        for link, capacity in zip(Link, link_capacities([p])[0]):
+            assert capacity == pytest.approx(_capacity_ref(p, link), rel=1e-8)
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -245,7 +260,7 @@ class TestAvgCapacity:
         caps = link_capacities([p])[0]
         for link, batched in zip(Link, caps):
             ref = _capacity_ref(p, link)
-            assert avg_capacity(p, link) == pytest.approx(ref, rel=1e-9, abs=0.0)
+            assert secrecy._capacity_run([(p, link)])[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
             assert batched == pytest.approx(ref, rel=1e-9, abs=0.0)
 
 
@@ -294,7 +309,7 @@ class TestCapacityEngine:
         assert caps.shape == (len(points), 2)
         for p, row in zip(points, caps):
             for link, batched in zip(Link, row):
-                single = avg_capacity(p, link)
+                single = secrecy._capacity_run([(p, link)])[0]
                 assert math.isfinite(batched) and batched >= 0.0
                 assert abs(batched - single) <= max(1e-12, 1e-10 * abs(single))
 
@@ -319,8 +334,8 @@ class TestCapacityEngine:
         runs = []
         original = secrecy.integrate
 
-        def counting(f, breaks, spec=None):
-            value = original(f, breaks, spec)
+        def counting(f, breaks, **tols):
+            value = original(f, breaks, **tols)
             runs.append(np.size(value))
             return value
 
@@ -393,18 +408,24 @@ class TestMonotonicity:
             assert sop(louder, c_th, mode) <= sop(p, c_th, mode)
 
 
+def _asc_exact(params: SystemParams) -> float:
+    """c_d - c_e at one point, from a capacity run of that point alone."""
+    c_d, c_e = link_capacities([params])[0]
+    return c_d - c_e
+
+
 class TestAscExact:
     def test_symmetric_links_cancel(self):
         p = SystemParams(model=Model.V2V_RIS_AP, r_d=5.0, r_e=5.0)
-        assert asc_exact(p) == 0.0
+        assert _asc_exact(p) == 0.0
 
     def test_swapping_links_negates(self, v2v_params):
         swapped = replace(v2v_params, r_d=v2v_params.r_e, r_e=v2v_params.r_d)
-        assert asc_exact(swapped) == -asc_exact(v2v_params)
+        assert _asc_exact(swapped) == -_asc_exact(v2v_params)
 
     def test_defaults_positive(self, v2v_params, relay_params):
-        assert asc_exact(v2v_params) > 0.0
-        assert asc_exact(relay_params) > 0.0
+        assert _asc_exact(v2v_params) > 0.0
+        assert _asc_exact(relay_params) > 0.0
 
     def test_high_snr_point_against_mpmath(self):
         # 1 - M^N must not cancel, and the z -> 0 limit of the integrand must
@@ -412,7 +433,7 @@ class TestAscExact:
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e12, r_d=0.001)
         ref = _capacity_mp(p, Link.DESTINATION) - _capacity_mp(p, Link.EAVESDROPPER)
         assert ref == pytest.approx(35.0076, abs=1e-3)
-        assert asc_exact(p) == pytest.approx(ref, rel=1e-9)
+        assert _asc_exact(p) == pytest.approx(ref, rel=1e-9)
 
 
 class TestAscApprox:
@@ -526,7 +547,7 @@ def _domain_points(draw, model):
         "n_cells": draw(st.integers(min_value=1, max_value=10 ** 5)),
     }
     if model is Model.VANET_RIS_RELAY:
-        kwargs["r_s"] = draw(_wide(1e-3, 1e3))
+        kwargs["r_s"] = draw(_wide(1e-300, 1e300))
     return _valid_point(SystemParams, model=model, **kwargs)
 
 
@@ -562,6 +583,9 @@ class TestClosedFormDomain:
     def test_overflowing_bound_term(self, params):
         assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14)
 
+    def test_relay_hop_cancelling_the_link_path(self):
+        assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
+
 
 class TestSecrecyReport:
     def test_consistent_with_individual_metrics(self, v2v_params):
@@ -591,4 +615,4 @@ class TestSecrecyReport:
 
     def test_jensen_bound_dominates_per_link_capacity(self, v2v_params):
         # the closed-form approximation is built from per-link upper bounds
-        assert avg_capacity(v2v_params, Link.DESTINATION) <= _jensen_bound(v2v_params, Link.DESTINATION)
+        assert link_capacities([v2v_params])[0, 0] <= _jensen_bound(v2v_params, Link.DESTINATION)
