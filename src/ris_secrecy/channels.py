@@ -3,9 +3,8 @@
 Two gain laws appear in the two system models, both products of
 independent unit-scale Rayleigh factors (PDF g*exp(-g^2/2)): the
 double-Rayleigh (two factors, PDF g*K0(g)) and the triple cascade (three).
-This module provides their exact moments, the complements 1 - MGF (accurate
-where the MGF is near one) that the capacity integrals use, and the Rayleigh
-inverse transform the Monte-Carlo draws use.
+This module provides their exact moments and the complements 1 - MGF
+(accurate where the MGF is near one) that the capacity integrals use.
 """
 import math
 
@@ -133,14 +132,4 @@ def one_minus_mgf_triple_cascade(s):
             exc.component = int(np.flatnonzero(live)[exc.component])
             raise
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
-
-
-def rayleigh_inplace(u: np.ndarray) -> np.ndarray:
-    """Turn uniforms U in [0, 1) into unit-scale Rayleigh gains in place and
-    return the array: sqrt(-2 log(1 - U)), the inverse transform. 1 - U is
-    in (0, 1], so the log never sees zero; no temporary array is made."""
-    np.negative(u, out=u)
-    np.log1p(u, out=u)
-    np.multiply(u, -2.0, out=u)
-    return np.sqrt(u, out=u)
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import channels
 from .secrecy import Link, Model, SystemParams, snr_scale
 
 THREADS_ENV_VAR = "RIS_SECRECY_THREADS"
@@ -76,6 +75,15 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 _CHUNK_BYTES = 1 << 20
 
 
+def _log_one_minus(u: np.ndarray) -> np.ndarray:
+    """Turn uniforms U in [0, 1) into log(1 - U) in place and return the
+    array. Generator doubles are multiples of 2**-53, so 1 - U is exact and
+    in (0, 1]: the log never sees zero, and -log(1 - U) is a unit
+    exponential, the square of a Rayleigh factor over two."""
+    np.subtract(1.0, u, out=u)
+    return np.log(u, out=u)
+
+
 def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     """Draw n trials of the summed per-element gains for both links.
 
@@ -84,14 +92,21 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     reused on both links (both receivers see the same source-to-RIS
     reflection).
 
-    The gains are products of k (n, N) arrays of Rayleigh factors: for v2v
-    the two factors of the destination link, then the two of the
-    eavesdropper link (k = 4); the relay puts its source leg first (k = 5).
+    Each gain is a product of unit Rayleigh factors sqrt(-2 log(1 - U)),
+    one per uniform U of k (n, N) arrays: for v2v the two factors of the
+    destination link, then the two of the eavesdropper link (k = 4); the
+    relay puts its source leg first (k = 5). The draw takes log(1 - U) of
+    every uniform, multiplies the logs of each gain's factors and takes one
+    square root per gain: 2 sqrt(L1 L2) for v2v, with the 2 applied to the
+    sums, and sqrt(-8 Ls L1 L2) for the relay. Every log lies in
+    [-36.8, 0], so the products neither overflow nor change sign.
+
     Factor j is the stretch of ``rng``'s PCG64 stream that starts j*n*N
     outputs on, as if the arrays were drawn whole one after the other. Each
     factor is read from its own cursor on that stream, in row chunks of a
     workspace of ``_CHUNK_BYTES``, so the sums are bit-identical to
-    whole-array draws and ``rng`` ends k*n*N outputs on, where those leave it.
+    whole-array draws (except, in the last bits, rows summed alone over about
+    1e4 cells or more) and ``rng`` ends k*n*N outputs on, where those leave it.
     """
     n_cells = params.n_cells
     k = 4 if params.model is Model.V2V_RIS_AP else 5
@@ -111,15 +126,22 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
         f = work[:k * (r1 - r0) * n_cells].reshape(k, r1 - r0, n_cells)
         for cursor, factor in zip(cursors, f):
             cursor.random(out=factor)
-        channels.rayleigh_inplace(f)
+        _log_one_minus(f)
         if k == 4:
             gd = np.multiply(f[0], f[1], out=f[0])
             ge = np.multiply(f[2], f[3], out=f[2])
-        else:  # the source leg f[0] times each receiver's double-Rayleigh leg
-            gd = np.multiply(f[0], np.multiply(f[1], f[2], out=f[1]), out=f[1])
-            ge = np.multiply(f[0], np.multiply(f[3], f[4], out=f[3]), out=f[3])
-        gd.sum(axis=1, out=sum_d[r0:r1])
-        ge.sum(axis=1, out=sum_e[r0:r1])
+        else:  # the source leg, times -8 once, times each receiver's pair
+            source = np.multiply(f[0], -8.0, out=f[0])
+            gd = np.multiply(source, np.multiply(f[1], f[2], out=f[1]), out=f[1])
+            ge = np.multiply(source, np.multiply(f[3], f[4], out=f[3]), out=f[3])
+        # einsum, not a BLAS matrix-vector product, whose row sums change
+        # with a chunk's row count (einsum's change only for one-row chunks
+        # of about 1e4 cells or more)
+        np.einsum("ij->i", np.sqrt(gd, out=gd), out=sum_d[r0:r1])
+        np.einsum("ij->i", np.sqrt(ge, out=ge), out=sum_e[r0:r1])
+    if k == 4:  # exact: a power of two
+        sum_d *= 2.0
+        sum_e *= 2.0
     state["state"] = cursors[-1].bit_generator.state["state"]
     rng.bit_generator.state = state
     return sum_d, sum_e
@@ -201,9 +223,11 @@ def _mc_pass(points, cfg: McConfig) -> list:
         for scale_d, scale_e, c_th in scaled:
             cs = np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
             pos = np.maximum(cs, 0.0)
-            outages = 0 if c_th is None else int((pos < c_th).sum())
-            stats.append((cs.sum(), (cs * cs).sum(), pos.sum(), (pos * pos).sum(), outages))
-        return stats, (sum_d.sum(), (sum_d ** 2).sum(), (sum_d ** 3).sum(), (sum_d ** 4).sum())
+            # as c_th > 0, max(cs, 0) < c_th exactly where cs < c_th
+            outages = 0 if c_th is None else np.count_nonzero(cs < c_th)
+            stats.append((cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), outages))
+        sq = sum_d * sum_d
+        return stats, (sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq))
 
     parts = _map_blocks(work, cfg.trials)
     n = cfg.trials

@@ -21,8 +21,8 @@ from ris_secrecy.channels import (
     _mgf_dbl,
     one_minus_mgf_double_rayleigh,
     one_minus_mgf_triple_cascade,
-    rayleigh_inplace,
 )
+from ris_secrecy.montecarlo import _log_one_minus
 
 # mpmath nested-quadrature oracle values for the triple-cascade MGF
 # (conditioning integral evaluated at 30 decimal digits)
@@ -283,7 +283,8 @@ class TestSampler:
         assert abs(x.mean() - mean) < tol
 
     def test_rayleigh_factor_mean_matches_analytic(self):
-        x = rayleigh_inplace(np.random.default_rng(99).random(1_000_000))
+        # the draw's log transform: sqrt(-2 log(1 - U)) is a unit Rayleigh factor
+        x = np.sqrt(-2.0 * _log_one_minus(np.random.default_rng(99).random(1_000_000)))
         tol = 4.0 * math.sqrt((2.0 - math.pi / 2.0) / x.size)
         assert abs(x.mean() - math.sqrt(math.pi / 2.0)) < tol
 
@@ -299,7 +300,7 @@ class TestSampler:
         assert _ks_below_one_percent_critical(x, cdf)
 
     def test_rayleigh_factor_kolmogorov_smirnov(self):
-        x = np.sort(rayleigh_inplace(np.random.default_rng(1234).random(100_000)))
+        x = np.sort(np.sqrt(-2.0 * _log_one_minus(np.random.default_rng(1234).random(100_000))))
         assert _ks_below_one_percent_critical(x, 1.0 - np.exp(-0.5 * x * x))
 
 

@@ -20,6 +20,7 @@ from ris_secrecy.montecarlo import (
     McEstimate,
     _block_rng,
     _blocks,
+    _log_one_minus,
     mc_points,
     sample_gain_sums,
 )
@@ -180,18 +181,26 @@ class TestEstimatorConsistency:
 
 def _reference_point(params, c_th, cfg):
     """The per-point loop the engine replaces: every point redraws every block
-    and reduces it on its own. Returns (diff, pos, sop) estimates."""
+    and reduces it on its own. Returns (diff, pos, sop) estimates and the
+    gain-sum (mean, variance) estimates."""
     sd = sd2 = sp = sp2 = 0.0
+    g1 = g2 = g3 = g4 = 0.0
     outages = 0
+    scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
     for i, n in _blocks(cfg.trials):
-        gd, ge = sample_snr_pairs(params, _block_rng(cfg.seed, i), n)
-        cs = np.log2(1.0 + gd) - np.log2(1.0 + ge)
+        sum_d, sum_e = sample_gain_sums(params, _block_rng(cfg.seed, i), n)
+        cs = np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
         pos = np.maximum(cs, 0.0)
         sd += cs.sum()
-        sd2 += (cs * cs).sum()
+        sd2 += np.dot(cs, cs)
         sp += pos.sum()
-        sp2 += (pos * pos).sum()
-        outages += int((pos < c_th).sum())
+        sp2 += np.dot(pos, pos)
+        outages += np.count_nonzero(cs < c_th)
+        sq = sum_d * sum_d
+        g1 += sum_d.sum()
+        g2 += sq.sum()
+        g3 += np.dot(sq, sum_d)
+        g4 += np.dot(sq, sq)
     n = cfg.trials
 
     def estimate(total, total_sq):
@@ -200,7 +209,8 @@ def _reference_point(params, c_th, cfg):
         return McEstimate(value=mean, std_error=math.sqrt(var / n), trials=n)
 
     p = outages / n
-    return estimate(sd, sd2), estimate(sp, sp2), McEstimate(p, math.sqrt(p * (1.0 - p) / n), n)
+    return (estimate(sd, sd2), estimate(sp, sp2), McEstimate(p, math.sqrt(p * (1.0 - p) / n), n),
+            montecarlo._gain_sum_estimates(g1, g2, g3, g4, n))
 
 
 _MODELS = {"v2v": SystemParams(model=Model.V2V_RIS_AP),
@@ -224,8 +234,9 @@ class TestSinglePassEngine:
         results = mc_points(points, cfg)
         assert len(results) == len(points)
         for (params, c_th), res in zip(points, results):
-            diff, pos, sop_est = _reference_point(params, c_th, cfg)
+            diff, pos, sop_est, gain_sum = _reference_point(params, c_th, cfg)
             assert (res.asc_diff, res.asc_pos, res.sop) == (diff, pos, sop_est)
+            assert res.gain_sum == gain_sum
 
     def test_mixed_groups_match_single_point_views_in_order(self):
         # cell counts 4, 16, 4, 9 of both models, interleaved, in one call
@@ -294,17 +305,20 @@ def _whole_array_gain_sums(params, rng, n):
     reference the chunked draw must reproduce bit for bit."""
     shape = (n, params.n_cells)
 
-    def rayleigh():
-        return np.sqrt(-2.0 * np.log1p(-rng.random(shape)))
+    def log_one_minus():
+        return np.log(1.0 - rng.random(shape))
+
+    def row_sums(gains):
+        return np.einsum("ij->i", gains)
 
     if params.model is Model.V2V_RIS_AP:
-        gd = rayleigh() * rayleigh()
-        ge = rayleigh() * rayleigh()
-        return gd.sum(axis=1), ge.sum(axis=1)
-    gs = rayleigh()
-    gd = rayleigh() * rayleigh()
-    ge = rayleigh() * rayleigh()
-    return (gs * gd).sum(axis=1), (gs * ge).sum(axis=1)
+        gd = np.sqrt(log_one_minus() * log_one_minus())
+        ge = np.sqrt(log_one_minus() * log_one_minus())
+        return 2.0 * row_sums(gd), 2.0 * row_sums(ge)
+    source = -8.0 * log_one_minus()
+    gd = np.sqrt(source * (log_one_minus() * log_one_minus()))
+    ge = np.sqrt(source * (log_one_minus() * log_one_minus()))
+    return row_sums(gd), row_sums(ge)
 
 
 def _factors(params):
@@ -354,10 +368,28 @@ class TestChunkedDraw:
     def test_row_sums_do_not_depend_on_row_count(self, n_cells):
         a = np.random.default_rng(n_cells).random((300, n_cells)) * 1e3
         whole = a.sum(axis=1)
+        whole_einsum = np.einsum("ij->i", a)
         for r0, r1 in ((0, 1), (0, 7), (5, 6), (17, 300), (0, 300)):
             out = np.empty(r1 - r0)
             a[r0:r1].sum(axis=1, out=out)
             assert np.array_equal(out, whole[r0:r1])
+            np.einsum("ij->i", a[r0:r1], out=out)
+            assert np.array_equal(out, whole_einsum[r0:r1])
+
+    def test_one_row_einsum_at_huge_cell_count(self):
+        # The one known exception: with NumPy 2.4 on AVX-512, a one-row
+        # einsum over many cells (seen at 1e4 and 1e5) can sum in another
+        # order than the same row inside a larger chunk. The draw's chunking
+        # depends only on (n, N), so its sums stay fixed, but where a chunk
+        # has one row a whole-array reference need not match them bit for bit.
+        a = np.random.default_rng(5).random((3, 10 ** 5)) * 1e3
+        whole = np.einsum("ij->i", a)
+        out = np.empty(2)
+        np.einsum("ij->i", a[1:3], out=out)
+        assert np.array_equal(out, whole[1:3])
+        for r in range(3):
+            one = np.einsum("ij->i", a[r:r + 1])
+            assert one[0] == pytest.approx(whole[r], rel=1e-13)
 
     def test_relay_block_memory_is_bounded(self):
         params = replace(_MODELS["relay"], n_cells=256)
@@ -382,3 +414,49 @@ class TestChunkedDraw:
             tracemalloc.stop()
         assert peak < montecarlo._CHUNK_BYTES + row_bytes
         assert math.isfinite(res.asc_diff.value)
+
+
+class TestDrawArithmetic:
+    """The draw multiplies logs and takes one square root per gain, which
+    must stay within a few ulp of the product of the Rayleigh factors
+    sqrt(-2 log1p(-U)) it stands for; the reduce counts outages as
+    cs < c_th."""
+
+    def test_one_minus_uniform_is_exact(self):
+        u = np.random.default_rng(77).random(1_000_000)
+        steps = u * 2.0 ** 53  # exact: a power of two
+        assert np.array_equal(steps, np.floor(steps))
+        assert np.array_equal((1.0 - u) * 2.0 ** 53, (2 ** 53 - steps.astype(np.int64)).astype(float))
+        edges = np.array([0.0, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53])
+        complements = np.array([1.0, 1.0 - 2.0 ** -53, 0.5, 2.0 ** -53])
+        assert np.array_equal(_log_one_minus(edges), np.log(complements))
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_cell_gains_match_rayleigh_factor_products(self, model):
+        params = replace(_MODELS[model], n_cells=1)
+        n = 100_000
+        got = sample_gain_sums(params, np.random.default_rng(606), n)
+        r = np.sqrt(-2.0 * np.log1p(-np.random.default_rng(606).random((_factors(params), n))))
+        if params.model is Model.V2V_RIS_AP:
+            old = (r[0] * r[1], r[2] * r[3])
+        else:
+            old = (r[0] * (r[1] * r[2]), r[0] * (r[3] * r[4]))
+        for new, ref in zip(got, old):
+            assert np.all(np.abs(new - ref) <= 4.0 * np.spacing(ref))
+
+    def test_outage_count_equals_positive_part_count(self):
+        params = SystemParams(model=Model.V2V_RIS_AP, r_d=6.0, r_e=5.0)
+        cfg = McConfig(trials=20_001, seed=21)
+        scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+        blocks = [sample_gain_sums(params, _block_rng(cfg.seed, i), n) for i, n in _blocks(cfg.trials)]
+        cs = np.concatenate([np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
+                             for sum_d, sum_e in blocks])
+        assert (cs < 0.0).any() and (cs > 0.0).any()
+        positive = np.sort(cs[cs > 0.0])
+        ties = [float(positive[0]), float(positive[positive.size // 2]), float(positive[-1])]
+        thresholds = [5e-324, 1e-300] + ties + [1.0]
+        results = mc_points([(params, c_th) for c_th in thresholds], cfg)
+        for c_th, res in zip(thresholds, results):
+            old = int((np.maximum(cs, 0.0) < c_th).sum())
+            assert res.sop.value == old / cfg.trials
+        assert all(np.count_nonzero(cs == c_th) >= 1 for c_th in ties)
