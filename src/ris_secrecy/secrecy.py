@@ -148,9 +148,8 @@ def _log_path_loss(params: SystemParams, distance: float) -> float:
 
 
 # Points per capacity run. Every link of a run is one column of a single
-# adaptive quadrature, and the triple cascade evaluates 15 arguments per
-# column at each outer panel, so longer point lists are split into runs of
-# this many points to bound the panel arrays.
+# adaptive quadrature, so longer point lists are split into runs of this many
+# points to bound the panel arrays.
 _RUN_POINTS = 32
 
 # Initial panels of the capacity integral over z, graded towards the origin.
@@ -174,11 +173,7 @@ def _capacity_run(columns) -> np.ndarray:
                      else channels.one_minus_mgf_triple_cascade)
 
     def integrand(z):
-        try:
-            q = one_minus_mgf(np.multiply.outer(z, scales))
-        except QuadratureError as exc:
-            exc.component %= len(columns)  # flat (node, column) index -> column
-            raise
+        q = one_minus_mgf(np.multiply.outer(z, scales))
         # 1 - M^N as -expm1(N log1p(-q)) from q = 1 - M, which keeps its
         # digits where M is near 1; q = 1 (M underflowed) gives exactly 1
         with np.errstate(divide="ignore"):

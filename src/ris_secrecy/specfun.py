@@ -3,7 +3,7 @@
 Every integral in the package goes through one deterministic adaptive GK15
 engine. It evaluates all 15 nodes of a panel in one call and accepts
 vector-valued integrands, so a family of integrals over the same range (one
-per MGF argument, say) shares its panels.
+per link of a capacity run, say) shares its panels.
 """
 import heapq
 import math

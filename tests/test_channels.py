@@ -48,10 +48,35 @@ def mgf_double_rayleigh(s):
 
 
 def mgf_triple_cascade(s):
-    """The triple-cascade MGF as 1 minus the shipped complement: within 5e-16
-    of the MGF for s <= 5, but only absolutely accurate (about 1e-11) at large
-    s, where the tests look at the complement itself."""
+    """The triple-cascade MGF as 1 minus the shipped complement, which holds
+    to about 1e-15 relative, so the MGF to about 1e-16 absolute."""
     return 1.0 - one_minus_mgf_triple_cascade(s)
+
+
+def _mgf_triple_mp(s: float):
+    """The triple-cascade MGF from its Mellin-Barnes form, in mpmath:
+    M(s) = G^{2,3}_{3,2}(2 s^2 | 0, 0, 0; 0, 1/2) / sqrt(pi), which follows from
+    the Mellin transform E[g^t] = (2^(t/2) Gamma(1 + t/2))^3 and the
+    duplication formula for Gamma. It shares neither code nor method with the
+    package, nor with the conditioning integral its table is fitted to. The
+    working precision grows as s falls, so that 1 - M keeps 30 digits."""
+    with mp.workdps(30 + max(0, -int(math.log10(s)))):
+        return mp.meijerg([[0, 0, 0], []], [[0, mp.mpf(1) / 2], []], 2 * mp.mpf(s) ** 2) / mp.sqrt(mp.pi)
+
+
+def _one_minus_mgf_triple_mp(s: float) -> float:
+    """1 - M(s) to double precision: below s = 1e-12 from the first three
+    moments, E[g^k] = (2^(k/2) Gamma(1 + k/2))^3, where the omitted terms are
+    below 1e-34 of the value; above it from the Meijer-G form."""
+    if s == 0.0:
+        return 0.0
+    if s < 1e-12:
+        with mp.workdps(40):
+            sm = mp.mpf(s)
+            moments = [(mp.sqrt(2) ** k * mp.gamma(1 + mp.mpf(k) / 2)) ** 3 for k in (1, 2, 3)]
+            return float(sm * moments[0] - sm ** 2 * moments[1] / 2 + sm ** 3 * moments[2] / 6)
+    with mp.workdps(30 + max(0, -int(math.log10(s)))):
+        return float(1 - _mgf_triple_mp(s))
 
 
 def _mgf_triple_2d_quadrature(s: float) -> float:
@@ -129,18 +154,18 @@ class TestMgfTripleCascade:
 
     @pytest.mark.parametrize("s", sorted(M3_ORACLE))
     def test_against_nested_quadrature_oracle(self, s):
-        assert mgf_triple_cascade(s) == pytest.approx(M3_ORACLE[s], rel=1e-6)
+        assert mgf_triple_cascade(s) == pytest.approx(M3_ORACLE[s], rel=2e-15)
 
     @pytest.mark.parametrize("s", sorted(M3_ORACLE))
     def test_against_2d_quadrature(self, s):
         assert mgf_triple_cascade(s) == pytest.approx(_mgf_triple_2d_quadrature(s), rel=1e-6)
 
     def test_large_argument_limit(self):
-        # on the complement: 1 minus it keeps only about 1e-11 absolute
-        # accuracy here, while the MGF itself is below 1e-10
-        big = one_minus_mgf_triple_cascade(1e6)
-        bigger = one_minus_mgf_triple_cascade(1e7)
-        assert 1.0 - 1e-3 < big < bigger < 1.0
+        # the MGF is below 1e-10 here; 1 minus the complement keeps it to
+        # about an ulp of 1
+        for s in (1e6, 1e7):
+            assert mgf_triple_cascade(s) == pytest.approx(float(_mgf_triple_mp(s)), rel=0.0, abs=1e-16)
+        assert 1.0 - 1e-3 < one_minus_mgf_triple_cascade(1e6) < one_minus_mgf_triple_cascade(1e7) < 1.0
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -183,10 +208,28 @@ class TestMgfComplements:
         assert one_minus_mgf_triple_cascade(s) == pytest.approx(_one_minus_mgf_triple_ref(s), rel=1e-11)
 
     def test_triple_keeps_eight_digits_at_tiny_argument(self):
-        # below s = 1e-289 the value is under the quadrature's absolute
-        # floor; q/s still approaches the mean gain (pi/2)^1.5
+        # far below the moment series' range, q/s is the mean gain (pi/2)^1.5
+        # to the last digits
         s = 1e-300
-        assert one_minus_mgf_triple_cascade(s) / s == pytest.approx((math.pi / 2.0) ** 1.5, rel=1e-8)
+        with mp.workdps(30):
+            mean = float(mp.pi / 2 * mp.sqrt(mp.pi / 2))
+        assert one_minus_mgf_triple_cascade(s) / s == pytest.approx(mean, rel=1e-15)
+
+    def test_triple_against_meijer_g_over_the_whole_domain(self):
+        # a log grid over the doubles, both sides of every boundary of the
+        # evaluation (the series below e^-7, the Chebyshev pieces of width 2
+        # in ln s, exactly 1 from e^23) and the middle of each piece
+        sides = [np.nextafter(math.exp(u), direction) for u in range(-7, 24, 2) for direction in (0.0, math.inf)]
+        middles = [math.exp(u) for u in range(-6, 23, 2)]
+        grid = np.unique(np.concatenate([10.0 ** np.arange(-300, 301, 20), sides, middles]))
+        got = one_minus_mgf_triple_cascade(grid)
+        for s, value in zip(grid, got):
+            assert value == pytest.approx(_one_minus_mgf_triple_mp(float(s)), rel=2e-14, abs=0.0), s
+            assert one_minus_mgf_triple_cascade(float(s)) == value
+        assert np.all(got[grid >= math.exp(23)] == 1.0)
+        assert one_minus_mgf_triple_cascade(0.0) == 0.0
+        assert one_minus_mgf_triple_cascade(math.inf) == 1.0
+        assert np.array_equal(one_minus_mgf_triple_cascade(grid[:60].reshape(3, 4, 5)), got[:60].reshape(3, 4, 5))
 
     @pytest.mark.parametrize(
         "one_minus_mgf,mean",
@@ -236,13 +279,7 @@ class TestMgfProperties:
         arr = mgf(s)
         assert arr.shape == s.shape
         scalar = np.array([[mgf(float(v)) for v in row] for row in s])
-        if mgf is mgf_double_rayleigh:
-            assert np.array_equal(arr, scalar)
-        else:
-            # one adaptive run shares its panels across the arguments, so it
-            # refines differently from per-argument runs; the tolerance holds
-            # on the complement, which is what carries the relative accuracy
-            assert 1.0 - arr == pytest.approx(1.0 - scalar, rel=1e-10)
+        assert np.array_equal(arr, scalar)
 
     def test_three_way_equivalence_with_sampling(self, cell_gains):
         # closed form vs 2-D quadrature vs Monte-Carlo, per the channel contract

@@ -265,8 +265,9 @@ class TestEval:
         assert float(row[header.index("sop_corrected")]) == 1.0
 
     def test_cascade_nonconvergence_exits_3(self, tmp_path, monkeypatch, capsys):
-        original = channels.integrate
-        monkeypatch.setattr(channels, "integrate", lambda f, breaks, **_tols: original(
+        # the capacity integral is the only quadrature on the relay path
+        original = secrecy.integrate
+        monkeypatch.setattr(secrecy, "integrate", lambda f, breaks, **_tols: original(
             f, breaks, rel_tol=1e-15, abs_tol=0.0, max_subdivisions=1))
         cfg = _write(tmp_path, {"base": {"model": "vanet_ris_relay"}, "outputs": ["asc_exact"]})
         assert main(["eval", "--config", cfg]) == 3

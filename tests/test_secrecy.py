@@ -587,6 +587,27 @@ class TestClosedFormDomain:
         assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
 
 
+class TestCapacityDomain:
+    """link_capacities anywhere in the valid domain, n_cells up to 10^5
+    included: finite, nonnegative capacities, or a QuadratureError, which the
+    CLI reports as a numerical failure (exit 3); never nan, inf or another
+    exception."""
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+    def test_finite_and_nonnegative_or_a_quadrature_error(self, model, data):
+        # a run of two points puts a failing column next to a converging one
+        points = data.draw(st.lists(_domain_points(model), min_size=1, max_size=2))
+        try:
+            caps = link_capacities(points)
+        except secrecy.QuadratureError:
+            return
+        assert caps.shape == (len(points), 2)
+        assert np.all(np.isfinite(caps)) and np.all(caps >= 0.0)
+
+
 class TestSecrecyReport:
     def test_consistent_with_individual_metrics(self, v2v_params):
         rep = secrecy_report(v2v_params, c_th=1.0)
