@@ -10,6 +10,7 @@ from .montecarlo import McConfig, McEstimate, mc_points
 from .secrecy import (
     Link,
     Model,
+    QuadratureError,
     SecrecyReport,
     SopMode,
     SystemParams,
@@ -19,7 +20,6 @@ from .secrecy import (
     snr_scale,
     sop,
 )
-from .specfun import QuadratureError
 
 __version__ = "0.1.0"
 

@@ -18,8 +18,7 @@ import numpy as np
 
 from . import channels
 from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
-from .secrecy import Model, SopMode, SystemParams, asc_approx, link_capacities, sop
-from .specfun import QuadratureError
+from .secrecy import Model, QuadratureError, SopMode, SystemParams, asc_approx, link_capacities, sop
 
 SWEEPABLE = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s", "c_th")
 # Every output and its value columns, in CSV column order. The Monte-Carlo
@@ -254,9 +253,8 @@ def _row(params: SystemParams, c_th: float, outputs, capacities, res: McPointRes
 
 
 def _run_capacities(cfg: RunConfig, values, points) -> np.ndarray:
-    """(c_d, c_e) at every (params, c_th) point from one capacity engine call
-    (one quadrature per 32 points). A numerical failure names the sweep row
-    it happened at."""
+    """(c_d, c_e) at every (params, c_th) point from one capacity engine call.
+    A numerical failure names the sweep row it happened at."""
     try:
         return link_capacities([params for params, _c_th in points])
     except QuadratureError as exc:
@@ -265,7 +263,7 @@ def _run_capacities(cfg: RunConfig, values, points) -> np.ndarray:
         index = exc.component
         raise QuadratureError(
             f"sweep row {index} ({cfg.sweep.param}={values[index]!r}) failed: {exc}",
-            exc.best_estimate, exc.error_bound, component=index) from exc
+            component=index) from exc
 
 
 def _fmt(v) -> str:

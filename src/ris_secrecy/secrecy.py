@@ -6,13 +6,13 @@ source reaches mobile receivers via an N-cell RIS relay, so each link is a
 triple cascade (Rayleigh source leg times a double-Rayleigh receiver leg).
 
 Average capacities come from the MGF integral identity
-C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, with one adaptive
-quadrature for every link of up to 32 points, evaluated a whole panel of z
-values at a time. The average secrecy capacity is the difference of
-per-link capacities, with a closed-form upper-bound approximation and an
-erf-form outage probability obtained from a Gaussian approximation of the
-summed gains.
+C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, summed for each link by a
+fixed trapezoid rule in ln z, with the nodes of all links in one MGF call.
+The average secrecy capacity is the difference of per-link capacities, with
+a closed-form upper-bound approximation and an erf-form outage probability
+obtained from a Gaussian approximation of the summed gains.
 """
+import itertools
 import math
 from dataclasses import astuple, dataclass
 from enum import Enum
@@ -20,7 +20,6 @@ from enum import Enum
 import numpy as np
 
 from . import channels
-from .specfun import QuadratureError, integrate
 
 
 class Model(Enum):
@@ -147,62 +146,77 @@ def _log_path_loss(params: SystemParams, distance: float) -> float:
     return -params.beta * math.log(distance) - params.beta * math.log(params.r_s)
 
 
-# Points per capacity run. Every link of a run is one column of a single
-# adaptive quadrature, so longer point lists are split into runs of this many
-# points to bound the panel arrays.
-_RUN_POINTS = 32
+class QuadratureError(ArithmeticError):
+    """A capacity came out non-finite; ``component`` is the index of its
+    point. The CLI reports it as a numerical failure (exit 3)."""
 
-# Initial panels of the capacity integral over z, graded towards the origin.
-# The integrand decays like exp(-z), which is below 1e-16 past z = 40, so
-# truncating there is below every tolerance the package uses.
-_CAPACITY_BREAKS = (0.0, 0.625, 2.5, 10.0, 40.0)
+    def __init__(self, message: str, component: int):
+        super().__init__(message)
+        self.component = component
+
+
+# With z = e^v the capacity identity reads C = (1/ln 2) int (1 - M(s e^v)^N)
+# exp(-e^v) dv over the real line; the SNR scale s only shifts the integrand
+# along v. The integrand is analytic in a strip and decays doubly
+# exponentially on the right, so the trapezoid rule on the lattice v = k h
+# converges geometrically in 1/h (Trefethen & Weideman, SIAM Review 56, 2014):
+# h = 1/4 is within about 1e-15. Past v = 4, exp(-e^v) < 2e-24. On the left
+# the integrand is below N mu s e^v (mu = E[g]), so the tail below
+# L = -40 - max(0, ln(N mu s)) is below e^-40 of the capacity, which is about
+# N mu s / ln 2 when that is small and of order 1 or more otherwise.
+_STEP = 0.25
+_LEFT = -40.0
+_LAST = 16  # the node at v = 4
 
 
 def _capacity_run(columns) -> np.ndarray:
-    """Average capacity (bits/s/Hz) of every (params, link) column in one
-    adaptive quadrature; each column has its own SNR scale and cell count.
-
-    On failure the QuadratureError's ``component`` is the failing column.
-    """
+    """Average capacity (bits/s/Hz) of every (params, link) column; each
+    column has its own SNR scale and cell count. All nodes go through one
+    MGF call, and each column is summed over its own nodes only, so its value
+    does not depend on the other columns."""
     model = columns[0][0].model
     if any(params.model is not model for params, _link in columns):
         raise ValueError("the points of a capacity run must share one model")
-    scales = np.array([snr_scale(params, link) for params, link in columns])
-    n_cells = np.array([float(params.n_cells) for params, _link in columns])
-    one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if model is Model.V2V_RIS_AP
+    v2v = model is Model.V2V_RIS_AP
+    log_mean = math.log(channels.DOUBLE_RAYLEIGH_MEAN if v2v else channels.TRIPLE_CASCADE_MEAN)
+    one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if v2v
                      else channels.one_minus_mgf_triple_cascade)
-
-    def integrand(z):
-        q = one_minus_mgf(np.multiply.outer(z, scales))
-        # 1 - M^N as -expm1(N log1p(-q)) from q = 1 - M, which keeps its
-        # digits where M is near 1; q = 1 (M underflowed) gives exactly 1
-        with np.errstate(divide="ignore"):
-            log_m = np.log1p(-np.minimum(q, 1.0))
-        return -np.expm1(n_cells * log_m) * (np.exp(-z) / z)[:, None]
-
-    return integrate(integrand, _CAPACITY_BREAKS) / math.log(2.0)
+    scales = [snr_scale(params, link) for params, link in columns]
+    n_cells = [float(params.n_cells) for params, _link in columns]
+    firsts = [math.ceil((_LEFT - max(0.0, math.log(n) + log_mean + math.log(scale))) / _STEP)
+              for n, scale in zip(n_cells, scales)]
+    counts = [_LAST + 1 - k for k in firsts]
+    v = np.concatenate([np.arange(k, _LAST + 1) for k in firsts]) * _STEP
+    # s e^v, not exp(v + ln s): the rounding of ln s would move every
+    # argument by up to |ln s| ulps. It overflows to inf, where q = 1 exactly.
+    with np.errstate(over="ignore"):
+        q = one_minus_mgf(np.repeat(scales, counts) * np.exp(v))
+    # 1 - M^N as -expm1(N log1p(-q)) from q = 1 - M, which keeps its digits
+    # where M is near 1; q = 1 (M underflowed) gives exactly 1
+    with np.errstate(divide="ignore"):
+        log_m = np.log1p(-np.minimum(q, 1.0))
+    terms = -np.expm1(np.repeat(n_cells, counts) * log_m) * np.exp(-np.exp(v))
+    ends = itertools.accumulate(counts)
+    return np.array([math.fsum(terms[end - count:end].tolist()) for end, count in zip(ends, counts)]) * (
+        _STEP / math.log(2.0))
 
 
 def link_capacities(points) -> np.ndarray:
     """Average capacities (c_d, c_e) in bits/s/Hz at every point, one row each.
 
-    ``points`` is a sequence of SystemParams sharing one model. Both links of
-    up to 32 consecutive points share one adaptive quadrature (the analytic
-    counterpart of the Monte-Carlo common random numbers). A point's values
-    therefore depend on the other points of its run, but only within the
-    quadrature tolerance, and identical links in one run get bit-identical
-    values. On failure the QuadratureError's ``component`` is the index of
-    the failing point.
+    ``points`` is a sequence of SystemParams sharing one model. Every link is
+    computed on its own, so a point's row is bit-identical whether it is
+    computed alone or with any other points. Raises QuadratureError, with
+    ``component`` the index of the point, when a capacity is not finite.
     """
-    out = np.empty((len(points), 2))
-    for start in range(0, len(points), _RUN_POINTS):
-        run = points[start:start + _RUN_POINTS]
-        try:
-            out[start:start + len(run)] = _capacity_run(
-                [(params, link) for params in run for link in Link]).reshape(-1, 2)
-        except QuadratureError as exc:
-            exc.component = start + exc.component // 2
-            raise
+    if not points:
+        return np.empty((0, 2))
+    out = _capacity_run([(params, link) for params in points for link in Link]).reshape(-1, 2)
+    bad = ~np.isfinite(out).all(axis=1)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise QuadratureError(f"the capacities of point {index} are not finite: {out[index].tolist()}",
+                              component=index)
     return out
 
 
