@@ -8,9 +8,11 @@ triple cascade (Rayleigh source leg times a double-Rayleigh receiver leg).
 Average capacities come from the MGF integral identity
 C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, summed for each link by a
 fixed trapezoid rule in ln z, with the nodes of all links in one MGF call.
-The average secrecy capacity is the difference of per-link capacities, with
-a closed-form upper-bound approximation and an erf-form outage probability
-obtained from a Gaussian approximation of the summed gains.
+The average secrecy capacity is the difference of per-link capacities. Its
+closed-form approximation is the difference of the per-link Jensen bounds
+log2(1 + N mu s), taken in the log domain, and the outage probability is an
+erf form from a Gaussian approximation of the summed gains. Both closed forms
+read the link SNR scale s only from ``snr_scale``.
 """
 import itertools
 import math
@@ -127,23 +129,15 @@ def snr_scale(params: SystemParams, link: Link) -> float:
     if all(_TINY <= v < math.inf for v in steps):
         return scale
     # A step left the normal double range and lost digits (or overflowed):
-    # the sum of the logs keeps them.
-    return math.exp(math.log(params.p_s) + _log_path_loss(params, distance) - math.log(params.n_0))
-
-
-def _log_path_loss(params: SystemParams, distance: float) -> float:
-    """log(distance^-beta), plus log(r_s^-beta) for the relay model.
-
-    The two relay terms can each be about 1e5 and cancel; the log of the
-    product distance * r_s keeps the digits their sum loses, wherever that
-    product is a normal double.
-    """
-    if params.model is Model.V2V_RIS_AP:
-        return -params.beta * math.log(distance)
-    product = distance * params.r_s
-    if _TINY <= product < math.inf:
-        return -params.beta * math.log(product)
-    return -params.beta * math.log(distance) - params.beta * math.log(params.r_s)
+    # the sum of the logs keeps them. The two relay path terms can each be
+    # about 1e5 and cancel; the log of the product distance * r_s keeps the
+    # digits their sum loses, wherever that product is a normal double.
+    log_path = -params.beta * math.log(distance)
+    if relay:
+        product = distance * params.r_s
+        log_path = (-params.beta * math.log(product) if _TINY <= product < math.inf
+                    else log_path - params.beta * math.log(params.r_s))
+    return math.exp(math.log(params.p_s) + log_path - math.log(params.n_0))
 
 
 class QuadratureError(ArithmeticError):
@@ -221,33 +215,14 @@ def link_capacities(points) -> np.ndarray:
 
 
 def asc_approx(params: SystemParams) -> float:
-    """Closed-form secrecy-capacity approximation from the per-link Jensen bounds."""
-    relay = params.model is Model.VANET_RIS_RELAY
-    try:
-        rd = params.r_d ** -params.beta
-        re_ = params.r_e ** -params.beta
-        rs = params.r_s ** -params.beta if relay else 1.0
-    except OverflowError:  # a path loss beyond the double range; the logs below hold it
-        rd = re_ = rs = math.inf
-    if not relay:
-        c, k = 2.0, params.n_cells * math.pi
-        coeff = k * params.p_s
-        powers = (rd, re_)
-    else:
-        c, k = 2.0 * math.sqrt(2.0), params.n_cells * math.pi ** 1.5
-        coeff = params.n_cells * params.p_s * math.pi ** 1.5 * rs
-        powers = (rd, re_, rs)
-    noise, term_d, term_e = c * params.n_0, coeff * rd, coeff * re_
-    ratio = (noise + term_d) / (noise + term_e)
-    if all(_TINY <= v < math.inf for v in (params.p_s, coeff, noise, term_d, term_e, ratio, *powers)):
-        return math.log2(ratio)
-    # A product or the ratio left the normal double range and lost digits.
-    # Over c n_0 the bound terms are e^x, with x taken from the logs of the
-    # inputs, and log((1 + e^x_d) / (1 + e^x_e)) keeps every digit.
-    log_x = math.log(k) + math.log(params.p_s) - math.log(c) - math.log(params.n_0)
-    x_d = log_x + _log_path_loss(params, params.r_d)
-    x_e = log_x + _log_path_loss(params, params.r_e)
-    return float(np.logaddexp(0.0, x_d) - np.logaddexp(0.0, x_e)) / math.log(2.0)
+    """Closed-form secrecy-capacity approximation: the difference of the
+    per-link Jensen bounds log2(1 + N mu s), with mu the per-cell mean gain
+    and s the link SNR scale. Each bound is log(1 + e^x), x = ln(N mu s), so
+    no product of the path-loss terms can leave the double range."""
+    mean = channels.DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else channels.TRIPLE_CASCADE_MEAN
+    log_n_mean = math.log(params.n_cells) + math.log(mean)
+    bound_d, bound_e = np.logaddexp(0.0, [log_n_mean + math.log(snr_scale(params, link)) for link in Link])
+    return float(bound_d - bound_e) / math.log(2.0)
 
 
 def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) -> float:
@@ -264,13 +239,11 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
         raise ValueError("c_th must be > 0")
     try:
         nu = 2.0 ** c_th
-        ratio = (params.r_e / params.r_d) ** -params.beta  # r_e^-beta / r_d^-beta
-    except (OverflowError, ZeroDivisionError):
-        # an overflow, or r_e / r_d underflowing to 0, drives the erf
-        # argument below to +inf
+    except OverflowError:  # drives the erf argument below to +inf
         return 1.0
-    # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta]), from the validated scale
-    noise_term = (nu - 1.0) / snr_scale(params, Link.DESTINATION)
+    scale_d = snr_scale(params, Link.DESTINATION)
+    ratio = snr_scale(params, Link.EAVESDROPPER) / scale_d  # r_e^-beta / r_d^-beta
+    noise_term = (nu - 1.0) / scale_d  # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta])
     if params.model is Model.V2V_RIS_AP:
         mean, variance = channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE
     elif mode is SopMode.CORRECTED:

@@ -1,7 +1,9 @@
 """Analytic secrecy metrics: closed-form values, symmetries, orderings, and
 accuracy against references that share no code with the package."""
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +12,7 @@ import scipy.integrate as sint
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from ris_secrecy import channels, secrecy
+from ris_secrecy import channels, cli, secrecy
 from ris_secrecy.secrecy import (
     Link,
     Model,
@@ -562,6 +564,9 @@ class TestSop:
         # (r_e/r_d)^-beta overflows
         (SystemParams(model=Model.V2V_RIS_AP, r_e=0.001, r_d=1000.0, beta=60.0), 1.0),
         (SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, r_e=0.001, r_d=1000.0, beta=60.0), 1.0),
+        # r_e / r_d overflows, while r_e^-beta / r_d^-beta = 1e-200 times
+        # 2^c_th is 7e40
+        (SystemParams(model=Model.V2V_RIS_AP, p_s=1e200, r_d=1e-200, r_e=1e200, beta=0.5), 800.0),
     ])
     def test_overflowing_terms_give_certain_outage(self, params, c_th):
         for mode in SopMode:
@@ -636,6 +641,37 @@ class TestClosedFormDomain:
 
     def test_relay_hop_cancelling_the_link_path(self):
         assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
+
+    @pytest.mark.parametrize("params", [
+        # the bounds are about 1e-6 bits, and about 1e-17 bits, and nearly
+        # cancel; a relative error shows what an absolute one hides
+        SystemParams(model=Model.V2V_RIS_AP, p_s=1e-6),
+        SystemParams(model=Model.VANET_RIS_RELAY, p_s=0.01054801335708572, r_d=885.0778185980389,
+                     r_e=124.7536018853719, beta=4.7954263455740955, n_cells=127, r_s=39.108990301746786),
+    ])
+    def test_low_snr_keeps_its_relative_digits(self, params):
+        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-13, abs=0.0)
+
+
+RECIPES = Path(__file__).resolve().parent.parent / "recipes"
+
+
+def _recipe_points():
+    """(recipe name, params, c_th) at every point of every committed recipe."""
+    for path in sorted(RECIPES.glob("fig*.json")):
+        cfg = cli.build_run_config(json.loads(path.read_text(encoding="utf-8")))
+        for value in cfg.sweep.values() if cfg.sweep else [None]:
+            params, c_th = cli._point(cfg, value)
+            yield path.stem, params, c_th
+
+
+class TestRecipePoints:
+    """The closed forms at every point of the committed recipes, against
+    mpmath with a relative tolerance only."""
+
+    def test_asc_approx(self):
+        for name, p, _c_th in _recipe_points():
+            assert asc_approx(p) == pytest.approx(_asc_approx_mp(p), rel=1e-13, abs=0.0), name
 
 
 class TestCapacityDomain:
