@@ -11,7 +11,7 @@ fixed trapezoid rule in ln z, with the nodes of all links in one MGF call.
 The average secrecy capacity is the difference of per-link capacities. Its
 closed-form approximation is the difference of the per-link Jensen bounds
 log2(1 + N mu s), taken in the log domain, and the outage probability is an
-erf form from a Gaussian approximation of the summed gains. Both closed forms
+erfc form from a Gaussian approximation of the summed gains. Both closed forms
 read the link SNR scale s only from ``snr_scale``.
 """
 import itertools
@@ -229,7 +229,8 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     """Secrecy outage probability from the Gaussian (CLT) gain-sum approximation.
 
     The random eavesdropper term is replaced by its mean, reproducing the
-    closed erf form; the Monte-Carlo module quantifies the resulting bias.
+    closed erf form, evaluated as erfc; the Monte-Carlo module quantifies the
+    resulting bias.
     For the relay model, ``mode`` selects the corrected per-element constants
     (mean coefficient (pi/2)^1.5, variance 8-(pi/2)^3) or the paper_literal
     variant (pi^3/(2 sqrt 2) and 8-(pi/2)^1.5). Both modes coincide for the
@@ -252,7 +253,8 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
         mean, variance = channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF, channels.PAPER_LITERAL_TRIPLE_VARIANCE
     n = params.n_cells
     numer = noise_term + n * mean * (nu * ratio - 1.0)
-    return 0.5 * (1.0 + math.erf(numer / math.sqrt(2.0 * (n * variance))))
+    # 0.5 (1 + erf(x)) as 0.5 erfc(-x), which keeps its relative digits in the lower tail
+    return 0.5 * math.erfc(-numer / math.sqrt(2.0 * (n * variance)))
 
 
 def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:

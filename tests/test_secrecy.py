@@ -572,6 +572,35 @@ class TestSop:
         for mode in SopMode:
             assert sop(params, c_th, mode) == 1.0
 
+    @pytest.mark.parametrize("params,c_th,mode", [
+        # fig8's relay base point, where 0.5 (1 + erf(x)) rounds to 0 or
+        # keeps no digit: 6e-46, 9e-25 and 3e-17
+        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 0.25, SopMode.PAPER_LITERAL),
+        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.0, SopMode.PAPER_LITERAL),
+        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.25, SopMode.PAPER_LITERAL),
+        (SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0), 0.5, SopMode.CORRECTED),  # 3e-7
+        (SystemParams(model=Model.V2V_RIS_AP, p_s=1e4, n_cells=256), 1.0, SopMode.CORRECTED),  # 4e-45
+    ])
+    def test_lower_tail_against_mpmath(self, params, c_th, mode):
+        assert sop(params, c_th, mode) == pytest.approx(_sop_mp(params, c_th, mode), rel=1e-12, abs=0.0)
+
+
+def _sop_mp(params, c_th, mode):
+    """The CLT outage formula 0.5 erfc(-x) at 50 digits, straight from the
+    inputs and the moment constants."""
+    with mp.workdps(50):
+        nu = mp.mpf(2) ** mp.mpf(c_th)
+        scale_d, scale_e = (_snr_scale_mp(params, link) for link in Link)
+        if params.model is Model.V2V_RIS_AP:
+            mean, variance = mp.pi / 2, 4 - mp.pi ** 2 / 4
+        elif mode is SopMode.CORRECTED:
+            mean, variance = (mp.pi / 2) ** 1.5, 8 - (mp.pi / 2) ** 3
+        else:
+            mean, variance = mp.pi ** 3 / (2 * mp.sqrt(2)), 8 - (mp.pi / 2) ** mp.mpf(1.5)
+        n = params.n_cells
+        x = ((nu - 1) / scale_d + n * mean * (nu * scale_e / scale_d - 1)) / mp.sqrt(2 * n * variance)
+        return float(mp.erfc(-x) / 2)
+
 
 def _asc_approx_mp(params):
     """log2 of the Jensen-bound ratio at 50 digits, straight from the formula."""
@@ -672,6 +701,11 @@ class TestRecipePoints:
     def test_asc_approx(self):
         for name, p, _c_th in _recipe_points():
             assert asc_approx(p) == pytest.approx(_asc_approx_mp(p), rel=1e-13, abs=0.0), name
+
+    def test_sop(self):
+        for name, p, c_th in _recipe_points():
+            for mode in SopMode:
+                assert sop(p, c_th, mode) == pytest.approx(_sop_mp(p, c_th, mode), rel=1e-12, abs=0.0), name
 
 
 class TestCapacityDomain:
