@@ -146,7 +146,7 @@ def _parse_base(doc) -> SystemParams:
         fields["r_s"] = _real("base.r_s", doc.get("r_s", DEFAULT_RELAY_R_S))
     try:
         return SystemParams(model=model, **fields)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 

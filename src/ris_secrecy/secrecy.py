@@ -16,6 +16,7 @@ read the link SNR scale s only from ``snr_scale``.
 """
 import itertools
 import math
+import sys
 from dataclasses import astuple, dataclass
 from enum import Enum
 
@@ -64,8 +65,8 @@ class SystemParams:
             raise ValueError("n_0 must be finite and > 0")
         if not 0.0 < self.beta < math.inf:
             raise ValueError("beta must be finite and > 0")
-        if not (math.isfinite(self.n_cells) and int(self.n_cells) == self.n_cells >= 1):
-            raise ValueError("n_cells must be an integer >= 1")
+        if not (1 <= self.n_cells <= sys.float_info.max and int(self.n_cells) == self.n_cells):
+            raise ValueError("n_cells must be an integer >= 1 within the double range")
         if not (0.0 < self.r_d < math.inf and 0.0 < self.r_e < math.inf):
             raise ValueError("distances must be finite and > 0")
         if self.model is Model.V2V_RIS_AP:

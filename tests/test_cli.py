@@ -90,6 +90,7 @@ class TestConfigParsing:
             # integer fields are never truncated
             {"base": {"model": "v2v_ris_ap", "n_cells": 16.5}},
             {"base": {"model": "v2v_ris_ap", "n_cells": True}},
+            {"base": {"model": "v2v_ris_ap", "n_cells": 10 ** 400}},  # beyond the double range
             {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": 2.9}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"seed": 4.7}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"batch": 8192.5}},

@@ -187,6 +187,8 @@ class TestSystemParams:
             {"n_0": math.inf},
             {"beta": math.inf},
             {"n_cells": math.inf},
+            {"n_cells": math.nan},
+            {"n_cells": 10 ** 400},  # an integer beyond the double range
             {"r_d": math.inf},
             {"r_e": math.nan},
             {"p_s": 1e300, "r_d": 1e-10},  # the SNR scale overflows
@@ -672,8 +674,8 @@ class TestClosedFormDomain:
         assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
 
     @pytest.mark.parametrize("params", [
-        # the bounds are about 1e-6 bits, and about 1e-17 bits, and nearly
-        # cancel; a relative error shows what an absolute one hides
+        # low SNR: the ASC bounds differ by about 7e-7 and -8e-18 bits, which
+        # an absolute tolerance of 1e-12 would not tell from 0
         SystemParams(model=Model.V2V_RIS_AP, p_s=1e-6),
         SystemParams(model=Model.VANET_RIS_RELAY, p_s=0.01054801335708572, r_d=885.0778185980389,
                      r_e=124.7536018853719, beta=4.7954263455740955, n_cells=127, r_s=39.108990301746786),
