@@ -90,7 +90,6 @@ class TestConfigParsing:
             # integer fields are never truncated
             {"base": {"model": "v2v_ris_ap", "n_cells": 16.5}},
             {"base": {"model": "v2v_ris_ap", "n_cells": True}},
-            {"base": {"model": "v2v_ris_ap", "n_cells": 10 ** 400}},  # beyond the double range
             {"base": {"model": "v2v_ris_ap"}, "mc": {"trials": 2.9}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"seed": 4.7}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"batch": 8192.5}},
@@ -123,6 +122,8 @@ class TestConfigParsing:
             {"base": {"model": "v2v_ris_ap"}, "outputs": "asc_exact"},
             {"base": {"model": "v2v_ris_ap"}, "outputs": None},
             {"base": {"model": "v2v_ris_ap"}, "outputs": [["asc_exact"]]},
+            # an integer field beyond the double range
+            {"base": {"model": "v2v_ris_ap", "n_cells": 10 ** 400}},
         ],
     )
     def test_rejects_bad_documents(self, doc):
