@@ -70,8 +70,8 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 # Size of a block's draw workspace. Row chunks of every factor array are
-# drawn into it, so a block holds about this much (or one row, where a row is
-# larger) plus its two n-long sums, whatever n_cells is.
+# drawn into it, or column pieces of one row where a row is larger, so a
+# block holds at most this much plus its two n-long sums, whatever n_cells is.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -104,9 +104,10 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     Factor j is the stretch of ``rng``'s PCG64 stream that starts j*n*N
     outputs on, as if the arrays were drawn whole one after the other. Each
     factor is read from its own cursor on that stream, in row chunks of a
-    workspace of ``_CHUNK_BYTES``, so the sums are bit-identical to
-    whole-array draws (except, in the last bits, rows summed alone over about
-    1e4 cells or more) and ``rng`` ends k*n*N outputs on, where those leave it.
+    workspace of ``_CHUNK_BYTES`` (a row larger than that in column pieces,
+    whose sums add up), so the sums are bit-identical to whole-array draws
+    (except, in the last bits, rows summed alone over about 1e4 cells or
+    more) and ``rng`` ends k*n*N outputs on, where those leave it.
     """
     n_cells = params.n_cells
     k = 4 if params.model is Model.V2V_RIS_AP else 5
@@ -117,28 +118,32 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
         bit_generator.state = state
         bit_generator.advance(j * n * n_cells)
         cursors.append(np.random.Generator(bit_generator))
+    cols = min(n_cells, _CHUNK_BYTES // (8 * k))
     rows = max(1, min(n, _CHUNK_BYTES // (8 * k * n_cells)))
-    work = np.empty(k * rows * n_cells)
-    sum_d = np.empty(n)
-    sum_e = np.empty(n)
+    work = np.empty(k * rows * cols)
+    sum_d = np.zeros(n)
+    sum_e = np.zeros(n)
     for r0 in range(0, n, rows):
         r1 = min(n, r0 + rows)
-        f = work[:k * (r1 - r0) * n_cells].reshape(k, r1 - r0, n_cells)
-        for cursor, factor in zip(cursors, f):
-            cursor.random(out=factor)
-        _log_one_minus(f)
-        if k == 4:
-            gd = np.multiply(f[0], f[1], out=f[0])
-            ge = np.multiply(f[2], f[3], out=f[2])
-        else:  # the source leg, times -8 once, times each receiver's pair
-            source = np.multiply(f[0], -8.0, out=f[0])
-            gd = np.multiply(source, np.multiply(f[1], f[2], out=f[1]), out=f[1])
-            ge = np.multiply(source, np.multiply(f[3], f[4], out=f[3]), out=f[3])
-        # einsum, not a BLAS matrix-vector product, whose row sums change
-        # with a chunk's row count (einsum's change only for one-row chunks
-        # of about 1e4 cells or more)
-        np.einsum("ij->i", np.sqrt(gd, out=gd), out=sum_d[r0:r1])
-        np.einsum("ij->i", np.sqrt(ge, out=ge), out=sum_e[r0:r1])
+        for c0 in range(0, n_cells, cols):
+            c1 = min(n_cells, c0 + cols)
+            f = work[:k * (r1 - r0) * (c1 - c0)].reshape(k, r1 - r0, c1 - c0)
+            for cursor, factor in zip(cursors, f):
+                cursor.random(out=factor)
+            _log_one_minus(f)
+            if k == 4:
+                gd = np.multiply(f[0], f[1], out=f[0])
+                ge = np.multiply(f[2], f[3], out=f[2])
+            else:  # the source leg, times -8 once, times each receiver's pair
+                source = np.multiply(f[0], -8.0, out=f[0])
+                gd = np.multiply(source, np.multiply(f[1], f[2], out=f[1]), out=f[1])
+                ge = np.multiply(source, np.multiply(f[3], f[4], out=f[3]), out=f[3])
+            # einsum, not a BLAS matrix-vector product, whose row sums change
+            # with a chunk's row count (einsum's change only for one-row
+            # chunks of about 1e4 cells or more); added to zeros, so a row
+            # drawn in one piece keeps its sum bit for bit
+            sum_d[r0:r1] += np.einsum("ij->i", np.sqrt(gd, out=gd))
+            sum_e[r0:r1] += np.einsum("ij->i", np.sqrt(ge, out=ge))
     if k == 4:  # exact: a power of two
         sum_d *= 2.0
         sum_e *= 2.0

@@ -184,13 +184,21 @@ def _capacity_run(columns) -> np.ndarray:
     v = np.concatenate([np.arange(k, _LAST + 1) for k in firsts]) * _STEP
     # s e^v, not exp(v + ln s): the rounding of ln s would move every
     # argument by up to |ln s| ulps. It overflows to inf, where q = 1 exactly.
+    # A lattice starting below v = -700 would take e^v into the subnormals or
+    # to 0, so such a column is shifted by c and its argument formed as
+    # (s e^(-c/2) e^(-c/2)) e^(v + c); e^-c alone can underflow, as c reaches
+    # about 760. An unshifted column (c = 0) multiplies by 1 exactly.
+    shifts = np.maximum(0.0, -np.multiply(firsts, _STEP) - 700.0)
+    half = np.exp(-0.5 * shifts)
     with np.errstate(over="ignore"):
-        q = one_minus_mgf(np.repeat(scales, counts) * np.exp(v))
+        q = one_minus_mgf(np.repeat(np.multiply(scales, half) * half, counts)
+                          * np.exp(v + np.repeat(shifts, counts)))
     # 1 - M^N as -expm1(N log1p(-q)) from q = 1 - M, which keeps its digits
-    # where M is near 1; q = 1 (M underflowed) gives exactly 1
-    with np.errstate(divide="ignore"):
+    # where M is near 1; q = 1 (M underflowed) gives exactly 1, and N log(M)
+    # overflowing to -inf gives 1 too
+    with np.errstate(divide="ignore", over="ignore"):
         log_m = np.log1p(-np.minimum(q, 1.0))
-    terms = -np.expm1(np.repeat(n_cells, counts) * log_m) * np.exp(-np.exp(v))
+        terms = -np.expm1(np.repeat(n_cells, counts) * log_m) * np.exp(-np.exp(v))
     ends = itertools.accumulate(counts)
     return np.array([math.fsum(terms[end - count:end].tolist()) for end, count in zip(ends, counts)]) * (
         _STEP / math.log(2.0))
@@ -253,9 +261,12 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     else:
         mean, variance = channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF, channels.PAPER_LITERAL_TRIPLE_VARIANCE
     n = params.n_cells
-    numer = noise_term + n * mean * (nu * ratio - 1.0)
+    # x = (noise_term + N mean (nu ratio - 1)) / sqrt(2 N variance), with N
+    # divided out of the sum and sqrt(N) taken alone, so that no term
+    # overflows at any cell count in the double range
+    x = (noise_term / n + mean * (nu * ratio - 1.0)) * (math.sqrt(n) / math.sqrt(2.0 * variance))
     # 0.5 (1 + erf(x)) as 0.5 erfc(-x), which keeps its relative digits in the lower tail
-    return 0.5 * math.erfc(-numer / math.sqrt(2.0 * (n * variance)))
+    return 0.5 * math.erfc(-x)
 
 
 def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:

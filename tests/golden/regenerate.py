@@ -26,7 +26,7 @@ ALL_OUTPUTS = ["asc_exact", "asc_approx", "sop_corrected", "sop_paper_literal", 
 CASES = {f"sweep-{fig}.csv": (fig, ["sweep"], None) for fig in
          ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9")}
 CASES.update({f"eval-{fig}.csv": (fig, ["eval", "--csv"], ALL_OUTPUTS) for fig in ("fig4", "fig5")})
-CASES.update({f"validate-{fig}-{mode}.txt": (fig, ["validate", "--trials", "20000", "--mode", mode], None)
+CASES.update({f"validate-{fig}-{mode}.txt": (fig, ["validate", "--mode", mode], None)
               for fig, mode in (("fig4", "corrected"), ("fig5", "corrected"), ("fig5", "paper-literal"),
                                 ("fig8", "corrected"), ("fig8", "paper-literal"))})
 

@@ -124,6 +124,7 @@ class TestConfigParsing:
             {"base": {"model": "v2v_ris_ap"}, "outputs": [["asc_exact"]]},
             # an integer field beyond the double range
             {"base": {"model": "v2v_ris_ap", "n_cells": 10 ** 400}},
+            {"base": {"model": "v2v_ris_ap"}, "mc": {"seed": -5}},
         ],
     )
     def test_rejects_bad_documents(self, doc):
@@ -273,9 +274,13 @@ class TestEval:
         assert main(["eval", "--config", cfg]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_bad_seed_override(self, tmp_path):
-        cfg = _write(tmp_path, _v2v_doc())
-        assert main(["eval", "--config", cfg, "--seed", "-5"]) == 2
+    @pytest.mark.parametrize("option", ["--seed", "--trials", "--sop-tol"])
+    def test_run_settings_come_only_from_the_config(self, tmp_path, capsys, option):
+        doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1000, "seed": 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--config", _write(tmp_path, doc), option, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
     def test_bad_thread_count_is_a_config_error(self, tmp_path, monkeypatch, capsys, raw):
@@ -448,13 +453,16 @@ class TestSweep:
         assert outs[0] == outs[1] == outs[2] == outs[3]
 
     def test_seed_override_changes_mc_columns_only(self, tmp_path):
-        doc = _v2v_doc(outputs=["asc_approx", "mc_asc"],
-                       sweep={"param": "p_s", "start": 2.0, "stop": 10.0, "steps": 3},
-                       mc={"trials": 10_000, "seed": 1})
-        cfg = _write(tmp_path, doc)
-        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["sweep", "--config", cfg, "--out", str(out2), "--seed", "99"]) == 0
+        # two documents that differ only in mc.seed
+        outs = []
+        for seed in (1, 99):
+            doc = _v2v_doc(outputs=["asc_approx", "mc_asc"],
+                           sweep={"param": "p_s", "start": 2.0, "stop": 10.0, "steps": 3},
+                           mc={"trials": 10_000, "seed": seed})
+            outs.append(tmp_path / f"s{seed}.csv")
+            cfg = _write(tmp_path, doc, f"seed{seed}.json")
+            assert main(["sweep", "--config", cfg, "--out", str(outs[-1])]) == 0
+        out1, out2 = outs
         h1, rows1 = _read_csv(out1)
         h2, rows2 = _read_csv(out2)
         assert h1 == h2
@@ -608,15 +616,6 @@ class TestValidate:
     def test_requires_mc_block(self, tmp_path):
         doc = _v2v_doc(outputs=["asc_exact"])
         assert main(["validate", "--config", _write(tmp_path, doc)]) == 2
-
-    @pytest.mark.parametrize("sop_tol", ["nan", "inf", "-0.02", "0"])
-    def test_sop_tolerance_must_be_finite_and_positive(self, tmp_path, capsys, sop_tol):
-        doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1000, "seed": 1})
-        out = tmp_path / "report.txt"
-        code = main(["validate", "--config", _write(tmp_path, doc), "--out", str(out), "--sop-tol", sop_tol])
-        assert code == 2
-        assert not out.exists()
-        assert "--sop-tol must be finite and > 0" in capsys.readouterr().err
 
 
 class TestRecipes:

@@ -277,11 +277,15 @@ class TestSinglePassEngine:
         path.write_text(json.dumps(doc))
         assert cli.main(["validate", "--config", str(path)]) in (0, 1)
         blocks = math.ceil(trials / 8192)
-        assert sorted(set(draws)) == [4, 9, 10, 16]
-        assert len(draws) == (3 + 1) * blocks
-        base = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=9)
-        _mean, var = _one_point(base, None, McConfig(trials=trials, seed=3)).gain_sum
-        assert f"gain-sum variance (N=9): mc={var.value:.6g} +-{var.std_error:.2g}" in capsys.readouterr().out
+        assert sorted(set(draws)) == [4, 10, 16]
+        assert len(draws) == 3 * blocks
+        # one variance line per cell count the run draws, in sweep order
+        lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("gain-sum variance")]
+        assert len(lines) == 3
+        for n_cells, line in zip((4, 10, 16), lines):
+            params = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=n_cells)
+            _mean, var = _one_point(params, None, McConfig(trials=trials, seed=3)).gain_sum
+            assert line.startswith(f"gain-sum variance (N={n_cells}): mc={var.value:.6g} +-{var.std_error:.2g}")
 
     def test_point_without_threshold_has_no_outage_estimate(self, v2v_params):
         (res,) = mc_points([(v2v_params, None)], McConfig(trials=1_000, seed=1))
@@ -400,6 +404,25 @@ class TestChunkedDraw:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2 ** 20  # whole-array factors would take 84 MB
+
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_oversize_rows_are_drawn_in_column_pieces(self, model):
+        # a row of 1e5 cells is larger than the workspace: four column
+        # pieces, the last one short, on the same cursors
+        params = replace(_MODELS[model], n_cells=10 ** 5)
+        ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
+        ref = _whole_array_gain_sums(params, ref_rng, 3)
+        tracemalloc.start()
+        try:
+            got = sample_gain_sums(params, rng, 3)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the workspace, plus some kB for the sums, cursors and states
+        assert peak <= montecarlo._CHUNK_BYTES + 16 * 1024
+        for a, b in zip(ref, got):
+            np.testing.assert_allclose(b, a, rtol=1e-13, atol=0.0)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("model", sorted(_MODELS))
     def test_huge_cell_count_runs_within_one_row_plus_cap(self, model):

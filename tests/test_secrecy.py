@@ -2,6 +2,7 @@
 accuracy against references that share no code with the package."""
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -157,6 +158,20 @@ def _capacity_extreme_snr_ref(params: SystemParams, link: Link) -> float:
                         epsabs=0.0, epsrel=1e-13, limit=200)
     with mp.workdps(40):
         return float((mp.e1(1 / mp.mpf(snr_scale(params, link))) + head - tail) / mp.log(2))
+
+
+def _capacity_delta_method(params: SystemParams) -> float:
+    """The destination capacity E[log2(1 + a X)], a = N mu s, to second
+    order in X = (gain sum)/(N mu), whose variance is sigma^2/(N mu^2):
+    [ln(1 + a) - (a/(1 + a))^2 sigma^2/(2 N mu^2)]/ln 2. The next term is
+    O(1/N^2) of the value, far below 1e-12 from N = 1e8 on."""
+    v2v = params.model is Model.V2V_RIS_AP
+    mean = channels.DOUBLE_RAYLEIGH_MEAN if v2v else channels.TRIPLE_CASCADE_MEAN
+    variance = channels.DOUBLE_RAYLEIGH_VARIANCE if v2v else channels.TRIPLE_CASCADE_VARIANCE
+    with mp.workdps(40):
+        n = mp.mpf(params.n_cells)
+        a = n * mean * mp.mpf(snr_scale(params, Link.DESTINATION))
+        return float((mp.log1p(a) - (a / (1 + a)) ** 2 * variance / (2 * n * mean ** 2)) / mp.log(2))
 
 
 def _jensen_bound(params: SystemParams, link: Link) -> float:
@@ -586,6 +601,17 @@ class TestSop:
     def test_lower_tail_against_mpmath(self, params, c_th, mode):
         assert sop(params, c_th, mode) == pytest.approx(_sop_mp(params, c_th, mode), rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("params", [
+        # N mean or N variance overflows here; the erfc argument is about
+        # -1e154, so the outage is 0
+        SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=10 ** 308),
+        SystemParams(model=Model.V2V_RIS_AP, n_cells=int(1.7e308)),
+        SystemParams(model=Model.V2V_RIS_AP, n_cells=10 ** 308),
+    ])
+    def test_huge_cell_counts(self, params):
+        for mode in SopMode:
+            assert sop(params, 1.0, mode) == 0.0
+
 
 def _sop_mp(params, c_th, mode):
     """The CLT outage formula 0.5 erfc(-x) at 50 digits, straight from the
@@ -624,14 +650,16 @@ def _wide(lo, hi):
 @st.composite
 def _domain_points(draw, model):
     """A valid point anywhere in the domain: every float field over many
-    decades, so terms of the closed forms overflow or underflow."""
+    decades, and the cell count up to the top of the double range, so terms
+    of the closed forms overflow or underflow."""
     kwargs = {
         "p_s": draw(_wide(1e-300, 1e300)),
         "n_0": draw(_wide(1e-300, 1e300)),
         "r_d": draw(_wide(1e-300, 1e300)),
         "r_e": draw(_wide(1e-300, 1e300)),
         "beta": draw(_wide(0.1, 120.0)),
-        "n_cells": draw(st.integers(min_value=1, max_value=10 ** 5)),
+        "n_cells": draw(st.one_of(st.integers(min_value=1, max_value=10 ** 5),
+                                  _wide(1.0, sys.float_info.max).map(int))),
     }
     if model is Model.VANET_RIS_RELAY:
         kwargs["r_s"] = draw(_wide(1e-300, 1e300))
@@ -711,9 +739,9 @@ class TestRecipePoints:
 
 
 class TestCapacityDomain:
-    """link_capacities anywhere in the valid domain, n_cells up to 10^5
-    included: finite, nonnegative capacities; never nan, inf or an
-    exception."""
+    """link_capacities anywhere in the valid domain, n_cells up to the top of
+    the double range included: finite, nonnegative capacities; never nan,
+    inf or an exception."""
 
     @pytest.mark.parametrize("model", list(Model))
     @given(data=st.data())
@@ -724,6 +752,18 @@ class TestCapacityDomain:
         caps = link_capacities(points)
         assert caps.shape == (len(points), 2)
         assert np.all(np.isfinite(caps)) and np.all(caps >= 0.0)
+
+    @pytest.mark.parametrize("model", list(Model))
+    def test_huge_arguments_match_the_delta_method(self, model):
+        # ln(N mu s) reaches about 1420 here, so the lattice starts far below
+        # v = -745, where e^v is 0 while s e^v is a normal double
+        r_s = {} if model is Model.V2V_RIS_AP else {"r_s": 1.0}
+        for n_cells in (10 ** 8, 10 ** 12, 2 ** 53) + tuple(10 ** e for e in (100, 200, 290, 300, 307, 308)):
+            for p_s in (1e-300, 1e-200, 1e-100, 1.0, 1e10, 1e100, 1e200, 1e300, 1.5e308):
+                p = SystemParams(model=model, p_s=p_s, r_d=1.0, r_e=1.0, n_cells=n_cells, **r_s)
+                c_d, c_e = link_capacities([p])[0]
+                ref = _capacity_delta_method(p)
+                assert c_d == c_e == pytest.approx(ref, rel=1e-12, abs=0.0), (n_cells, p_s)
 
 
 class TestSecrecyReport:
