@@ -269,14 +269,18 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     return 0.5 * math.erfc(-x)
 
 
-def secrecy_report(params: SystemParams, c_th: float = 1.0) -> SecrecyReport:
-    """Evaluate every analytic metric at one parameter point."""
-    c_d, c_e = (float(c) for c in link_capacities([params])[0])
-    return SecrecyReport(
-        c_d=c_d,
-        c_e=c_e,
-        asc_exact=c_d - c_e,
-        asc_approx=asc_approx(params),
-        sop_corrected=sop(params, c_th, SopMode.CORRECTED),
-        sop_paper_literal=sop(params, c_th, SopMode.PAPER_LITERAL),
-    )
+def secrecy_report(points) -> list:
+    """Every analytic metric at many points, one SecrecyReport per point in order.
+
+    ``points`` is a sequence of ``(SystemParams, c_th)`` pairs sharing one
+    model, as for ``mc_points``. The capacities of all points come from one
+    ``link_capacities`` call, so a point's report is bit-identical whether it
+    is computed alone or in any list. Raises QuadratureError, with
+    ``component`` the index of the point, when a capacity is not finite.
+    """
+    points = list(points)
+    capacities = link_capacities([params for params, _c_th in points]).tolist()
+    return [SecrecyReport(c_d=c_d, c_e=c_e, asc_exact=c_d - c_e, asc_approx=asc_approx(params),
+                          sop_corrected=sop(params, c_th, SopMode.CORRECTED),
+                          sop_paper_literal=sop(params, c_th, SopMode.PAPER_LITERAL))
+            for (params, c_th), (c_d, c_e) in zip(points, capacities)]

@@ -325,7 +325,7 @@ class TestOutputPaths:
         def engine(*_args):
             raise AssertionError("an engine ran before the --out check")
 
-        monkeypatch.setattr(cli, "link_capacities", engine)
+        monkeypatch.setattr(cli, "secrecy_report", engine)
         monkeypatch.setattr(cli, "mc_points", engine)
         out = tmp_path / "missing" / "x.csv"
         assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), "--out", str(out)]) == 2
@@ -612,6 +612,23 @@ class TestValidate:
         assert "gain-sum variance" in out
         assert "corrected=65.98" in out
         assert "paper_literal=96.50" in out
+
+    def test_variance_check_that_cannot_tell_the_constants_apart_is_inconclusive(self, tmp_path, capsys):
+        doc = {"base": {"model": "vanet_ris_relay"}, "mc": {"trials": 20, "seed": 42}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
+        out = capsys.readouterr().out
+        (line,) = [line for line in out.splitlines() if line.startswith("gain-sum variance")]
+        z_corr, z_lit = (float(part.split("(")[-1]) for part in line.split(" se)")[:2])
+        assert z_corr <= 4.0 and z_lit <= 4.0
+        assert line.endswith(f"({z_lit:.1f} se) INCONCLUSIVE (std error too large to conclude)")
+        assert "VALIDATION: FAIL" in out
+
+    def test_cell_count_labels_print_whole(self, tmp_path, capsys):
+        doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1, "seed": 42},
+                       sweep={"param": "n_cells", "start": 1_000_000, "stop": 1_000_002, "steps": 3})
+        assert main(["validate", "--config", _write(tmp_path, doc)]) in (0, 1)
+        labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines() if ": asc_exact=" in line]
+        assert labels == ["n_cells=1000000", "n_cells=1000001", "n_cells=1000002"]
 
     def test_requires_mc_block(self, tmp_path):
         doc = _v2v_doc(outputs=["asc_exact"])

@@ -3,7 +3,7 @@ accuracy against references that share no code with the package."""
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import mpmath as mp
@@ -374,6 +374,24 @@ def _point_runs(model):
     return st.lists(_system_points(model), min_size=1, max_size=4)
 
 
+_POWER_POINTS = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in range(1, 41)]
+
+
+def _poison_eavesdropper(monkeypatch, params):
+    """Make the v2v MGF return nan at the eavesdropper SNR scale of ``params``.
+    Every link is evaluated at its own SNR scale (the node at z = 1), and no
+    other link of ``_POWER_POINTS`` has a node there."""
+    target = snr_scale(params, Link.EAVESDROPPER)
+    original = channels.one_minus_mgf_double_rayleigh
+
+    def poisoned(s):
+        q = original(s)
+        q[s == target] = math.nan
+        return q
+
+    monkeypatch.setattr(channels, "one_minus_mgf_double_rayleigh", poisoned)
+
+
 class TestCapacityEngine:
     """link_capacities: every link on its own, all of them in one MGF call."""
 
@@ -418,18 +436,8 @@ class TestCapacityEngine:
         assert link_capacities([]).shape == (0, 2)
 
     def test_failure_names_the_point(self, monkeypatch):
-        points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in range(1, 41)]
-        # every link is evaluated at its own SNR scale (the node at z = 1),
-        # and no other link here has a node there
-        target = snr_scale(points[37], Link.EAVESDROPPER)
-        original = channels.one_minus_mgf_double_rayleigh
-
-        def poisoned(s):
-            q = original(s)
-            q[s == target] = math.nan
-            return q
-
-        monkeypatch.setattr(channels, "one_minus_mgf_double_rayleigh", poisoned)
+        points = _POWER_POINTS
+        _poison_eavesdropper(monkeypatch, points[37])
         with pytest.raises(secrecy.QuadratureError) as info:
             link_capacities(points)
         assert info.value.component == 37
@@ -767,13 +775,29 @@ class TestCapacityDomain:
 
 
 class TestSecrecyReport:
-    def test_consistent_with_individual_metrics(self, v2v_params):
-        rep = secrecy_report(v2v_params, c_th=1.0)
-        assert rep.asc_exact == rep.c_d - rep.c_e
-        assert rep.asc_approx == asc_approx(v2v_params)
-        assert rep.sop_corrected == sop(v2v_params, 1.0, SopMode.CORRECTED)
-        assert rep.sop_paper_literal == sop(v2v_params, 1.0, SopMode.PAPER_LITERAL)
-        assert rep.c_d >= 0.0 and rep.c_e >= 0.0
+    def test_consistent_with_individual_metrics(self, relay_params):
+        # a c_th sweep at the fig8 point, and a second point
+        fig8 = replace(relay_params, p_s=1000.0)
+        points = [(fig8, c_th) for c_th in (0.25, 1.0, 1.5)] + [(replace(relay_params, n_cells=9), 1.0)]
+        reports = secrecy_report(points)
+        assert len(reports) == len(points)
+        caps = link_capacities([params for params, _c_th in points])
+        for (params, c_th), rep, (c_d, c_e) in zip(points, reports, caps):
+            assert (rep.c_d, rep.c_e) == (c_d, c_e)
+            assert rep.asc_exact == rep.c_d - rep.c_e
+            assert rep.asc_approx == asc_approx(params)
+            assert rep.sop_corrected == sop(params, c_th, SopMode.CORRECTED)
+            assert rep.sop_paper_literal == sop(params, c_th, SopMode.PAPER_LITERAL)
+            assert rep.c_d >= 0.0 and rep.c_e >= 0.0
+            (alone,) = secrecy_report([(params, c_th)])
+            assert np.array(astuple(alone)).tobytes() == np.array(astuple(rep)).tobytes()
+        assert reports[0].sop_corrected < reports[1].sop_corrected < reports[2].sop_corrected
+
+    def test_failure_names_the_point(self, monkeypatch):
+        _poison_eavesdropper(monkeypatch, _POWER_POINTS[37])
+        with pytest.raises(secrecy.QuadratureError) as info:
+            secrecy_report([(params, 1.0) for params in _POWER_POINTS])
+        assert info.value.component == 37
 
     def test_validation(self):
         with pytest.raises(ValueError):
