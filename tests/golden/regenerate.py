@@ -9,11 +9,19 @@ every case and compares it with that file, so a change to any of these
 numbers shows up as a test failure and a re-baseline as a diff of this
 directory. Run the script only for a deliberate change of outputs, and say
 why with the diff.
+
+The script also writes ``FINGERPRINT``: the Python and NumPy versions, the
+machine and the SIMD extensions NumPy dispatches to, which together fix the
+last bits of every number. Where the running fingerprint is the committed
+one, the tests require the outputs byte for byte.
 """
 import json
+import platform
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 from ris_secrecy import cli
 
@@ -29,6 +37,19 @@ CASES.update({f"eval-{fig}.csv": (fig, ["eval", "--csv"], ALL_OUTPUTS) for fig i
 CASES.update({f"validate-{fig}-{mode}.txt": (fig, ["validate", "--mode", mode], None)
               for fig, mode in (("fig4", "corrected"), ("fig5", "corrected"), ("fig5", "paper-literal"),
                                 ("fig8", "corrected"), ("fig8", "paper-literal"))})
+
+
+def fingerprint() -> str:
+    """The platform that the committed outputs were written on, as the text
+    of ``FINGERPRINT``: the Python and NumPy versions, the machine and the
+    SIMD extensions found at run time among those NumPy dispatches to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    found = [feature for feature in __cpu_dispatch__ if __cpu_features__[feature]]
+    return (f"python {platform.python_version()}\nnumpy {np.__version__}\n"
+            f"machine {platform.machine()}\nsimd {' '.join(found)}\n")
 
 
 def run_case(name: str, workdir: Path) -> tuple:
@@ -53,6 +74,7 @@ def main() -> int:
                 print(f"{name}: exit code {code}", file=sys.stderr)
                 return 1
             (HERE / name).write_text(text, encoding="utf-8")
+    (HERE / "FINGERPRINT").write_text(fingerprint(), encoding="utf-8")
     return 0
 
 

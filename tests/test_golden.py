@@ -1,13 +1,15 @@
 """Characterization tests: every case of ``tests/golden/regenerate.py`` rerun
 at 1 and 2 worker threads against its committed output.
 
-Bytes can differ in the last bits between SIMD levels of one NumPy build, so
-the comparison is by value: CSV cells within 1e-13 relative, except the MC
-outage estimate ``mc_sop``, a count over the trials, which must be exact; and
-validate reports line by line, with the same text and verdicts and every
-number within 1e-5 relative (one unit of the sixth significant digit). A
-deliberate change of outputs is a rerun of the script and a reviewed diff of
-``tests/golden/``.
+On the platform that wrote the outputs (its ``FINGERPRINT``: Python and
+NumPy versions, machine, SIMD extensions) the outputs must be the same bytes.
+Elsewhere bytes can differ in the last bits, between Python versions and
+between SIMD levels of one NumPy build, so the comparison is by value: CSV
+cells within 1e-13 relative, except the MC outage estimate ``mc_sop``, a
+count over the trials, which must be exact; and validate reports line by
+line, with the same text and verdicts and every number within 1e-5 relative
+(one unit of the sixth significant digit). A deliberate change of outputs is
+a rerun of the script and a reviewed diff of ``tests/golden/``.
 """
 import importlib.util
 import math
@@ -58,18 +60,21 @@ def _compare_report(got: str, want: str) -> list:
     return problems
 
 
+# Written on the platform of the committed outputs: compare bytes, not values
+_SAME_PLATFORM = regenerate.fingerprint() == (GOLDEN / "FINGERPRINT").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(regenerate.CASES))
 def test_output_matches_golden(case, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
     code, got = regenerate.run_case(case, tmp_path)
     want = (GOLDEN / case).read_text(encoding="utf-8")
-    if case.endswith(".csv"):
-        assert code == 0
-        problems = _compare_csv(got, want)
-    else:
-        assert code == (0 if want.endswith("VALIDATION: PASS\n") else 1)
-        problems = _compare_report(got, want)
+    assert code == (0 if case.endswith(".csv") or want.endswith("VALIDATION: PASS\n") else 1)
+    if _SAME_PLATFORM:
+        assert got.encode("utf-8") == (GOLDEN / case).read_bytes()
+        return
+    problems = (_compare_csv if case.endswith(".csv") else _compare_report)(got, want)
     assert problems == []
 
 
