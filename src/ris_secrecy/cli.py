@@ -302,6 +302,7 @@ def run_validate(cfg: RunConfig, out, mode: SopMode) -> int:
     """
     sop_name = f"sop_{mode.value}"
     values, rows = _rows(replace(cfg, outputs=("mc_asc", "mc_sop")))
+    too_few = _TOO_FEW if cfg.mc.trials < 2 else None  # a mean's std error needs two trials
     all_ok = True
     for value, row in zip(values, rows):
         # cell counts print whole: :g gives 1e+06 for 1000000 and 1000001 alike
@@ -309,10 +310,12 @@ def run_validate(cfg: RunConfig, out, mode: SopMode) -> int:
                  else f"{cfg.sweep.param}={value:g}")
         analytic, se = row["asc_exact"], row["mc_asc_diff_se"]
         all_ok = _check(out, f"{label}: asc_exact", analytic, row["mc_asc_diff"], se, "3se", 3.0 * se,
-                        inconclusive=3.0 * se > 0.1 * max(abs(analytic), 1e-6)) and all_ok
+                        inconclusive=too_few or (_TOO_WIDE if 3.0 * se > 0.1 * max(abs(analytic), 1e-6)
+                                                 else None)) and all_ok
         se = row["mc_sop_se"]
         all_ok = _check(out, f"{label}: sop[{mode.value}]", row[sop_name], row["mc_sop"], se,
-                        f"{SOP_TOL:g}+3se", SOP_TOL + 3.0 * se, inconclusive=se > 0.5 * SOP_TOL) and all_ok
+                        f"{SOP_TOL:g}+3se", SOP_TOL + 3.0 * se,
+                        inconclusive=too_few or (_TOO_WIDE if se > 0.5 * SOP_TOL else None)) and all_ok
     if cfg.base.model is Model.VANET_RIS_RELAY:
         sweeps_cells = cfg.sweep is not None and cfg.sweep.param == "n_cells"
         cells = values if sweeps_cells else [cfg.base.n_cells] * len(rows)
@@ -323,14 +326,20 @@ def run_validate(cfg: RunConfig, out, mode: SopMode) -> int:
     return 0 if all_ok else 1
 
 
+# Why a check line is INCONCLUSIVE
+_TOO_FEW = "too few trials for a std error"
+_TOO_WIDE = "std error too large to conclude"
+
+
 def _check(out, name: str, analytic: float, mc: float, se: float, tol_name: str, tol: float, *,
-           inconclusive: bool) -> bool:
+           inconclusive: str | None) -> bool:
     """Write the report line comparing ``analytic`` with the Monte-Carlo
     estimate ``mc`` (standard error ``se``); True when it is PASS: the gap
-    is within ``tol``. The line says INCONCLUSIVE when the Monte-Carlo error
-    is too large for either verdict."""
+    is within ``tol``. The line says INCONCLUSIVE, with the reason
+    ``inconclusive``, when that is given: the Monte-Carlo estimate cannot
+    support either verdict."""
     gap = abs(analytic - mc)
-    status = ("INCONCLUSIVE (std error too large to conclude)" if inconclusive
+    status = (f"INCONCLUSIVE ({inconclusive})" if inconclusive
               else "PASS" if gap <= tol else "FAIL")
     out.write(f"{name}={analytic:.6g} mc={mc:.6g} +-{se:.2g} |gap|={gap:.3g}"
               f" tol({tol_name})={tol:.3g} {status}\n")
@@ -340,16 +349,21 @@ def _check(out, name: str, analytic: float, mc: float, se: float, tol_name: str,
 def _adjudicate_gain_variance(out, n_cells: int, var_est: McEstimate) -> bool:
     """Print the measured variance of the summed relay gains at ``n_cells``
     next to both closed-form candidates (the report always shows the two
-    constants); True when it is PASS. The line says FAIL when the corrected
-    constant is more than 4 standard errors off, and INCONCLUSIVE when the
-    paper_literal one is also within 4, so the run cannot tell them apart."""
+    constants); True when it is PASS. The line says INCONCLUSIVE below four
+    trials, where the variance has no standard error; otherwise FAIL when the
+    corrected constant is more than 4 standard errors off, and INCONCLUSIVE
+    when the paper_literal one is also within 4, so the run cannot tell them
+    apart."""
     corrected = n_cells * channels.TRIPLE_CASCADE_VARIANCE
     literal = n_cells * channels.PAPER_LITERAL_TRIPLE_VARIANCE
+    too_few = var_est.trials < 4
     se = max(var_est.std_error, 1e-300)
-    z_corr = abs(var_est.value - corrected) / se
-    z_lit = abs(var_est.value - literal) / se
-    status = ("FAIL" if not z_corr <= 4.0
-              else "INCONCLUSIVE (std error too large to conclude)" if z_lit <= 4.0 else "PASS")
+    # distances in standard errors; nan where there is none
+    z_corr = math.nan if too_few else abs(var_est.value - corrected) / se
+    z_lit = math.nan if too_few else abs(var_est.value - literal) / se
+    status = (f"INCONCLUSIVE ({_TOO_FEW})" if too_few
+              else "FAIL" if not z_corr <= 4.0
+              else f"INCONCLUSIVE ({_TOO_WIDE})" if z_lit <= 4.0 else "PASS")
     out.write(
         f"gain-sum variance (N={n_cells}): mc={var_est.value:.6g} +-{var_est.std_error:.2g}"
         f" corrected={corrected:.6g} ({z_corr:.1f} se) paper_literal={literal:.6g}"

@@ -164,11 +164,18 @@ _LEFT = -40.0
 _LAST = 16  # the node at v = 4
 
 
+# The most nodes of one MGF call. A capacity run takes its columns in
+# consecutive batches of whole columns up to this many nodes (a larger column
+# is a batch alone), so its working memory does not grow with the run.
+_BATCH_NODES = 1 << 14
+
+
 def _capacity_run(columns) -> np.ndarray:
     """Average capacity (bits/s/Hz) of every (params, link) column; each
-    column has its own SNR scale and cell count. All nodes go through one
-    MGF call, and each column is summed over its own nodes only, so its value
-    does not depend on the other columns."""
+    column has its own SNR scale and cell count. The columns go through the
+    MGF in batches of at most ``_BATCH_NODES`` nodes, one call each, and each
+    column is summed over its own nodes only, so its value does not depend on
+    the other columns or on the batching."""
     model = columns[0][0].model
     if any(params.model is not model for params, _link in columns):
         raise ValueError("the points of a capacity run must share one model")
@@ -176,10 +183,31 @@ def _capacity_run(columns) -> np.ndarray:
     log_mean = math.log(channels.DOUBLE_RAYLEIGH_MEAN if v2v else channels.TRIPLE_CASCADE_MEAN)
     one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if v2v
                      else channels.one_minus_mgf_triple_cascade)
-    scales = [snr_scale(params, link) for params, link in columns]
-    n_cells = [float(params.n_cells) for params, _link in columns]
-    firsts = [math.ceil((_LEFT - max(0.0, math.log(n) + log_mean + math.log(scale))) / _STEP)
-              for n, scale in zip(n_cells, scales)]
+    return np.concatenate([_capacity_batch(batch, one_minus_mgf)
+                           for batch in _node_batches(columns, log_mean)])
+
+
+def _node_batches(columns, log_mean: float):
+    """The (SNR scale, cell count, first node) of every column, in
+    consecutive lists of whole columns of at most ``_BATCH_NODES`` nodes in
+    all, or of one larger column."""
+    batch, nodes = [], 0
+    for params, link in columns:
+        scale = snr_scale(params, link)
+        n_cells = float(params.n_cells)
+        first = math.ceil((_LEFT - max(0.0, math.log(n_cells) + log_mean + math.log(scale))) / _STEP)
+        count = _LAST + 1 - first
+        if batch and nodes + count > _BATCH_NODES:
+            yield batch
+            batch, nodes = [], 0
+        batch.append((scale, n_cells, first))
+        nodes += count
+    yield batch
+
+
+def _capacity_batch(batch, one_minus_mgf) -> np.ndarray:
+    """The capacities of one batch of ``_node_batches``, from one MGF call."""
+    scales, n_cells, firsts = zip(*batch)
     counts = [_LAST + 1 - k for k in firsts]
     v = np.concatenate([np.arange(k, _LAST + 1) for k in firsts]) * _STEP
     # s e^v, not exp(v + ln s): the rounding of ln s would move every
@@ -209,8 +237,11 @@ def link_capacities(points) -> np.ndarray:
 
     ``points`` is a sequence of SystemParams sharing one model. Every link is
     computed on its own, so a point's row is bit-identical whether it is
-    computed alone or with any other points. Raises QuadratureError, with
-    ``component`` the index of the point, when a capacity is not finite.
+    computed alone or with any other points. The links go through the MGF in
+    batches of at most ``_BATCH_NODES`` nodes, so the working memory is about
+    1-2 MB at any number of points; only the returned rows grow with it.
+    Raises QuadratureError, with ``component`` the index of the point, when a
+    capacity is not finite.
     """
     if not points:
         return np.empty((0, 2))

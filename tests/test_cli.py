@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,21 @@ class TestEval:
             assert main(["eval", "--config", cfg, "--csv"]) == 0
             _header, value = capsys.readouterr().out.splitlines()
             assert math.isfinite(float(value))
+
+    @pytest.mark.parametrize("base", [{"model": "v2v_ris_ap"}, {"model": "vanet_ris_relay", "r_s": 1.0}],
+                             ids=["v2v", "relay"])
+    def test_mc_asc_at_the_top_of_the_double_range(self, tmp_path, capsys, base):
+        # SNR scale times gain sum overflows here: the Monte-Carlo capacities
+        # take their log form
+        doc = {"base": dict(base, p_s=1.5e308, r_d=1.0, r_e=2.0), "outputs": ["asc_exact", "mc_asc"],
+               "mc": {"trials": 100, "seed": 42}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        cells = dict(zip(header, map(float, row)))
+        assert all(math.isfinite(v) for v in cells.values())
+        assert abs(cells["asc_exact"] - cells["mc_asc_diff"]) <= 4.0 * cells["mc_asc_diff_se"]
 
     @pytest.mark.parametrize("doc,expected", [
         # 2^c_th overflows
@@ -622,6 +638,22 @@ class TestValidate:
         assert z_corr <= 4.0 and z_lit <= 4.0
         assert line.endswith(f"({z_lit:.1f} se) INCONCLUSIVE (std error too large to conclude)")
         assert "VALIDATION: FAIL" in out
+
+    def test_one_trial_sweep_is_inconclusive_on_every_line(self, tmp_path, capsys):
+        doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1, "seed": 42},
+                       sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 3})
+        assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert len(lines) == 6 and verdict == "VALIDATION: FAIL"
+        assert all(line.endswith("INCONCLUSIVE (too few trials for a std error)") for line in lines)
+
+    def test_relay_variance_below_four_trials_is_inconclusive(self, tmp_path, capsys):
+        doc = {"base": {"model": "vanet_ris_relay"}, "mc": {"trials": 3, "seed": 42}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
+        *lines, verdict = capsys.readouterr().out.splitlines()
+        assert verdict == "VALIDATION: FAIL" and not any(line.endswith("FAIL") for line in lines)
+        (line,) = [line for line in lines if line.startswith("gain-sum variance")]
+        assert line.endswith("(nan se) INCONCLUSIVE (too few trials for a std error)")
 
     def test_cell_count_labels_print_whole(self, tmp_path, capsys):
         doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1, "seed": 42},

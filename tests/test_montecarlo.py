@@ -357,6 +357,20 @@ class TestChunkedDraw:
         sample_gain_sums(relay_params, rng, 100)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("model", sorted(_MODELS))
+    def test_cursors_are_built_without_os_entropy(self, model, monkeypatch):
+        seeds = []
+        pcg64 = np.random.PCG64
+
+        def recording(seed=None):
+            seeds.append(seed)
+            return pcg64(seed)
+
+        rng = np.random.default_rng(8)
+        monkeypatch.setattr(np.random, "PCG64", recording)
+        sample_gain_sums(_MODELS[model], rng, 10)
+        assert len(seeds) == _factors(_MODELS[model]) and None not in seeds
+
     def test_one_output_per_double(self):
         # random(a + b) is random(a) then random(b), and advance(a) skips
         # exactly the outputs random(a) uses
@@ -407,8 +421,8 @@ class TestChunkedDraw:
 
     @pytest.mark.parametrize("model", sorted(_MODELS))
     def test_oversize_rows_are_drawn_in_column_pieces(self, model):
-        # a row of 1e5 cells is larger than the workspace: four column
-        # pieces, the last one short, on the same cursors
+        # a row of 1e5 cells is larger than the workspace: eight column
+        # pieces (relay) or seven (v2v), the last one short, on the same cursors
         params = replace(_MODELS[model], n_cells=10 ** 5)
         ref_rng, rng = np.random.default_rng(11), np.random.default_rng(11)
         ref = _whole_array_gain_sums(params, ref_rng, 3)

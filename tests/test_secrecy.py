@@ -3,6 +3,7 @@ accuracy against references that share no code with the package."""
 import json
 import math
 import sys
+import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
@@ -393,7 +394,7 @@ def _poison_eavesdropper(monkeypatch, params):
 
 
 class TestCapacityEngine:
-    """link_capacities: every link on its own, all of them in one MGF call."""
+    """link_capacities: every link on its own, in MGF calls of bounded size."""
 
     @pytest.mark.parametrize("model", list(Model))
     @given(data=st.data())
@@ -420,15 +421,51 @@ class TestCapacityEngine:
         assert caps[3, 0] == caps[0, 1] and caps[3, 1] == caps[0, 0]
         assert caps[3, 0] - caps[3, 1] == -(caps[0, 0] - caps[0, 1])
 
-    def test_runs_longer_than_the_cap_match_per_point_values(self):
+    @staticmethod
+    def _count_mgf_calls(monkeypatch) -> list:
+        """Count the calls of the v2v MGF; returns the list they append to."""
+        calls = []
+        original = channels.one_minus_mgf_double_rayleigh
+
+        def counted(s):
+            calls.append(len(s))
+            return original(s)
+
+        monkeypatch.setattr(channels, "one_minus_mgf_double_rayleigh", counted)
+        return calls
+
+    def test_runs_longer_than_the_cap_match_per_point_values(self, monkeypatch):
         points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 70)]
         # an SNR scale near 1e308 sums about 3,000 nodes per link, the others
         # 177 to 211
         points[13] = SystemParams(model=Model.V2V_RIS_AP, p_s=1.5e308, r_d=1.0, r_e=1.0)
+        calls = self._count_mgf_calls(monkeypatch)
         caps = link_capacities(points)
+        assert len(calls) >= 2 and max(calls) <= secrecy._BATCH_NODES
         assert np.all(np.isfinite(caps))
         for p, row in zip(points, caps):
             assert row.tobytes() == link_capacities([p])[0].tobytes()
+
+    def test_columns_larger_than_the_cap_are_batches_alone(self, monkeypatch):
+        points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 5)]
+        whole = link_capacities(points)
+        monkeypatch.setattr(secrecy, "_BATCH_NODES", 100)  # below every column's node count
+        calls = self._count_mgf_calls(monkeypatch)
+        assert link_capacities(points).tobytes() == whole.tobytes()
+        assert len(calls) == 2 * len(points)
+
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
+    def test_run_memory_is_bounded(self, model, r_s):
+        points = [SystemParams(model=model, r_s=r_s, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 2000)]
+        points[1000] = SystemParams(model=model, r_s=r_s and 1.0, p_s=1.5e308, r_d=1.0, r_e=2.0)
+        tracemalloc.start()
+        try:
+            caps = link_capacities(points)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(caps))
+        assert peak < 8 * 2 ** 20  # one MGF call over all 800,000 nodes took about 34 MB
 
     def test_points_must_share_a_model(self, v2v_params, relay_params):
         with pytest.raises(ValueError):
