@@ -7,12 +7,13 @@ triple cascade (Rayleigh source leg times a double-Rayleigh receiver leg).
 
 Average capacities come from the MGF integral identity
 C = (1/ln 2) * int_0^inf (1 - M(z)) exp(-z)/z dz, summed for each link by a
-fixed trapezoid rule in ln z, with the nodes of all links in one MGF call.
+fixed trapezoid rule in ln z, with the nodes of many links in each MGF call.
 The average secrecy capacity is the difference of per-link capacities. Its
 closed-form approximation is the difference of the per-link Jensen bounds
 log2(1 + N mu s), taken in the log domain, and the outage probability is an
 erfc form from a Gaussian approximation of the summed gains. Both closed forms
-read the link SNR scale s only from ``snr_scale``.
+read the link SNR scale s from ``snr_scale``; the outage form takes the ratio
+of the two links' scales from the distances alone.
 """
 import itertools
 import math
@@ -265,6 +266,20 @@ def asc_approx(params: SystemParams) -> float:
     return float(bound_d - bound_e) / math.log(2.0)
 
 
+def _path_ratio(params: SystemParams) -> float:
+    """(r_d / r_e)^beta, the eavesdropper's SNR scale over the destination's
+    (the relay's hop loss cancels), formed from the distances alone: the
+    quotient of the two rounded scales can rise by an ulp as p_s rises, and
+    the outage with it."""
+    q = params.r_d / params.r_e
+    try:
+        if _TINY <= q < math.inf:
+            return q ** params.beta
+        return math.exp(params.beta * (math.log(params.r_d) - math.log(params.r_e)))
+    except OverflowError:
+        return math.inf
+
+
 def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) -> float:
     """Secrecy outage probability from the Gaussian (CLT) gain-sum approximation.
 
@@ -283,7 +298,7 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     except OverflowError:  # drives the erf argument below to +inf
         return 1.0
     scale_d = snr_scale(params, Link.DESTINATION)
-    ratio = snr_scale(params, Link.EAVESDROPPER) / scale_d  # r_e^-beta / r_d^-beta
+    ratio = _path_ratio(params)
     noise_term = (nu - 1.0) / scale_d  # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta])
     if params.model is Model.V2V_RIS_AP:
         mean, variance = channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE

@@ -586,6 +586,15 @@ class TestSop:
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=p_star, r_d=r_d, r_e=r_e, n_cells=n)
         assert sop(p, c_th) == pytest.approx(0.5, abs=1e-9)
 
+    def test_one_ulp_more_power_never_raises_outage(self):
+        # the quotient of the two rounded SNR scales rose by one ulp from p_s
+        # to louder here, and the outage by two
+        p = SystemParams(model=Model.VANET_RIS_RELAY, p_s=390428.44810981676, beta=2.0, n_cells=1,
+                         r_d=1.4549914146182013, r_e=1.2840254166877414, r_s=1.0)
+        louder = replace(p, p_s=math.nextafter(p.p_s, math.inf))
+        for mode in SopMode:
+            assert sop(louder, 1.0, mode) <= sop(p, 1.0, mode)
+
     def test_far_eavesdropper_drives_outage_down(self):
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0)
         assert sop(p, 0.5) < 0.01
