@@ -457,7 +457,7 @@ class TestCapacityEngine:
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_run_memory_is_bounded(self, model, r_s):
         points = [SystemParams(model=model, r_s=r_s, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 2000)]
-        points[1000] = SystemParams(model=model, r_s=r_s and 1.0, p_s=1.5e308, r_d=1.0, r_e=2.0)
+        points[1000] = replace(points[1000], p_s=1.5e308, r_d=1.0, r_e=2.0)
         tracemalloc.start()
         try:
             caps = link_capacities(points)
