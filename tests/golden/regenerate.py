@@ -3,8 +3,9 @@ committed outputs from the current code.
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Each case is one CLI command run on a recipe; its output is committed in this
-directory as ``<case>.csv`` or ``<case>.txt``. ``tests/test_golden.py`` reruns
+Each case is one CLI command run on a recipe; its output (or, for a
+``--dump-config`` case, the config it writes) is committed in this directory
+as ``<case>.csv``, ``<case>.txt`` or ``<case>.json``. ``tests/test_golden.py`` reruns
 every case and compares it with that file, so a change to any of these
 numbers shows up as a test failure and a re-baseline as a diff of this
 directory. Run the script only for a deliberate change of outputs, and say
@@ -34,6 +35,8 @@ ALL_OUTPUTS = ["asc_exact", "asc_approx", "sop_corrected", "sop_paper_literal", 
 CASES = {f"sweep-{fig}.csv": (fig, ["sweep"], None) for fig in
          ("fig4", "fig5", "fig6", "fig7", "fig8", "fig9")}
 CASES.update({f"eval-{fig}.csv": (fig, ["eval", "--csv"], ALL_OUTPUTS) for fig in ("fig4", "fig5")})
+CASES.update({f"eval-{fig}.txt": (fig, ["eval"], ALL_OUTPUTS) for fig in ("fig4", "fig8")})
+CASES["dump-config-fig8.json"] = ("fig8", ["sweep", "--dump-config"], None)
 CASES.update({f"validate-{fig}-{mode}.txt": (fig, ["validate", "--mode", mode], None)
               for fig, mode in (("fig4", "corrected"), ("fig5", "corrected"), ("fig5", "paper-literal"),
                                 ("fig8", "corrected"), ("fig8", "paper-literal"))})
@@ -62,7 +65,9 @@ def run_case(name: str, workdir: Path) -> tuple:
     config = workdir / f"{name}.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
     out = workdir / name
-    code = cli.main([args[0], "--config", str(config), "--out", str(out)] + args[1:])
+    option = "--dump-config" if "--dump-config" in args else "--out"
+    rest = [arg for arg in args[1:] if arg != option]
+    code = cli.main([args[0], "--config", str(config), option, str(out)] + rest)
     return code, out.read_text(encoding="utf-8")
 
 

@@ -6,9 +6,9 @@ NumPy versions, machine, SIMD extensions) the outputs must be the same bytes.
 Elsewhere bytes can differ in the last bits, between Python versions and
 between SIMD levels of one NumPy build, so the comparison is by value: CSV
 cells within 1e-13 relative, except the MC outage estimate ``mc_sop``, a
-count over the trials, which must be exact; and validate reports line by
-line, with the same text and verdicts and every number within 1e-5 relative
-(one unit of the sixth significant digit). A deliberate change of outputs is
+count over the trials, which must be exact; and validate reports, eval tables and dumped
+configs line by line, with the same text and verdicts and every number within
+1e-5 relative (one unit of the sixth significant digit). A deliberate change of outputs is
 a rerun of the script and a reviewed diff of ``tests/golden/``.
 """
 import importlib.util
@@ -70,7 +70,7 @@ def test_output_matches_golden(case, threads, tmp_path, monkeypatch):
     monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
     code, got = regenerate.run_case(case, tmp_path)
     want = (GOLDEN / case).read_text(encoding="utf-8")
-    assert code == (0 if case.endswith(".csv") or want.endswith("VALIDATION: PASS\n") else 1)
+    assert code == (1 if case.startswith("validate-") and not want.endswith("VALIDATION: PASS\n") else 0)
     if _SAME_PLATFORM:
         assert got.encode("utf-8") == (GOLDEN / case).read_bytes()
         return
