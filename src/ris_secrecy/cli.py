@@ -20,7 +20,9 @@ from . import channels
 from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
 from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, secrecy_report
 
-SWEEPABLE = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s", "c_th")
+# The keys of the base section, each a SystemParams field
+_BASE_KEYS = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s")
+SWEEPABLE = _BASE_KEYS + ("c_th",)
 # Every output and its value columns, in CSV column order. The Monte-Carlo
 # outputs and their columns are the ``mc_`` ones; the standard error of each
 # such column follows all the values, as ``<column>_se``.
@@ -34,9 +36,7 @@ OUTPUT_COLUMNS = {
 }
 DEFAULT_OUTPUTS = ("asc_exact", "asc_approx", "sop_corrected")
 
-_BASE_DEFAULTS = {"p_s": 10.0, "n_0": 1.0, "beta": 2.7, "n_cells": 16, "r_d": 4.0, "r_e": 8.0}
 DEFAULT_RELAY_R_S = 10.0
-DEFAULT_C_TH = 1.0
 # Absolute tolerance of validate's SOP check, the error of the CLT outage
 # formula itself; three Monte-Carlo standard errors are added to it.
 SOP_TOL = 0.02
@@ -84,7 +84,6 @@ class SweepSpec:
 class RunConfig:
     base: SystemParams
     sweep: SweepSpec | None
-    c_th: float
     mc: McConfig | None
     outputs: tuple
 
@@ -96,8 +95,6 @@ class RunConfig:
                 raise ConfigError(f"unknown output {out!r}; valid outputs: {tuple(OUTPUT_COLUMNS)}")
         if _wants_mc(self.outputs) and self.mc is None:
             raise ConfigError("Monte-Carlo outputs require an 'mc' config block")
-        if not 0.0 < self.c_th < math.inf:
-            raise ConfigError("c_th must be finite and > 0")
         if self.sweep is not None and self.sweep.param == "r_s" and self.base.model is Model.V2V_RIS_AP:
             raise ConfigError("r_s can only be swept for the relay model")
 
@@ -133,8 +130,10 @@ def _real(name: str, value) -> float:
     raise ConfigError(f"{name} must be a number, got {value!r}")
 
 
-def _parse_base(doc) -> SystemParams:
-    doc = _section("base", doc, ("model",) + tuple(_BASE_DEFAULTS) + ("r_s",))
+def _parse_base(config: dict) -> SystemParams:
+    """The ``base`` section of ``config`` and its top-level ``c_th`` as a point;
+    absent keys take the SystemParams defaults, except the relay's r_s."""
+    doc = _section("base", config["base"], ("model",) + _BASE_KEYS)
     if "model" not in doc:
         raise ConfigError("base.model is required ('v2v_ris_ap' or 'vanet_ris_relay')")
     try:
@@ -143,10 +142,12 @@ def _parse_base(doc) -> SystemParams:
         raise ConfigError(f"unknown model {doc['model']!r}") from None
     if model is Model.V2V_RIS_AP and "r_s" in doc:
         raise ConfigError("r_s applies only to the relay model")
-    fields = {key: (_integer if key == "n_cells" else _real)(f"base.{key}", doc.get(key, default))
-              for key, default in _BASE_DEFAULTS.items()}
+    fields = {key: (_integer if key == "n_cells" else _real)(f"base.{key}", doc[key])
+              for key in _BASE_KEYS if key in doc}
     if model is Model.VANET_RIS_RELAY:
-        fields["r_s"] = _real("base.r_s", doc.get("r_s", DEFAULT_RELAY_R_S))
+        fields.setdefault("r_s", DEFAULT_RELAY_R_S)
+    if "c_th" in config:
+        fields["c_th"] = _real("c_th", config["c_th"])
     try:
         return SystemParams(model=model, **fields)
     except ValueError as exc:
@@ -158,7 +159,7 @@ def build_run_config(doc: dict) -> RunConfig:
     doc = _section("config", doc, ("base", "sweep", "c_th", "mc", "outputs"))
     if "base" not in doc:
         raise ConfigError("config requires a 'base' section")
-    base = _parse_base(doc["base"])
+    base = _parse_base(doc)
     sweep = None
     if doc.get("sweep") is not None:
         sw = _section("sweep", doc["sweep"], ("param", "start", "stop", "steps", "scale"))
@@ -184,29 +185,26 @@ def build_run_config(doc: dict) -> RunConfig:
     outputs = doc.get("outputs", list(DEFAULT_OUTPUTS))
     if not (isinstance(outputs, list) and all(isinstance(out, str) for out in outputs)):
         raise ConfigError(f"outputs must be a list of output names, got {outputs!r}")
-    return RunConfig(base=base, sweep=sweep, c_th=_real("c_th", doc.get("c_th", DEFAULT_C_TH)),
-                     mc=mc, outputs=tuple(outputs))
+    return RunConfig(base=base, sweep=sweep, mc=mc, outputs=tuple(outputs))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Canonical JSON form of a RunConfig; re-parsing it yields an equal config."""
-    doc = {key: value for key, value in asdict(cfg).items() if value is not None}
-    doc["base"] = {key: value for key, value in doc["base"].items() if value is not None}
-    doc["base"]["model"] = cfg.base.model.value
-    doc["outputs"] = list(cfg.outputs)
-    return doc
+    """Canonical JSON form of a RunConfig; re-parsing it yields an equal
+    config. The point's c_th is a top-level key, as in the input."""
+    doc = asdict(cfg)
+    base = {key: value for key, value in doc["base"].items() if value is not None}
+    base["model"] = cfg.base.model.value
+    c_th = base.pop("c_th")
+    doc = {"base": base, "sweep": doc["sweep"], "c_th": c_th, "mc": doc["mc"], "outputs": list(cfg.outputs)}
+    return {key: value for key, value in doc.items() if value is not None}
 
 
-def _point(cfg: RunConfig, value=None):
-    """(SystemParams, c_th) at one sweep value (or the base point)."""
+def _point(cfg: RunConfig, value=None) -> SystemParams:
+    """The point at one sweep value (or the base point)."""
     if value is None:
-        return cfg.base, cfg.c_th
-    if cfg.sweep.param == "c_th":
-        if not 0.0 < value < math.inf:
-            raise ConfigError(f"c_th={value!r}: c_th must be finite and > 0")
-        return cfg.base, float(value)
+        return cfg.base
     try:
-        return replace(cfg.base, **{cfg.sweep.param: value}), cfg.c_th
+        return replace(cfg.base, **{cfg.sweep.param: value})
     except ValueError as exc:
         raise ConfigError(f"{cfg.sweep.param}={value!r}: {exc}") from None
 
@@ -271,7 +269,8 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
         out.write(",".join(cols) + "\n")
         out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
         return
-    items = list(config_to_dict(cfg)["base"].items()) + [("c_th", cfg.c_th)]
+    doc = config_to_dict(cfg)
+    items = list(doc["base"].items()) + [("c_th", doc["c_th"])]
     if "asc_exact" in cfg.outputs:
         items += [("c_d", row["c_d"]), ("c_e", row["c_e"])]
     items += [(c, row[c]) for c in cols]

@@ -65,8 +65,8 @@ def default_threads() -> int:
     return n
 
 
-def _block_rng(seed: int, block_index: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block_index,)))
+def _block_seed(seed: int, block_index: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence(entropy=seed, spawn_key=(block_index,))
 
 
 # Size of a block's draw workspace. Row chunks of every factor array are
@@ -75,11 +75,6 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
 # Smaller workspaces draw more slowly: about 3% at 512 KiB against 1 MiB and
 # 10% at 256 KiB, from the per-chunk calls.
 _CHUNK_BYTES = 1 << 19
-
-
-# The seed that each draw cursor is built from before its state is replaced:
-# a fixed one, since the default would read OS entropy only to discard it.
-_CURSOR_SEED = np.random.SeedSequence(0)
 
 
 def _log_one_minus(u: np.ndarray) -> np.ndarray:
@@ -91,7 +86,7 @@ def _log_one_minus(u: np.ndarray) -> np.ndarray:
     return np.log(u, out=u)
 
 
-def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
+def sample_gain_sums(params: SystemParams, seq: np.random.SeedSequence, n: int):
     """Draw n trials of the summed per-element gains for both links.
 
     Returns (sum_d, sum_e) arrays: sums over the N cells of the destination
@@ -108,25 +103,19 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     sums, and sqrt(-8 Ls L1 L2) for the relay. Every log lies in
     [-36.8, 0], so the products neither overflow nor change sign.
 
-    Factor j is the stretch of ``rng``'s PCG64 stream that starts j*n*N
-    outputs on, as if the arrays were drawn whole one after the other. Each
-    factor is read from its own cursor on that stream (built from a fixed
-    seed, then given the stream's state), in row chunks of a workspace of
-    ``_CHUNK_BYTES`` (a row larger than that in column pieces, whose sums
-    add up), so the sums are bit-identical to whole-array draws (except, in
-    the last bits, rows summed alone over about 1e4 cells or more) and
-    ``rng`` ends k*n*N outputs on, where those leave it. A call holds the
-    workspace and the two n-long sums, whatever n_cells is.
+    Factor j is the stretch of the PCG64 stream seeded by ``seq`` that
+    starts j*n*N outputs on, as if the arrays were drawn whole one after the
+    other by ``np.random.default_rng(seq)``. Each factor is read from its own
+    cursor, a PCG64 seeded by ``seq`` and advanced to that start, in row
+    chunks of a workspace of ``_CHUNK_BYTES`` (a row larger than that in
+    column pieces, whose sums add up), so the sums are bit-identical to
+    whole-array draws (except, in the last bits, rows summed alone over about
+    1e4 cells or more). A call holds the workspace and the two n-long sums,
+    whatever n_cells is.
     """
     n_cells = params.n_cells
     k = 4 if params.model is Model.V2V_RIS_AP else 5
-    state = rng.bit_generator.state
-    cursors = []
-    for j in range(k):
-        bit_generator = np.random.PCG64(_CURSOR_SEED)
-        bit_generator.state = state
-        bit_generator.advance(j * n * n_cells)
-        cursors.append(np.random.Generator(bit_generator))
+    cursors = [np.random.Generator(np.random.PCG64(seq).advance(j * n * n_cells)) for j in range(k)]
     cols = min(n_cells, _CHUNK_BYTES // (8 * k))
     rows = max(1, min(n, _CHUNK_BYTES // (8 * k * n_cells)))
     work = np.empty(k * rows * cols)
@@ -156,8 +145,6 @@ def sample_gain_sums(params: SystemParams, rng: np.random.Generator, n: int):
     if k == 4:  # exact: a power of two
         sum_d *= 2.0
         sum_e *= 2.0
-    state["state"] = cursors[-1].bit_generator.state["state"]
-    rng.bit_generator.state = state
     return sum_d, sum_e
 
 
@@ -186,22 +173,21 @@ class McPointResult:
 
     ``asc_diff`` averages log2(1+gamma_d) - log2(1+gamma_e) (can be negative,
     matches the analytic difference form), ``asc_pos`` averages max(.., 0);
-    ``sop`` is Pr[max(Cs, 0) < c_th], or None when the point has no c_th.
+    ``sop`` is Pr[max(Cs, 0) < c_th] at the point's c_th.
     ``gain_sum`` is the (mean, variance) estimate pair of the destination
     gain sum, shared by every point drawn in the same pass.
     """
 
     asc_diff: McEstimate
     asc_pos: McEstimate
-    sop: McEstimate | None
+    sop: McEstimate
     gain_sum: tuple
 
 
 def mc_points(points, cfg: McConfig) -> list:
     """Estimate the MC metrics at many points, one result per point in order.
 
-    ``points`` is a non-empty sequence of ``(SystemParams, c_th)`` pairs;
-    ``c_th`` may be None when no outage estimate is wanted. The gain sums
+    ``points`` is a non-empty sequence of SystemParams. The gain sums
     depend only on the model, the cell count and (trials, seed), so the
     points are grouped by (model, n_cells) and each group is one pass that
     draws every block once and only rescales and reduces it per point: the
@@ -211,9 +197,7 @@ def mc_points(points, cfg: McConfig) -> list:
     if not points:
         raise ValueError("mc_points needs at least one point")
     groups = {}
-    for k, (params, c_th) in enumerate(points):
-        if c_th is not None and not c_th > 0.0:
-            raise ValueError("c_th must be > 0")
+    for k, params in enumerate(points):
         groups.setdefault((params.model, params.n_cells), []).append(k)
     results = [None] * len(points)
     for members in groups.values():
@@ -228,21 +212,18 @@ def _mc_pass(points, cfg: McConfig) -> list:
     gain sum for its (mean, variance) estimates. Each block's per-point sums
     are kept until every block is done, about 5 KB per point at 25 blocks;
     they are added in block order."""
-    draw_params = points[0][0]
-    scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), c_th)
-              for params, c_th in points]
+    scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), params.c_th)
+              for params in points]
 
     def work(i, n):
-        rng = _block_rng(cfg.seed, i)
-        sum_d, sum_e = sample_gain_sums(draw_params, rng, n)
+        sum_d, sum_e = sample_gain_sums(points[0], _block_seed(cfg.seed, i), n)
         top_d, top_e = float(sum_d.max()), float(sum_e.max())
         stats = []
         for scale_d, scale_e, c_th in scaled:
             cs = _log2_one_plus(scale_d, sum_d, top_d) - _log2_one_plus(scale_e, sum_e, top_e)
             pos = np.maximum(cs, 0.0)
             # as c_th > 0, max(cs, 0) < c_th exactly where cs < c_th
-            outages = 0 if c_th is None else np.count_nonzero(cs < c_th)
-            stats.append((cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), outages))
+            stats.append((cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), np.count_nonzero(cs < c_th)))
         sq = sum_d * sum_d
         return stats, (sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq))
 
@@ -251,14 +232,12 @@ def _mc_pass(points, cfg: McConfig) -> list:
     # sum() adds the blocks in order from 0, as a running total would
     gain_sum = _gain_sum_estimates(*map(sum, zip(*(moments for _stats, moments in parts))), n)
     results = []
-    for k, (_params, c_th) in enumerate(points):
-        sd, sd2, sp, sp2, outages = map(sum, zip(*(stats[k] for stats, _moments in parts)))
-        sop_est = None
-        if c_th is not None:
-            p = outages / n
-            sop_est = McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n)
+    for point_stats in zip(*(stats for stats, _moments in parts)):  # each point's stats of every block
+        sd, sd2, sp, sp2, outages = map(sum, zip(*point_stats))
+        p = outages / n
         results.append(McPointResult(_moment_estimate(sd, sd2, n), _moment_estimate(sp, sp2, n),
-                                     sop_est, gain_sum))
+                                     McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
+                                     gain_sum))
     return results
 
 

@@ -43,7 +43,9 @@ class SopMode(Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Physical parameters of one scenario.
+    """One point of the analysis: the physical parameters of a scenario and
+    the target secrecy rate c_th (bits/s/Hz) whose outage Pr(C_s < c_th) the
+    outage metrics give.
 
     Distances are in metres, p_s in watts, n_0 in the same normalized units
     as p_s; r_s is the source-to-RIS distance and exists only for the relay
@@ -58,14 +60,12 @@ class SystemParams:
     r_d: float = 4.0
     r_e: float = 8.0
     r_s: float | None = None
+    c_th: float = 1.0
 
     def __post_init__(self):
-        if not 0.0 < self.p_s < math.inf:
-            raise ValueError("p_s must be finite and > 0")
-        if not 0.0 < self.n_0 < math.inf:
-            raise ValueError("n_0 must be finite and > 0")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError("beta must be finite and > 0")
+        for name in ("p_s", "n_0", "beta"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
         if not (1 <= self.n_cells <= sys.float_info.max and int(self.n_cells) == self.n_cells):
             raise ValueError("n_cells must be an integer >= 1 within the double range")
         if not (0.0 < self.r_d < math.inf and 0.0 < self.r_e < math.inf):
@@ -82,6 +82,8 @@ class SystemParams:
             scales = [math.inf]
         if not all(0.0 < v < math.inf for v in scales):
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
+        if not 0.0 < self.c_th < math.inf:
+            raise ValueError("c_th must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,30 @@ def asc_approx(params: SystemParams) -> float:
     """Closed-form secrecy-capacity approximation: the difference of the
     per-link Jensen bounds log2(1 + N mu s), with mu the per-cell mean gain
     and s the link SNR scale. Each bound is log(1 + e^x), x = ln(N mu s), so
-    no product of the path-loss terms can leave the double range."""
+    no product of the path-loss terms can leave the double range. Where both
+    bounds round to x, their difference keeps only the absolute precision of
+    x; there it is x_d - x_e = -beta ln(r_d / r_e) plus the log(1 + e^-x)."""
     mean = channels.DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else channels.TRIPLE_CASCADE_MEAN
     log_n_mean = math.log(params.n_cells) + math.log(mean)
-    bound_d, bound_e = np.logaddexp(0.0, [log_n_mean + math.log(snr_scale(params, link)) for link in Link])
-    return float(bound_d - bound_e) / math.log(2.0)
+    x_d, x_e = (log_n_mean + math.log(snr_scale(params, link)) for link in Link)
+    if min(x_d, x_e) > 37.0:  # e^-x < 1e-16, so log(1 + e^x) rounds to x
+        diff = (-params.beta * _log_distance_ratio(params)
+                + math.log1p(math.exp(-x_d)) - math.log1p(math.exp(-x_e)))
+    else:
+        bound_d, bound_e = np.logaddexp(0.0, [x_d, x_e])
+        diff = float(bound_d - bound_e)
+    return diff / math.log(2.0)
+
+
+def _log_distance_ratio(params: SystemParams) -> float:
+    """ln(r_d / r_e): log1p of the exact difference within a factor of two,
+    else the log of the quotient where it is normal, else a difference of logs."""
+    q = params.r_d / params.r_e
+    if 0.5 <= q <= 2.0:
+        return math.log1p((params.r_d - params.r_e) / params.r_e)
+    if _TINY <= q < math.inf:
+        return math.log(q)
+    return math.log(params.r_d) - math.log(params.r_e)
 
 
 def _path_ratio(params: SystemParams) -> float:
@@ -280,8 +301,9 @@ def _path_ratio(params: SystemParams) -> float:
         return math.inf
 
 
-def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) -> float:
-    """Secrecy outage probability from the Gaussian (CLT) gain-sum approximation.
+def sop(params: SystemParams, mode: SopMode = SopMode.CORRECTED) -> float:
+    """Secrecy outage probability Pr(C_s < params.c_th) from the Gaussian
+    (CLT) gain-sum approximation.
 
     The random eavesdropper term is replaced by its mean, reproducing the
     closed erf form, evaluated as erfc; the Monte-Carlo module quantifies the
@@ -291,10 +313,8 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
     variant (pi^3/(2 sqrt 2) and 8-(pi/2)^1.5). Both modes coincide for the
     access-point model.
     """
-    if not c_th > 0.0:
-        raise ValueError("c_th must be > 0")
     try:
-        nu = 2.0 ** c_th
+        nu = 2.0 ** params.c_th
     except OverflowError:  # drives the erf argument below to +inf
         return 1.0
     scale_d = snr_scale(params, Link.DESTINATION)
@@ -318,15 +338,15 @@ def sop(params: SystemParams, c_th: float, mode: SopMode = SopMode.CORRECTED) ->
 def secrecy_report(points) -> list:
     """Every analytic metric at many points, one SecrecyReport per point in order.
 
-    ``points`` is a sequence of ``(SystemParams, c_th)`` pairs sharing one
-    model, as for ``mc_points``. The capacities of all points come from one
+    ``points`` is a sequence of SystemParams sharing one model, as for
+    ``link_capacities`` and ``mc_points``. The capacities of all points come from one
     ``link_capacities`` call, so a point's report is bit-identical whether it
     is computed alone or in any list. Raises QuadratureError, with
     ``component`` the index of the point, when a capacity is not finite.
     """
     points = list(points)
-    capacities = link_capacities([params for params, _c_th in points]).tolist()
+    capacities = link_capacities(points).tolist()
     return [SecrecyReport(c_d=c_d, c_e=c_e, asc_exact=c_d - c_e, asc_approx=asc_approx(params),
-                          sop_corrected=sop(params, c_th, SopMode.CORRECTED),
-                          sop_paper_literal=sop(params, c_th, SopMode.PAPER_LITERAL))
-            for (params, c_th), (c_d, c_e) in zip(points, capacities)]
+                          sop_corrected=sop(params, SopMode.CORRECTED),
+                          sop_paper_literal=sop(params, SopMode.PAPER_LITERAL))
+            for params, (c_d, c_e) in zip(points, capacities)]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ris_secrecy import Model, SystemParams
@@ -21,11 +22,11 @@ _ONE_CELL = {Model.V2V_RIS_AP: SystemParams(model=Model.V2V_RIS_AP, n_cells=1),
 
 @pytest.fixture
 def cell_gains():
-    """draw(model, rng, n): n per-cell gains of one model's fading law, drawn
-    as the Monte-Carlo engine draws them (the destination gain sums of a
-    one-cell system: double-Rayleigh for v2v, the triple cascade for the
-    relay)."""
-    def draw(model, rng, n):
-        return sample_gain_sums(_ONE_CELL[model], rng, n)[0]
+    """draw(model, seed, n): n per-cell gains of one model's fading law,
+    drawn as the Monte-Carlo engine draws them from the integer ``seed`` (the
+    destination gain sums of a one-cell system: double-Rayleigh for v2v, the
+    triple cascade for the relay)."""
+    def draw(model, seed, n):
+        return sample_gain_sums(_ONE_CELL[model], np.random.SeedSequence(seed), n)[0]
 
     return draw

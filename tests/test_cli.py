@@ -52,7 +52,7 @@ class TestConfigParsing:
         assert cfg.base.model is Model.V2V_RIS_AP
         assert cfg.base.p_s == 10.0 and cfg.base.n_cells == 16
         assert cfg.outputs == ("asc_exact", "asc_approx", "sop_corrected")
-        assert cfg.c_th == 1.0
+        assert cfg.base.c_th == 1.0
         assert cfg.mc is None
 
     def test_relay_gets_default_r_s(self):
@@ -131,6 +131,13 @@ class TestConfigParsing:
     def test_rejects_bad_documents(self, doc):
         with pytest.raises(ConfigError):
             build_run_config(doc)
+
+    def test_threshold_is_a_top_level_key(self):
+        # c_th is a field of the point, but the config keeps it outside base
+        cfg = build_run_config({"base": {"model": "vanet_ris_relay"}, "c_th": 2.5})
+        assert cfg.base.c_th == 2.5
+        with pytest.raises(ConfigError, match=r"unknown key\(s\) in base: \['c_th'\]"):
+            build_run_config({"base": {"model": "v2v_ris_ap", "c_th": 1.0}})
 
     def test_integral_floats_are_integers(self):
         cfg = build_run_config({"base": {"model": "v2v_ris_ap", "n_cells": 16.0},
@@ -497,9 +504,9 @@ class TestSinglePassDraws:
         calls = []
         original = montecarlo.sample_gain_sums
 
-        def counting(params, rng, n, **kwargs):
+        def counting(params, seq, n, **kwargs):
             calls.append((params.n_cells, n))
-            return original(params, rng, n, **kwargs)
+            return original(params, seq, n, **kwargs)
 
         monkeypatch.setattr(montecarlo, "sample_gain_sums", counting)
         return calls
@@ -559,7 +566,7 @@ class TestCapacityRuns:
     def test_nonconvergence_names_the_row_before_any_output(self, tmp_path, monkeypatch, capsys):
         bad_row = 7
         value = SweepSpec("p_s", 1.0, 50.0, 25).values()[bad_row]
-        params, _c_th = cli._point(cli.build_run_config(self.RELAY_SWEEP), value)
+        params = cli._point(cli.build_run_config(self.RELAY_SWEEP), value)
         # the rule evaluates every link at its own SNR scale (the node at
         # z = 1), and no other link of the sweep has a node there
         target = secrecy.snr_scale(params, secrecy.Link.DESTINATION)

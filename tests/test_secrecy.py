@@ -216,6 +216,15 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(model=Model.V2V_RIS_AP, **kwargs)
 
+    @pytest.mark.parametrize("c_th", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_validation(self, c_th):
+        for model, r_s in ((Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)):
+            with pytest.raises(ValueError, match=r"^c_th must be finite and > 0$"):
+                SystemParams(model=model, r_s=r_s, c_th=c_th)
+
+    def test_threshold_defaults_to_one_bit(self, v2v_params):
+        assert v2v_params.c_th == 1.0
+
     def test_relay_requires_r_s(self):
         with pytest.raises(ValueError):
             SystemParams(model=Model.VANET_RIS_RELAY)
@@ -519,8 +528,9 @@ class TestMonotonicity:
         p = data.draw(_system_points(model))
         louder = _valid_point(replace, p, p_s=p.p_s * data.draw(_log_uniform(1.0, 1e3)))
         c_th = data.draw(st.floats(min_value=0.05, max_value=5.0))
+        p, louder = replace(p, c_th=c_th), replace(louder, c_th=c_th)
         for mode in SopMode:
-            assert sop(louder, c_th, mode) <= sop(p, c_th, mode)
+            assert sop(louder, mode) <= sop(p, mode)
 
 
 def _asc_exact(params: SystemParams) -> float:
@@ -583,8 +593,8 @@ class TestSop:
         ratio = (r_e / r_d) ** -beta
         b = n * (math.pi / 2.0) * (nu * ratio - 1.0)
         p_star = (nu - 1.0) / (r_d ** -beta) / (-b)
-        p = SystemParams(model=Model.V2V_RIS_AP, p_s=p_star, r_d=r_d, r_e=r_e, n_cells=n)
-        assert sop(p, c_th) == pytest.approx(0.5, abs=1e-9)
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=p_star, r_d=r_d, r_e=r_e, n_cells=n, c_th=c_th)
+        assert sop(p) == pytest.approx(0.5, abs=1e-9)
 
     def test_one_ulp_more_power_never_raises_outage(self):
         # the quotient of the two rounded SNR scales rose by one ulp from p_s
@@ -593,18 +603,18 @@ class TestSop:
                          r_d=1.4549914146182013, r_e=1.2840254166877414, r_s=1.0)
         louder = replace(p, p_s=math.nextafter(p.p_s, math.inf))
         for mode in SopMode:
-            assert sop(louder, 1.0, mode) <= sop(p, 1.0, mode)
+            assert sop(louder, mode) <= sop(p, mode)
 
     def test_far_eavesdropper_drives_outage_down(self):
-        p = SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0)
-        assert sop(p, 0.5) < 0.01
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0, c_th=0.5)
+        assert sop(p) < 0.01
 
     def test_monotone_in_threshold(self, v2v_params):
-        vals = [sop(v2v_params, c) for c in (0.5, 1.0, 1.5, 2.0)]
+        vals = [sop(replace(v2v_params, c_th=c)) for c in (0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_power(self):
-        vals = [sop(SystemParams(model=Model.V2V_RIS_AP, p_s=p), 1.0) for p in (1.0, 2.0, 5.0, 10.0, 30.0)]
+        vals = [sop(SystemParams(model=Model.V2V_RIS_AP, p_s=p)) for p in (1.0, 2.0, 5.0, 10.0, 30.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_bounds(self, v2v_params, relay_params):
@@ -613,21 +623,22 @@ class TestSop:
         for p in (v2v_params, relay_params, extreme):
             for c_th in (0.1, 1.0, 5.0):
                 for mode in SopMode:
-                    assert 0.0 <= sop(p, c_th, mode) <= 1.0
+                    assert 0.0 <= sop(replace(p, c_th=c_th), mode) <= 1.0
 
     def test_modes_coincide_for_access_point_model(self, v2v_params):
-        assert sop(v2v_params, 1.0, SopMode.CORRECTED) == sop(v2v_params, 1.0, SopMode.PAPER_LITERAL)
+        assert sop(v2v_params, SopMode.CORRECTED) == sop(v2v_params, SopMode.PAPER_LITERAL)
 
     def test_modes_differ_for_relay_interior_point(self):
         p = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0)
-        corrected = sop(p, 1.0, SopMode.CORRECTED)
-        literal = sop(p, 1.0, SopMode.PAPER_LITERAL)
+        corrected = sop(p, SopMode.CORRECTED)
+        literal = sop(p, SopMode.PAPER_LITERAL)
         assert 0.05 < corrected < 0.95
         assert abs(corrected - literal) > 0.2
 
     def test_threshold_validation(self, v2v_params):
+        # the threshold is a field of the point, checked when the point is made
         with pytest.raises(ValueError):
-            sop(v2v_params, 0.0)
+            sop(replace(v2v_params, c_th=0.0))
 
     @pytest.mark.parametrize("params,c_th", [
         # 2^c_th overflows
@@ -641,7 +652,7 @@ class TestSop:
     ])
     def test_overflowing_terms_give_certain_outage(self, params, c_th):
         for mode in SopMode:
-            assert sop(params, c_th, mode) == 1.0
+            assert sop(replace(params, c_th=c_th), mode) == 1.0
 
     @pytest.mark.parametrize("params,c_th,mode", [
         # fig8's relay base point, where 0.5 (1 + erf(x)) rounds to 0 or
@@ -653,7 +664,8 @@ class TestSop:
         (SystemParams(model=Model.V2V_RIS_AP, p_s=1e4, n_cells=256), 1.0, SopMode.CORRECTED),  # 4e-45
     ])
     def test_lower_tail_against_mpmath(self, params, c_th, mode):
-        assert sop(params, c_th, mode) == pytest.approx(_sop_mp(params, c_th, mode), rel=1e-12, abs=0.0)
+        params = replace(params, c_th=c_th)
+        assert sop(params, mode) == pytest.approx(_sop_mp(params, mode), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("params", [
         # N mean or N variance overflows here; the erfc argument is about
@@ -664,14 +676,14 @@ class TestSop:
     ])
     def test_huge_cell_counts(self, params):
         for mode in SopMode:
-            assert sop(params, 1.0, mode) == 0.0
+            assert sop(params, mode) == 0.0
 
 
-def _sop_mp(params, c_th, mode):
+def _sop_mp(params, mode):
     """The CLT outage formula 0.5 erfc(-x) at 50 digits, straight from the
     inputs and the moment constants."""
     with mp.workdps(50):
-        nu = mp.mpf(2) ** mp.mpf(c_th)
+        nu = mp.mpf(2) ** mp.mpf(params.c_th)
         scale_d, scale_e = (_snr_scale_mp(params, link) for link in Link)
         if params.model is Model.V2V_RIS_AP:
             mean, variance = mp.pi / 2, 4 - mp.pi ** 2 / 4
@@ -732,7 +744,7 @@ class TestClosedFormDomain:
         c_th = data.draw(st.one_of(_log_uniform(1e-300, 1e308),
                                    st.floats(min_value=0.0, max_value=1e308, exclude_min=True)))
         for mode in SopMode:
-            value = sop(p, c_th, mode)
+            value = sop(replace(p, c_th=c_th), mode)
             assert math.isfinite(value) and 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize("model", list(Model))
@@ -752,6 +764,14 @@ class TestClosedFormDomain:
     def test_overflowing_bound_term(self, params):
         assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14)
 
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 1.0)])
+    @pytest.mark.parametrize("r_e", [1.001, 1.0 + 1e-9])
+    def test_nearly_equal_links_at_high_snr(self, model, r_s, r_e):
+        # both Jensen bounds are about 460 nats and differ by 0.0027 or
+        # 2.7e-9; their difference alone would keep only about 1e-14 of it
+        params = SystemParams(model=model, p_s=1e200, r_d=1.0, r_e=r_e, r_s=r_s)
+        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14, abs=0.0)
+
     def test_relay_hop_cancelling_the_link_path(self):
         assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
 
@@ -770,12 +790,11 @@ RECIPES = Path(__file__).resolve().parent.parent / "recipes"
 
 
 def _recipe_points():
-    """(recipe name, params, c_th) at every point of every committed recipe."""
+    """(recipe name, params) at every point of every committed recipe."""
     for path in sorted(RECIPES.glob("fig*.json")):
         cfg = cli.build_run_config(json.loads(path.read_text(encoding="utf-8")))
         for value in cfg.sweep.values() if cfg.sweep else [None]:
-            params, c_th = cli._point(cfg, value)
-            yield path.stem, params, c_th
+            yield path.stem, cli._point(cfg, value)
 
 
 class TestRecipePoints:
@@ -783,13 +802,13 @@ class TestRecipePoints:
     mpmath with a relative tolerance only."""
 
     def test_asc_approx(self):
-        for name, p, _c_th in _recipe_points():
+        for name, p in _recipe_points():
             assert asc_approx(p) == pytest.approx(_asc_approx_mp(p), rel=1e-13, abs=0.0), name
 
     def test_sop(self):
-        for name, p, c_th in _recipe_points():
+        for name, p in _recipe_points():
             for mode in SopMode:
-                assert sop(p, c_th, mode) == pytest.approx(_sop_mp(p, c_th, mode), rel=1e-12, abs=0.0), name
+                assert sop(p, mode) == pytest.approx(_sop_mp(p, mode), rel=1e-12, abs=0.0), name
 
 
 class TestCapacityDomain:
@@ -824,25 +843,25 @@ class TestSecrecyReport:
     def test_consistent_with_individual_metrics(self, relay_params):
         # a c_th sweep at the fig8 point, and a second point
         fig8 = replace(relay_params, p_s=1000.0)
-        points = [(fig8, c_th) for c_th in (0.25, 1.0, 1.5)] + [(replace(relay_params, n_cells=9), 1.0)]
+        points = [replace(fig8, c_th=c_th) for c_th in (0.25, 1.0, 1.5)] + [replace(relay_params, n_cells=9)]
         reports = secrecy_report(points)
         assert len(reports) == len(points)
-        caps = link_capacities([params for params, _c_th in points])
-        for (params, c_th), rep, (c_d, c_e) in zip(points, reports, caps):
+        caps = link_capacities(points)
+        for params, rep, (c_d, c_e) in zip(points, reports, caps):
             assert (rep.c_d, rep.c_e) == (c_d, c_e)
             assert rep.asc_exact == rep.c_d - rep.c_e
             assert rep.asc_approx == asc_approx(params)
-            assert rep.sop_corrected == sop(params, c_th, SopMode.CORRECTED)
-            assert rep.sop_paper_literal == sop(params, c_th, SopMode.PAPER_LITERAL)
+            assert rep.sop_corrected == sop(params, SopMode.CORRECTED)
+            assert rep.sop_paper_literal == sop(params, SopMode.PAPER_LITERAL)
             assert rep.c_d >= 0.0 and rep.c_e >= 0.0
-            (alone,) = secrecy_report([(params, c_th)])
+            (alone,) = secrecy_report([params])
             assert np.array(astuple(alone)).tobytes() == np.array(astuple(rep)).tobytes()
         assert reports[0].sop_corrected < reports[1].sop_corrected < reports[2].sop_corrected
 
     def test_failure_names_the_point(self, monkeypatch):
         _poison_eavesdropper(monkeypatch, _POWER_POINTS[37])
         with pytest.raises(secrecy.QuadratureError) as info:
-            secrecy_report([(params, 1.0) for params in _POWER_POINTS])
+            secrecy_report(_POWER_POINTS)
         assert info.value.component == 37
 
     def test_validation(self):
