@@ -186,6 +186,7 @@ class TestSystemParams:
     def test_defaults_are_valid(self, v2v_params, relay_params):
         assert v2v_params.n_cells == 16
         assert relay_params.r_s == 10.0
+        assert v2v_params.c_th == relay_params.c_th == 1.0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -221,9 +222,6 @@ class TestSystemParams:
         for model, r_s in ((Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)):
             with pytest.raises(ValueError, match=r"^c_th must be finite and > 0$"):
                 SystemParams(model=model, r_s=r_s, c_th=c_th)
-
-    def test_threshold_defaults_to_one_bit(self, v2v_params):
-        assert v2v_params.c_th == 1.0
 
     def test_relay_requires_r_s(self):
         with pytest.raises(ValueError):
