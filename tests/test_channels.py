@@ -2,14 +2,13 @@
 per-cell gains the Monte-Carlo engine draws, each checked against an oracle
 that does not share code with the implementation."""
 import math
-import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
-import scipy.integrate as sint
 import scipy.special as sp
 
+import reference
 from ris_secrecy import Model
 from ris_secrecy.channels import (
     DOUBLE_RAYLEIGH_MEAN,
@@ -29,16 +28,6 @@ from ris_secrecy.montecarlo import _log_one_minus
 # (conditioning integral evaluated at 30 decimal digits)
 M3_ORACLE = {0.5: 0.50146064410475098, 1.0: 0.32739299663738908, 5.0: 0.070826141606182181}
 
-# The paper's hypergeometric form of the double-Rayleigh MGF,
-# (4/3) 2F1(2, 1/2; 5/2; (s-1)/(s+1))/(1+s)^2, in arbitrary precision; it
-# shares no code with the elementary form used by the implementation. The
-# working precision grows with s so that (s-1)/(s+1) stays distinct from 1.
-def _mgf_dbl_hypergeometric(s: float) -> float:
-    with mp.workdps(30 + max(0, int(math.log10(s)))):
-        sm = mp.mpf(s)
-        return float(mp.mpf(4) / 3 * mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, (sm - 1) / (sm + 1))
-                     / (1 + sm) ** 2)
-
 
 def mgf_double_rayleigh(s):
     """The double-Rayleigh MGF from the shipped elementary kernel, which the
@@ -52,44 +41,6 @@ def mgf_triple_cascade(s):
     """The triple-cascade MGF as 1 minus the shipped complement, which holds
     to about 1e-15 relative, so the MGF to about 1e-16 absolute."""
     return 1.0 - one_minus_mgf_triple_cascade(s)
-
-
-def _mgf_triple_mp(s: float):
-    """The triple-cascade MGF from its Mellin-Barnes form, in mpmath:
-    M(s) = G^{2,3}_{3,2}(2 s^2 | 0, 0, 0; 0, 1/2) / sqrt(pi), which follows from
-    the Mellin transform E[g^t] = (2^(t/2) Gamma(1 + t/2))^3 and the
-    duplication formula for Gamma. It shares neither code nor method with the
-    package, nor with the conditioning integral its table is fitted to. The
-    working precision grows as s falls, so that 1 - M keeps 30 digits."""
-    with mp.workdps(30 + max(0, -int(math.log10(s)))):
-        return mp.meijerg([[0, 0, 0], []], [[0, mp.mpf(1) / 2], []], 2 * mp.mpf(s) ** 2) / mp.sqrt(mp.pi)
-
-
-def _one_minus_mgf_triple_mp(s: float) -> float:
-    """1 - M(s) to double precision: below s = 1e-12 from the first three
-    moments, E[g^k] = (2^(k/2) Gamma(1 + k/2))^3, where the omitted terms are
-    below 1e-34 of the value; above it from the Meijer-G form."""
-    if s == 0.0:
-        return 0.0
-    if s < 1e-12:
-        with mp.workdps(40):
-            sm = mp.mpf(s)
-            moments = [(mp.sqrt(2) ** k * mp.gamma(1 + mp.mpf(k) / 2)) ** 3 for k in (1, 2, 3)]
-            return float(sm * moments[0] - sm ** 2 * moments[1] / 2 + sm ** 3 * moments[2] / 6)
-    with mp.workdps(30 + max(0, -int(math.log10(s)))):
-        return float(1 - _mgf_triple_mp(s))
-
-
-def _mgf_triple_2d_quadrature(s: float) -> float:
-    # brute-force 2-D integral over independent Rayleigh and double-Rayleigh factors;
-    # scipy flags the flat inner tail as slowly convergent, which is fine here
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sint.IntegrationWarning)
-        val, _ = sint.dblquad(
-            lambda v, y: math.exp(-s * y * v) * y * math.exp(-0.5 * y * y) * v * sp.k0(v),
-            0.0, 9.5, 0.0, 60.0, epsabs=1e-12, epsrel=1e-10,
-        )
-    return val
 
 
 class TestMoments:
@@ -126,9 +77,7 @@ class TestMgfDoubleRayleigh:
 
     def test_against_quadrature_oracle(self):
         for s in (0.5, 2.0, 10.0):
-            oracle, _ = sint.quad(lambda g: math.exp(-s * g) * g * sp.k0(g), 0.0, 80.0,
-                                  epsabs=1e-13, epsrel=1e-11, limit=300)
-            assert mgf_double_rayleigh(s) == pytest.approx(oracle, rel=1e-8)
+            assert mgf_double_rayleigh(s) == pytest.approx(reference.mgf_double_quad(s, 1e-11), rel=1e-8)
 
     def test_against_hypergeometric_form(self):
         # every regime: the acos and acosh branches, the series around s = 1
@@ -137,7 +86,7 @@ class TestMgfDoubleRayleigh:
         grid = np.concatenate([np.logspace(-8, 8, 65), [1.0 - 1e-6, 1.0 + 1e-6, 0.9, 1.1],
                                [1e12, 1e16, 1e20, 1e30, 1e50, 1e100]])
         for s in grid:
-            ref = _mgf_dbl_hypergeometric(float(s))
+            ref = reference.mgf_double_hypergeometric(float(s))
             assert mgf_double_rayleigh(float(s)) == pytest.approx(ref, rel=1e-13), s
         # past s ~ 1e162 the MGF, about ln(2s)/s^2, rounds to zero
         assert mgf_double_rayleigh(1e200) == 0.0
@@ -182,11 +131,11 @@ class TestHyp2F1Special:
         assert hyp2f1_special(0.999) == pytest.approx(HYP_AT_0p999, rel=1e-8)
 
     def test_reference_grid(self):
-        mp.mp.dps = 25
         xs = np.concatenate([np.linspace(-1.0, 0.5, 30),
                              1.0 - np.logspace(-7, -0.31, 30)])
         for x in xs:
-            ref = float(mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, mp.mpf(float(x))))
+            with mp.workdps(25):
+                ref = float(mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, mp.mpf(float(x))))
             assert hyp2f1_special(float(x)) == pytest.approx(ref, rel=1e-10)
 
     def test_regime_seam_is_continuous(self):
@@ -216,13 +165,13 @@ class TestMgfTripleCascade:
 
     @pytest.mark.parametrize("s", sorted(M3_ORACLE))
     def test_against_2d_quadrature(self, s):
-        assert mgf_triple_cascade(s) == pytest.approx(_mgf_triple_2d_quadrature(s), rel=1e-6)
+        assert mgf_triple_cascade(s) == pytest.approx(reference.mgf_triple_dblquad(s, 1e-10), rel=1e-6)
 
     def test_large_argument_limit(self):
         # the MGF is below 1e-10 here; 1 minus the complement keeps it to
         # about an ulp of 1
         for s in (1e6, 1e7):
-            assert mgf_triple_cascade(s) == pytest.approx(float(_mgf_triple_mp(s)), rel=0.0, abs=1e-16)
+            assert mgf_triple_cascade(s) == pytest.approx(float(reference.mgf_triple_mp(s)), rel=0.0, abs=1e-16)
         assert 1.0 - 1e-3 < one_minus_mgf_triple_cascade(1e6) < one_minus_mgf_triple_cascade(1e7) < 1.0
 
     def test_domain_error(self):
@@ -232,26 +181,6 @@ class TestMgfTripleCascade:
             one_minus_mgf_triple_cascade(np.array([1.0, math.nan]))
 
 
-def _one_minus_mgf_dbl_mp(s: float) -> float:
-    # 1 - M of the elementary form at enough digits that nothing cancels
-    with mp.workdps(60 + max(0, -int(math.log10(s)))):
-        sm = mp.mpf(s)
-        if sm == 1:
-            return 2.0 / 3.0
-        if sm < 1:
-            r = mp.sqrt(1 - sm * sm)
-            return float(1 - (r - sm * mp.acos(sm)) / r ** 3)
-        r = mp.sqrt(sm * sm - 1)
-        return float(1 - (sm * mp.acosh(sm) - r) / r ** 3)
-
-
-def _one_minus_mgf_triple_ref(s: float) -> float:
-    # QUADPACK over the Rayleigh factor of the mpmath complement above
-    val, _ = sint.quad(lambda y: y * math.exp(-0.5 * y * y) * _one_minus_mgf_dbl_mp(s * y),
-                       0.0, 9.0, points=(1.0, 3.0), epsabs=0.0, epsrel=1e-13, limit=200)
-    return val
-
-
 class TestMgfComplements:
     """1 - M evaluated without forming M, so it stays accurate where M is near 1."""
 
@@ -259,18 +188,18 @@ class TestMgfComplements:
         grid = np.concatenate((np.geomspace(1e-12, 1e4, 61), [0.5 - 1e-12, 0.5, 0.9, 1.0, 1.0 + 1e-9]))
         got = one_minus_mgf_double_rayleigh(grid)
         for s, v in zip(grid, got):
-            assert v == pytest.approx(_one_minus_mgf_dbl_mp(float(s)), rel=2e-15, abs=0.0)
+            assert v == pytest.approx(reference.one_minus_mgf_double_mp(float(s)), rel=2e-15, abs=0.0)
 
     @pytest.mark.parametrize("s", [0.5, 1.0, 5.0, 1e3])
     def test_triple_is_one_minus_mgf_where_m_is_not_near_one(self, s):
-        assert one_minus_mgf_triple_cascade(s) == pytest.approx(_one_minus_mgf_triple_ref(s), rel=1e-11)
+        assert one_minus_mgf_triple_cascade(s) == pytest.approx(reference.one_minus_mgf_triple(s, 1e-13), rel=1e-11)
 
     def test_triple_keeps_eight_digits_at_tiny_argument(self):
         # far below the moment series' range, q/s is the mean gain (pi/2)^1.5
         # to the last digits
         s = 1e-300
         with mp.workdps(30):
-            mean = float(mp.pi / 2 * mp.sqrt(mp.pi / 2))
+            mean = float(reference.gain_moment(1, 3))
         assert one_minus_mgf_triple_cascade(s) / s == pytest.approx(mean, rel=1e-15)
 
     def test_triple_against_meijer_g_over_the_whole_domain(self):
@@ -282,7 +211,7 @@ class TestMgfComplements:
         grid = np.unique(np.concatenate([10.0 ** np.arange(-300, 301, 20), sides, middles]))
         got = one_minus_mgf_triple_cascade(grid)
         for s, value in zip(grid, got):
-            assert value == pytest.approx(_one_minus_mgf_triple_mp(float(s)), rel=2e-14, abs=0.0), s
+            assert value == pytest.approx(reference.one_minus_mgf_triple_mp(float(s)), rel=2e-14, abs=0.0), s
             assert one_minus_mgf_triple_cascade(float(s)) == value
         assert np.all(got[grid >= math.exp(23)] == 1.0)
         assert one_minus_mgf_triple_cascade(0.0) == 0.0
@@ -388,20 +317,10 @@ class TestSampler:
             cdf = 1.0 - x * sp.k1(x)
         else:
             grid = np.linspace(1e-6, x[-1] + 1.0, 900)
-            cdf_grid = np.array([_triple_cdf(g) for g in grid])
+            cdf_grid = np.array([reference.triple_cdf(g) for g in grid])
             cdf = np.interp(x, grid, cdf_grid)
         assert _ks_below_one_percent_critical(x, cdf)
 
     def test_rayleigh_factor_kolmogorov_smirnov(self):
         x = np.sort(np.sqrt(-2.0 * _log_one_minus(np.random.default_rng(1234).random(100_000))))
         assert _ks_below_one_percent_critical(x, 1.0 - np.exp(-0.5 * x * x))
-
-
-def _triple_cdf(g: float) -> float:
-    # P(XYZ <= g) by conditioning on the Rayleigh factor, with the
-    # double-Rayleigh CDF identity 1 - t K1(t)
-    val, _ = sint.quad(
-        lambda y: y * math.exp(-0.5 * y * y) * (1.0 - (g / y) * sp.k1(g / y)),
-        0.0, 9.0, epsabs=1e-11, epsrel=1e-9, limit=200,
-    )
-    return val

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves, the README's library
-quickstart runs as written, and importing the CLI loads no more than it
-needs."""
+quickstart runs as written, importing the CLI loads no more than it needs,
+and the test references import nothing from the package."""
+import ast
 import os
 import re
 import subprocess
@@ -36,3 +37,12 @@ def test_cli_import_leaves_the_thread_pool_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_reference_module_imports_nothing_from_the_package():
+    # the oracles in tests/reference.py must share no code with what they check
+    tree = ast.parse((REPO_ROOT / "tests" / "reference.py").read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += ["." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert "mpmath" in imported
+    assert [name for name in imported if name.split(".")[0] in ("ris_secrecy", "")] == []

@@ -7,13 +7,12 @@ import tracemalloc
 from dataclasses import astuple, replace
 from pathlib import Path
 
-import mpmath as mp
 import numpy as np
 import pytest
-import scipy.integrate as sint
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+import reference
 from ris_secrecy import channels, cli, secrecy
 from ris_secrecy.secrecy import (
     Link,
@@ -33,153 +32,11 @@ SNR_SCALE_V2V_D = 0.2368307135172497          # 10 * 4^-2.7
 SNR_SCALE_V2V_E = 0.03644660123190654         # 10 * 8^-2.7
 ASC_APPROX_V2V_DEFAULT = 1.8593708133970917
 ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
-_SMALLEST_NORMAL = 2.2250738585072014e-308
 # A relay point whose hop loss r_s^-beta and destination path loss r_d^-beta
 # are each far outside the double range (logs of about +2.3e4 and -2.3e4) and
 # cancel: the destination SNR scale is about 2.33.
 CANCELLING_RELAY = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1.0, n_0=1.0, n_cells=1, r_s=1e-300,
                                 r_d=math.exp(690.75), r_e=1e300, beta=math.exp(3.5))
-
-
-# Adaptive scalar reference for the average link capacity: QUADPACK (scipy)
-# over z of (1 - M^N) e^-z / z = -expm1(N log1p(-q)) e^-z / z with q = 1 - M
-# carried throughout. q is the double-Rayleigh moment series for small s and
-# 1 - M of the elementary MGF in double precision elsewhere (mpmath where it
-# cancels, near s = 1); for the relay model, a second QUADPACK integral over
-# the Rayleigh factor averages q.
-# E[g^k]/k! for the double-Rayleigh gain, E[g^k] = (2^(k/2) Gamma(1 + k/2))^2
-_DBL_MOMENT_SERIES = tuple(math.exp(k * math.log(2.0) + 2.0 * math.lgamma(1.0 + 0.5 * k)
-                                    - math.lgamma(k + 1.0)) for k in range(1, 120))
-
-
-def _one_minus_mgf_dbl_ref(s: float) -> float:
-    if s < 0.5:
-        # alternating moment series, convergent for s < 1
-        total = 0.0
-        power = 1.0
-        for k, c in enumerate(_DBL_MOMENT_SERIES, start=1):
-            power *= s
-            term = c * power
-            total += term if k % 2 else -term
-            if term <= 1e-18 * total:
-                break
-        return total
-    return 1.0 - _mgf_dbl_ref(s)
-
-
-def _mgf_dbl_ref(s: float) -> float:
-    if abs(s - 1.0) < 1e-3:
-        return float(_mgf_dbl_mp(mp.mpf(s)))
-    if s < 1.0:
-        r = math.sqrt(1.0 - s * s)
-        return (r - s * math.acos(s)) / r ** 3
-    if s > 1e100:
-        return (math.log(2.0 * s) - 1.0) / s / s
-    r = math.sqrt(s * s - 1.0)
-    return (s * math.acosh(s) - r) / r ** 3
-
-
-def _one_minus_mgf_triple_ref(s: float) -> float:
-    val, _ = sint.quad(lambda y: y * math.exp(-0.5 * y * y) * _one_minus_mgf_dbl_ref(s * y),
-                       0.0, 9.0, points=(1.0, 3.0), epsabs=0.0, epsrel=1e-12, limit=200)
-    return val
-
-
-def _capacity_ref(params: SystemParams, link: Link) -> float:
-    scale = snr_scale(params, link)
-    one_minus_mgf = (_one_minus_mgf_dbl_ref if params.model is Model.V2V_RIS_AP
-                     else _one_minus_mgf_triple_ref)
-
-    def f(z):
-        q = one_minus_mgf(z * scale)
-        if q >= 1.0:
-            return math.exp(-z) / z
-        return -math.expm1(params.n_cells * math.log1p(-q)) * math.exp(-z) / z
-
-    val, _ = sint.quad(f, 0.0, 50.0, points=[10.0 ** k for k in range(-8, 2)], epsabs=0.0,
-                       epsrel=1e-11, limit=400)
-    return val / math.log(2.0)
-
-
-def _mgf_dbl_mp(s):
-    with mp.workdps(40):
-        if s == 1:
-            return mp.mpf(1) / 3
-        if s < 1:
-            r = mp.sqrt(1 - s * s)
-            return (r - s * mp.acos(s)) / r ** 3
-        r = mp.sqrt(s * s - 1)
-        return (s * mp.acosh(s) - r) / r ** 3
-
-
-def _capacity_mp(params: SystemParams, link: Link) -> float:
-    # the whole identity in 40-digit arithmetic, split into decades of z so
-    # that the 1/z stretch of a high-SNR link is resolved
-    scale = mp.mpf(snr_scale(params, link))
-    with mp.workdps(40):
-        def f(z):
-            m = _mgf_dbl_mp(z * scale)
-            return -mp.expm1(params.n_cells * mp.log(m)) * mp.exp(-z) / z
-
-        cuts = [mp.mpf(0)] + [mp.mpf(10) ** k for k in range(-30, 2)] + [mp.mpf(60)]
-        return float(mp.quad(f, cuts) / mp.log(2))
-
-
-def _capacity_low_snr_mp(params: SystemParams, link: Link) -> float:
-    """The capacity from its moment expansion, in 40-digit mpmath. With
-    1 - M(u)^N = sum_k a_k u^k, the identity gives C ln 2 = sum_k a_k s^k (k-1)!;
-    a_k follows from the exact moments E[g^j] = (2^(j/2) Gamma(1 + j/2))^c,
-    c = 2 (double Rayleigh) or 3 (triple cascade). Four terms leave an error
-    near (N E[g] s)^4 of the value, negligible for N E[g] s below 1e-6."""
-    power = 2 if params.model is Model.V2V_RIS_AP else 3
-    degree = 5
-    with mp.workdps(40):
-        s = mp.mpf(snr_scale(params, link))
-        mgf = [(-1) ** j * (mp.sqrt(2) ** j * mp.gamma(1 + mp.mpf(j) / 2)) ** power / mp.factorial(j)
-               for j in range(degree)]
-        mgf_n = [mp.mpf(1)] + [mp.mpf(0)] * (degree - 1)
-        for _ in range(params.n_cells):
-            mgf_n = [mp.fsum(mgf_n[i] * mgf[k - i] for i in range(k + 1)) for k in range(degree)]
-        return float(mp.fsum(-mgf_n[k] * s ** k * mp.factorial(k - 1) for k in range(1, degree))
-                     / mp.log(2))
-
-
-def _capacity_extreme_snr_ref(params: SystemParams, link: Link) -> float:
-    """The capacity at an SNR scale s near the top of the double range. With
-    t = s z the identity reads C ln 2 = int_0^inf (1 - M(t)^N) e^(-t/s) / t dt,
-    which is E1(1/s) + int_0^1 (1 - M^N)/t dt - int_1^inf M^N/t dt up to terms
-    of order 1/s: E1 from mpmath, the two s-free integrals by QUADPACK over the
-    reference complements above."""
-    one_minus_mgf = (_one_minus_mgf_dbl_ref if params.model is Model.V2V_RIS_AP
-                     else _one_minus_mgf_triple_ref)
-    n = params.n_cells
-    head, _ = sint.quad(lambda t: -math.expm1(n * math.log1p(-one_minus_mgf(t))) / t, 0.0, 1.0,
-                        epsabs=0.0, epsrel=1e-13, limit=200)
-    tail, _ = sint.quad(lambda t: (1.0 - one_minus_mgf(t)) ** n / t, 1.0, math.inf,
-                        epsabs=0.0, epsrel=1e-13, limit=200)
-    with mp.workdps(40):
-        return float((mp.e1(1 / mp.mpf(snr_scale(params, link))) + head - tail) / mp.log(2))
-
-
-def _capacity_delta_method(params: SystemParams) -> float:
-    """The destination capacity E[log2(1 + a X)], a = N mu s, to second
-    order in X = (gain sum)/(N mu), whose variance is sigma^2/(N mu^2):
-    [ln(1 + a) - (a/(1 + a))^2 sigma^2/(2 N mu^2)]/ln 2. The next term is
-    O(1/N^2) of the value, far below 1e-12 from N = 1e8 on."""
-    v2v = params.model is Model.V2V_RIS_AP
-    mean = channels.DOUBLE_RAYLEIGH_MEAN if v2v else channels.TRIPLE_CASCADE_MEAN
-    variance = channels.DOUBLE_RAYLEIGH_VARIANCE if v2v else channels.TRIPLE_CASCADE_VARIANCE
-    with mp.workdps(40):
-        n = mp.mpf(params.n_cells)
-        a = n * mean * mp.mpf(snr_scale(params, Link.DESTINATION))
-        return float((mp.log1p(a) - (a / (1 + a)) ** 2 * variance / (2 * n * mean ** 2)) / mp.log(2))
-
-
-def _jensen_bound(params: SystemParams, link: Link) -> float:
-    """log2(1 + E[gamma]) = log2(1 + N E[g] scale), the Jensen upper bound on
-    the average link capacity."""
-    mean = channels.DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else channels.TRIPLE_CASCADE_MEAN
-    return math.log2(1.0 + params.n_cells * mean * snr_scale(params, link))
 
 
 class TestSystemParams:
@@ -258,26 +115,16 @@ class TestSnrScale:
     @settings(max_examples=300, deadline=None)
     def test_matches_mpmath_product_over_the_domain(self, model, data):
         p = data.draw(_domain_points(model))
-        for link in Link:
-            ref = _snr_scale_mp(p, link)
-            if ref < _SMALLEST_NORMAL:
+        for link, r in zip(Link, (p.r_d, p.r_e)):
+            ref = reference.snr_scale_mp(p, r)
+            if ref < sys.float_info.min:
                 continue  # a subnormal scale cannot hold 12 digits
             assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
 
     def test_relay_hop_cancelling_the_link_path(self):
-        for link in Link:
+        for link, r in zip(Link, (CANCELLING_RELAY.r_d, CANCELLING_RELAY.r_e)):
             assert snr_scale(CANCELLING_RELAY, link) == pytest.approx(
-                float(_snr_scale_mp(CANCELLING_RELAY, link)), rel=1e-14, abs=0.0)
-
-
-def _snr_scale_mp(params: SystemParams, link: Link):
-    """p_s r^-beta [r_s^-beta] / n_0 at 40 digits."""
-    r = params.r_d if link is Link.DESTINATION else params.r_e
-    with mp.workdps(40):
-        ref = mp.mpf(params.p_s) * mp.mpf(r) ** -mp.mpf(params.beta) / mp.mpf(params.n_0)
-        if params.model is Model.VANET_RIS_RELAY:
-            ref *= mp.mpf(params.r_s) ** -mp.mpf(params.beta)
-        return ref
+                float(reference.snr_scale_mp(CANCELLING_RELAY, r)), rel=1e-14, abs=0.0)
 
 
 class TestAvgCapacity:
@@ -294,8 +141,8 @@ class TestAvgCapacity:
     def test_jensen_upper_bound(self, model, r_s):
         for p_s in (1.0, 10.0, 50.0):
             p = SystemParams(model=model, p_s=p_s, r_s=r_s)
-            for link, capacity in zip(Link, link_capacities([p])[0]):
-                assert capacity < _jensen_bound(p, link)
+            for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+                assert capacity < reference.jensen_bound(p, r)
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -308,8 +155,8 @@ class TestAvgCapacity:
     ])
     def test_against_adaptive_scalar_reference(self, kwargs):
         p = SystemParams(**kwargs)
-        for link, capacity in zip(Link, link_capacities([p])[0]):
-            assert capacity == pytest.approx(_capacity_ref(p, link), rel=1e-8)
+        for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+            assert capacity == pytest.approx(reference.capacity_quad(p, r), rel=1e-8)
 
 
     @pytest.mark.parametrize("kwargs", [
@@ -321,8 +168,8 @@ class TestAvgCapacity:
     def test_low_snr_against_complement_reference(self, kwargs):
         p = SystemParams(**kwargs)
         caps = link_capacities([p])[0]
-        for link, batched in zip(Link, caps):
-            ref = _capacity_ref(p, link)
+        for link, r, batched in zip(Link, (p.r_d, p.r_e), caps):
+            ref = reference.capacity_quad(p, r)
             assert secrecy._capacity_run([(p, link)])[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
             assert batched == pytest.approx(ref, rel=1e-9, abs=0.0)
 
@@ -334,15 +181,15 @@ class TestAvgCapacity:
         # capacity is proportional to s, so an argument formed as
         # exp(v + ln s) would be up to |ln s| ulps off.
         p = SystemParams(model=model, r_s=r_s, p_s=p_s)
-        for link, capacity in zip(Link, link_capacities([p])[0]):
-            assert capacity == pytest.approx(_capacity_low_snr_mp(p, link), rel=1e-14, abs=0.0)
+        for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+            assert capacity == pytest.approx(reference.capacity_low_snr_mp(p, r), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model,r_s,expected", [(Model.V2V_RIS_AP, None, 1028.3622),
                                                     (Model.VANET_RIS_RELAY, 1.0, 1028.6685)])
     def test_snr_scale_at_the_top_of_the_double_range(self, model, r_s, expected):
         # e^-z / z overflows at the z near 1/s that a rule in z must reach
         p = SystemParams(model=model, r_s=r_s, p_s=1.5e308, r_d=1.0, r_e=1.0)
-        ref = _capacity_extreme_snr_ref(p, Link.DESTINATION)
+        ref = reference.capacity_extreme_snr(p, p.r_d)
         assert ref == pytest.approx(expected, abs=1e-4)
         c_d, c_e = link_capacities([p])[0]
         assert c_d == c_e
@@ -554,7 +401,7 @@ class TestAscExact:
         # 1 - M^N must not cancel, and the z -> 0 limit of the integrand must
         # not stand in for it, when the SNR scale is ~1e20
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e12, r_d=0.001)
-        ref = _capacity_mp(p, Link.DESTINATION) - _capacity_mp(p, Link.EAVESDROPPER)
+        ref = reference.capacity_mp(p, p.r_d) - reference.capacity_mp(p, p.r_e)
         assert ref == pytest.approx(35.0076, abs=1e-3)
         assert _asc_exact(p) == pytest.approx(ref, rel=1e-13)
 
@@ -663,7 +510,7 @@ class TestSop:
     ])
     def test_lower_tail_against_mpmath(self, params, c_th, mode):
         params = replace(params, c_th=c_th)
-        assert sop(params, mode) == pytest.approx(_sop_mp(params, mode), rel=1e-12, abs=0.0)
+        assert sop(params, mode) == pytest.approx(reference.sop_mp(params, mode.value), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("params", [
         # N mean or N variance overflows here; the erfc argument is about
@@ -675,35 +522,6 @@ class TestSop:
     def test_huge_cell_counts(self, params):
         for mode in SopMode:
             assert sop(params, mode) == 0.0
-
-
-def _sop_mp(params, mode):
-    """The CLT outage formula 0.5 erfc(-x) at 50 digits, straight from the
-    inputs and the moment constants."""
-    with mp.workdps(50):
-        nu = mp.mpf(2) ** mp.mpf(params.c_th)
-        scale_d, scale_e = (_snr_scale_mp(params, link) for link in Link)
-        if params.model is Model.V2V_RIS_AP:
-            mean, variance = mp.pi / 2, 4 - mp.pi ** 2 / 4
-        elif mode is SopMode.CORRECTED:
-            mean, variance = (mp.pi / 2) ** 1.5, 8 - (mp.pi / 2) ** 3
-        else:
-            mean, variance = mp.pi ** 3 / (2 * mp.sqrt(2)), 8 - (mp.pi / 2) ** mp.mpf(1.5)
-        n = params.n_cells
-        x = ((nu - 1) / scale_d + n * mean * (nu * scale_e / scale_d - 1)) / mp.sqrt(2 * n * variance)
-        return float(mp.erfc(-x) / 2)
-
-
-def _asc_approx_mp(params):
-    """log2 of the Jensen-bound ratio at 50 digits, straight from the formula."""
-    with mp.workdps(50):
-        n, p_s, n_0 = mp.mpf(params.n_cells), mp.mpf(params.p_s), mp.mpf(params.n_0)
-        rd, re_ = mp.mpf(params.r_d) ** -params.beta, mp.mpf(params.r_e) ** -params.beta
-        if params.model is Model.V2V_RIS_AP:
-            c, coeff = 2, n * mp.pi * p_s
-        else:
-            c, coeff = 2 * mp.sqrt(2), n * p_s * mp.pi ** 1.5 * mp.mpf(params.r_s) ** -params.beta
-        return float(mp.log((c * n_0 + coeff * rd) / (c * n_0 + coeff * re_), 2))
 
 
 def _wide(lo, hi):
@@ -752,7 +570,7 @@ class TestClosedFormDomain:
         p = data.draw(_domain_points(model))
         value = asc_approx(p)
         assert math.isfinite(value)
-        assert value == pytest.approx(_asc_approx_mp(p), rel=1e-12, abs=1e-12)
+        assert value == pytest.approx(reference.asc_approx_mp(p), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("params", [
         # N pi p_s r_e^-beta overflows while the SNR scale 1e307 is valid
@@ -760,7 +578,7 @@ class TestClosedFormDomain:
         SystemParams(model=Model.VANET_RIS_RELAY, r_s=1.0, r_e=0.001, r_d=4.0, beta=102.0),
     ])
     def test_overflowing_bound_term(self, params):
-        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14)
+        assert asc_approx(params) == pytest.approx(reference.asc_approx_mp(params), rel=1e-14)
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 1.0)])
     @pytest.mark.parametrize("r_e", [1.001, 1.0 + 1e-9])
@@ -768,10 +586,10 @@ class TestClosedFormDomain:
         # both Jensen bounds are about 460 nats and differ by 0.0027 or
         # 2.7e-9; their difference alone would keep only about 1e-14 of it
         params = SystemParams(model=model, p_s=1e200, r_d=1.0, r_e=r_e, r_s=r_s)
-        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-14, abs=0.0)
+        assert asc_approx(params) == pytest.approx(reference.asc_approx_mp(params), rel=1e-14, abs=0.0)
 
     def test_relay_hop_cancelling_the_link_path(self):
-        assert asc_approx(CANCELLING_RELAY) == pytest.approx(_asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
+        assert asc_approx(CANCELLING_RELAY) == pytest.approx(reference.asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
 
     @pytest.mark.parametrize("params", [
         # low SNR: the ASC bounds differ by about 7e-7 and -8e-18 bits, which
@@ -781,7 +599,7 @@ class TestClosedFormDomain:
                      r_e=124.7536018853719, beta=4.7954263455740955, n_cells=127, r_s=39.108990301746786),
     ])
     def test_low_snr_keeps_its_relative_digits(self, params):
-        assert asc_approx(params) == pytest.approx(_asc_approx_mp(params), rel=1e-13, abs=0.0)
+        assert asc_approx(params) == pytest.approx(reference.asc_approx_mp(params), rel=1e-13, abs=0.0)
 
 
 RECIPES = Path(__file__).resolve().parent.parent / "recipes"
@@ -801,12 +619,12 @@ class TestRecipePoints:
 
     def test_asc_approx(self):
         for name, p in _recipe_points():
-            assert asc_approx(p) == pytest.approx(_asc_approx_mp(p), rel=1e-13, abs=0.0), name
+            assert asc_approx(p) == pytest.approx(reference.asc_approx_mp(p), rel=1e-13, abs=0.0), name
 
     def test_sop(self):
         for name, p in _recipe_points():
             for mode in SopMode:
-                assert sop(p, mode) == pytest.approx(_sop_mp(p, mode), rel=1e-12, abs=0.0), name
+                assert sop(p, mode) == pytest.approx(reference.sop_mp(p, mode.value), rel=1e-12, abs=0.0), name
 
 
 class TestCapacityDomain:
@@ -833,7 +651,7 @@ class TestCapacityDomain:
             for p_s in (1e-300, 1e-200, 1e-100, 1.0, 1e10, 1e100, 1e200, 1e300, 1.5e308):
                 p = SystemParams(model=model, p_s=p_s, r_d=1.0, r_e=1.0, n_cells=n_cells, **r_s)
                 c_d, c_e = link_capacities([p])[0]
-                ref = _capacity_delta_method(p)
+                ref = reference.capacity_delta_method(p, p.r_d)
                 assert c_d == c_e == pytest.approx(ref, rel=1e-12, abs=0.0), (n_cells, p_s)
 
 
@@ -881,4 +699,4 @@ class TestSecrecyReport:
 
     def test_jensen_bound_dominates_per_link_capacity(self, v2v_params):
         # the closed-form approximation is built from per-link upper bounds
-        assert link_capacities([v2v_params])[0, 0] <= _jensen_bound(v2v_params, Link.DESTINATION)
+        assert link_capacities([v2v_params])[0, 0] <= reference.jensen_bound(v2v_params, v2v_params.r_d)
