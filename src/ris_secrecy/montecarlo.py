@@ -241,12 +241,21 @@ def _mc_pass(points, cfg: McConfig) -> list:
     return results
 
 
+_LOG1P_BELOW = 2.0 ** -20  # scale*top below which 1 + scale*X would drop digits
+_LN2 = math.log(2.0)
+
+
 def _log2_one_plus(scale: float, sums: np.ndarray, top: float) -> np.ndarray:
     """log2(1 + scale*X) of every gain sum X of a block, ``top`` the largest.
-    Where scale*top overflows (SNR scales near the top of the double range),
-    it is log2(scale) + log2(X + 1/scale), which keeps every term finite;
-    elsewhere the direct form."""
-    if math.isfinite(scale * top):
+    Where scale*top is below 2^-20 (low SNR), it is log1p(scale*X)/ln 2, since
+    forming 1 + scale*X rounds away the digits of scale*X; where scale*top
+    overflows (SNR scales near the top of the double range), it is
+    log2(scale) + log2(X + 1/scale), which keeps every term finite; elsewhere
+    the direct form."""
+    product = scale * top
+    if product < _LOG1P_BELOW:
+        return np.log1p(scale * sums) / _LN2
+    if math.isfinite(product):
         return np.log2(1.0 + scale * sums)
     return math.log2(scale) + np.log2(sums + 1.0 / scale)
 

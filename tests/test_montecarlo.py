@@ -136,6 +136,16 @@ class TestMcAsc:
         c_d, c_e = link_capacities([p])[0]
         assert abs(diff.value - (c_d - c_e)) < 3.0 * diff.std_error
 
+    @pytest.mark.parametrize("p_s", [1e-16, 1e-20])
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
+    def test_cross_validates_quadrature_at_low_snr(self, model, r_s, p_s):
+        # s X is below 1e-15 here, so 1 + s X would keep few or none of its digits
+        p = SystemParams(model=model, r_s=r_s, p_s=p_s)
+        diff = _one_point(p, McConfig(trials=20_000, seed=3)).asc_diff
+        c_d, c_e = link_capacities([p])[0]
+        assert diff.std_error > 0.0
+        assert abs(diff.value - (c_d - c_e)) <= 4.0 * diff.std_error
+
 
 class TestMcSop:
     def test_zero_power_always_in_outage(self, v2v_params):
