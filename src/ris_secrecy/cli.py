@@ -415,6 +415,26 @@ def _write_output(option: str, path: str, text: str) -> None:
         raise ConfigError(f"cannot write {option} {path!r}: {exc.strerror or exc}") from None
 
 
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to standard output; any error is a config error. After
+    one, standard output points at the null device, so that the
+    interpreter's final flush of what is left cannot fail again."""
+    try:
+        # line by line: a line is shorter than a pipe's atomic write, so an
+        # unbuffered stream (python -u) cannot write part of one and miss
+        # that the reader has gone
+        for line in text.splitlines(keepends=True):
+            sys.stdout.write(line)
+        sys.stdout.flush()
+    except OSError as exc:
+        try:
+            with open(os.devnull, "wb") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        except (OSError, ValueError):  # also a stream without a descriptor
+            pass
+        raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
 def main(argv=None) -> int:
     # At interpreter exit, move every object still alive into the permanent
     # generation, so that the final collections do not walk the tens of
@@ -457,13 +477,14 @@ def main(argv=None) -> int:
         if args.dump_config is not None:
             _write_output("--dump-config", args.dump_config, json.dumps(config_to_dict(cfg), indent=2) + "\n")
             return 0
-        if args.out is None:
-            return run(sys.stdout)
-        # render first and write the file only for a finished run, so that a
-        # failing one leaves an existing --out file as it was
+        # render first and write only a finished run, so that a failing one
+        # leaves an existing --out file as it was and writes no partial output
         buf = io.StringIO()
         code = run(buf)
-        _write_output("--out", args.out, buf.getvalue())
+        if args.out is None:
+            _write_stdout(buf.getvalue())
+        else:
+            _write_output("--out", args.out, buf.getvalue())
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -339,7 +339,8 @@ class TestEval:
 
 class TestOutputPaths:
     """--out and --dump-config targets are checked before any work, and a
-    write that still fails is a config error (exit 2), not a traceback."""
+    write that still fails, to standard output too, is a config error
+    (exit 2), not a traceback."""
 
     SWEEP = _v2v_doc(outputs=["asc_exact", "mc_asc"], mc={"trials": 1000, "seed": 1},
                      sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
@@ -374,6 +375,21 @@ class TestOutputPaths:
         assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), option, "/dev/full"]) == 2
         err = capsys.readouterr().err
         assert err == f"config error: cannot write {option} '/dev/full': No space left on device\n"
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_standard_output_is_a_config_error(self, tmp_path, unbuffered):
+        # the reader leaves after the first line, as `| head -1` does, of an
+        # output (about 380 KB) larger than a pipe's 64 KiB buffer
+        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 10_000})
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        with subprocess.Popen([sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, doc)],
+                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"p_s,asc_approx\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=120) == 2
+            # one line, no traceback
+            assert proc.stderr.read() == b"config error: cannot write standard output: Broken pipe\n"
 
 
 class TestIgnoredBatchKey:
