@@ -154,17 +154,18 @@ def _blocks(trials: int):
 
 
 def _map_blocks(block_fn, trials: int):
-    """Run block_fn(block_index, block_size) over the blocks of ``trials``
-    on ``default_threads()`` workers, one executor task per block, returning
-    results in block order regardless of scheduling."""
+    """Yield block_fn(block_index, block_size) over the blocks of ``trials``
+    in block order, computed on ``default_threads()`` workers, one executor
+    task per block."""
     threads = default_threads()
     blocks = _blocks(trials)
     if threads <= 1 or len(blocks) == 1:
-        return [block_fn(i, n) for i, n in blocks]
+        yield from (block_fn(i, n) for i, n in blocks)
+        return
     # imported here, so that single-threaded runs do not pay for loading it
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(block_fn, *zip(*blocks)))
+        yield from pool.map(block_fn, *zip(*blocks))
 
 
 @dataclass(frozen=True)
@@ -209,31 +210,30 @@ def mc_points(points, cfg: McConfig) -> list:
 def _mc_pass(points, cfg: McConfig) -> list:
     """``mc_points`` for points that share model and n_cells: one pass over
     the blocks, which also sums the first four powers of the destination
-    gain sum for its (mean, variance) estimates. Each block's per-point sums
-    are kept until every block is done, about 5 KB per point at 25 blocks;
-    they are added in block order."""
+    gain sum for its (mean, variance) estimates. Each block's array of sums (a
+    row per point, then the gain-sum moments) is added to the running totals
+    as it arrives, in block order: a pass holds one block's sums per worker."""
     scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), params.c_th)
               for params in points]
 
     def work(i, n):
         sum_d, sum_e = sample_gain_sums(points[0], _block_seed(cfg.seed, i), n)
         top_d, top_e = float(sum_d.max()), float(sum_e.max())
-        stats = []
-        for scale_d, scale_e, c_th in scaled:
+        sums = np.zeros((len(points) + 1, 5))
+        for row, (scale_d, scale_e, c_th) in zip(sums, scaled):
             cs = _log2_one_plus(scale_d, sum_d, top_d) - _log2_one_plus(scale_e, sum_e, top_e)
             pos = np.maximum(cs, 0.0)
             # as c_th > 0, max(cs, 0) < c_th exactly where cs < c_th
-            stats.append((cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), np.count_nonzero(cs < c_th)))
+            row[:] = cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), np.count_nonzero(cs < c_th)
         sq = sum_d * sum_d
-        return stats, (sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq))
+        sums[-1, :4] = sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq)
+        return sums
 
-    parts = _map_blocks(work, cfg.trials)
+    totals = sum(_map_blocks(work, cfg.trials))
     n = cfg.trials
-    # sum() adds the blocks in order from 0, as a running total would
-    gain_sum = _gain_sum_estimates(*map(sum, zip(*(moments for _stats, moments in parts))), n)
+    gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n)
     results = []
-    for point_stats in zip(*(stats for stats, _moments in parts)):  # each point's stats of every block
-        sd, sd2, sp, sp2, outages = map(sum, zip(*point_stats))
+    for sd, sd2, sp, sp2, outages in map(np.ndarray.tolist, totals[:-1]):
         p = outages / n
         results.append(McPointResult(_moment_estimate(sd, sd2, n), _moment_estimate(sp, sp2, n),
                                      McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
