@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import DOUBLE_RAYLEIGH_MEAN, TRIPLE_CASCADE_MEAN
 from .secrecy import Link, Model, SystemParams, snr_scale
 
 THREADS_ENV_VAR = "RIS_SECRECY_THREADS"
@@ -213,18 +214,20 @@ def _mc_pass(points, cfg: McConfig) -> list:
     gain sum for its (mean, variance) estimates. Each block's array of sums (a
     row per point, then the gain-sum moments) is added to the running totals
     as it arrives, in block order: a pass holds one block's sums per worker."""
-    scaled = [(snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER), params.c_th)
-              for params in points]
+    scaled = [_point_scales(params) for params in points]
 
     def work(i, n):
         sum_d, sum_e = sample_gain_sums(points[0], _block_seed(cfg.seed, i), n)
         top_d, top_e = float(sum_d.max()), float(sum_e.max())
         sums = np.zeros((len(points) + 1, 5))
-        for row, (scale_d, scale_e, c_th) in zip(sums, scaled):
+        for row, (scale_d, scale_e, c_th, lift) in zip(sums, scaled):
             cs = _log2_one_plus(scale_d, sum_d, top_d) - _log2_one_plus(scale_e, sum_e, top_e)
-            pos = np.maximum(cs, 0.0)
             # as c_th > 0, max(cs, 0) < c_th exactly where cs < c_th
-            row[:] = cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), np.count_nonzero(cs < c_th)
+            outages = np.count_nonzero(cs < c_th)
+            if lift != 1.0:
+                cs *= lift
+            pos = np.maximum(cs, 0.0)
+            row[:] = cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), outages
         sq = sum_d * sum_d
         sums[-1, :4] = sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq)
         return sums
@@ -233,12 +236,31 @@ def _mc_pass(points, cfg: McConfig) -> list:
     n = cfg.trials
     gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n)
     results = []
-    for sd, sd2, sp, sp2, outages in map(np.ndarray.tolist, totals[:-1]):
+    for (sd, sd2, sp, sp2, outages), (*_, lift) in zip(map(np.ndarray.tolist, totals[:-1]), scaled):
         p = outages / n
-        results.append(McPointResult(_moment_estimate(sd, sd2, n), _moment_estimate(sp, sp2, n),
+        results.append(McPointResult(_moment_estimate(sd, sd2, n, lift), _moment_estimate(sp, sp2, n, lift),
                                      McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
                                      gain_sum))
     return results
+
+
+# A point's capacity differences are about N E[g] max(s_d, s_e) or less at low
+# SNR. Below this bound their squares can underflow (to 0 below about 1e-154),
+# and the standard errors with them.
+_LIFT_BELOW = 2.0 ** -300
+
+
+def _point_scales(params: SystemParams):
+    """(s_d, s_e, c_th, lift) of a point: its link SNR scales, its threshold
+    and the power of two its capacity differences are summed at. The lift is
+    1, or where N E[g] max(s_d, s_e) is below ``_LIFT_BELOW``, the power that
+    brings that bound to [1/2, 1); the estimates are divided by it at the
+    end, which is exact."""
+    scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+    mean = DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN
+    bound = params.n_cells * mean * max(scale_d, scale_e)
+    lift = math.ldexp(1.0, min(-math.frexp(bound)[1], 1000)) if bound < _LIFT_BELOW else 1.0
+    return scale_d, scale_e, params.c_th, lift
 
 
 _LOG1P_BELOW = 2.0 ** -20  # scale*top below which 1 + scale*X would drop digits
@@ -260,14 +282,16 @@ def _log2_one_plus(scale: float, sums: np.ndarray, top: float) -> np.ndarray:
     return math.log2(scale) + np.log2(sums + 1.0 / scale)
 
 
-def _moment_estimate(total: float, total_sq: float, n: int) -> McEstimate:
+def _moment_estimate(total: float, total_sq: float, n: int, lift: float = 1.0) -> McEstimate:
+    """Mean and standard error from the sums of n values that were each
+    multiplied by ``lift``, a power of two, which they are divided by."""
     mean = total / n
     if n > 1:
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    return McEstimate(value=mean, std_error=se, trials=n)
+    return McEstimate(value=mean / lift, std_error=se / lift, trials=n)
 
 
 def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int):

@@ -136,10 +136,12 @@ class TestMcAsc:
         c_d, c_e = link_capacities([p])[0]
         assert abs(diff.value - (c_d - c_e)) < 3.0 * diff.std_error
 
-    @pytest.mark.parametrize("p_s", [1e-16, 1e-20])
+    @pytest.mark.parametrize("p_s", [1e-16, 1e-20, 1e-200, 1e-300])
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_cross_validates_quadrature_at_low_snr(self, model, r_s, p_s):
-        # s X is below 1e-15 here, so 1 + s X would keep few or none of its digits
+        # s X is below 1e-15 here, so 1 + s X would keep few or none of its
+        # digits; below about 1e-154 the squares of the capacity differences
+        # would underflow unless they are lifted
         p = SystemParams(model=model, r_s=r_s, p_s=p_s)
         diff = _one_point(p, McConfig(trials=20_000, seed=3)).asc_diff
         c_d, c_e = link_capacities([p])[0]
@@ -311,6 +313,21 @@ class TestSinglePassEngine:
         with pytest.raises(ValueError):
             mc_points([SystemParams(model=Model.V2V_RIS_AP, **fields) for fields in points],
                       McConfig(trials=10, seed=1))
+
+    def test_pass_memory_does_not_grow_with_blocks(self, monkeypatch):
+        # 100 points over 40 blocks: the pass holds one block's sums plus the
+        # running totals (about 0.5 MiB here, most of it the block's draw
+        # workspace), where keeping every block's sums to the end took 1.1 MiB
+        monkeypatch.setenv(montecarlo.THREADS_ENV_VAR, "1")
+        base = SystemParams(model=Model.V2V_RIS_AP, n_cells=1)
+        points = [replace(base, p_s=1.0 + k) for k in range(100)]
+        tracemalloc.start()
+        try:
+            mc_points(points, McConfig(trials=40 * 8192, seed=1))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.8 * 2 ** 20
 
     def test_mixed_thresholds_count_outages_on_the_shared_blocks(self, v2v_params):
         # one cell count, so one pass: every point is reduced from the same
