@@ -225,7 +225,7 @@ def _row(report: SecrecyReport, res: McPointResult | None) -> dict:
     analytic ``report`` and of its Monte-Carlo result ``res`` (its destination
     ``gain_sum`` estimates too, for the relay variance check). The writers
     select the columns."""
-    row = asdict(report)
+    row = dict(vars(report))
     if res is not None:
         row.update(gain_sum=res.gain_sum,
                    mc_asc_diff=res.asc_diff.value, mc_asc_diff_se=res.asc_diff.std_error,

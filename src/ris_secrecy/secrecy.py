@@ -18,7 +18,7 @@ of the two links' scales from the distances alone.
 import itertools
 import math
 import sys
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -98,7 +98,7 @@ class SecrecyReport:
     sop_paper_literal: float
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
+        if not all(math.isfinite(v) for v in vars(self).values()):
             raise ValueError("report fields must be finite")
         if self.c_d < 0.0 or self.c_e < 0.0:
             raise ValueError("average capacities must be nonnegative")
