@@ -244,9 +244,9 @@ def _mc_pass(points, cfg: McConfig) -> list:
     return results
 
 
-# A point's capacity differences are about N E[g] max(s_d, s_e) or less at low
-# SNR. Below this bound their squares can underflow (to 0 below about 1e-154),
-# and the standard errors with them.
+# At low SNR a point's capacity differences are of the order of
+# N E[g] max(s_d, s_e). Below this bound their squares can underflow (to 0
+# below about 1e-154), and the standard errors with them.
 _LIFT_BELOW = 2.0 ** -300
 
 
@@ -283,8 +283,9 @@ def _log2_one_plus(scale: float, sums: np.ndarray, top: float) -> np.ndarray:
 
 
 def _moment_estimate(total: float, total_sq: float, n: int, lift: float = 1.0) -> McEstimate:
-    """Mean and standard error from the sums of n values that were each
-    multiplied by ``lift``, a power of two, which they are divided by."""
+    """Mean and standard error of n values from the sum and the sum of
+    squares of the values times ``lift``, a power of two that both are
+    divided by at the end."""
     mean = total / n
     if n > 1:
         var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
