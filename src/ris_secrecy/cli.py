@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import channels
-from .montecarlo import McConfig, McEstimate, McPointResult, default_threads, mc_points
+from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
 from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, secrecy_report
 
 # The keys of the base section, each a SystemParams field
@@ -451,10 +451,6 @@ def main(argv=None) -> int:
             except ValueError as exc:  # also a non-UTF-8 file or an integer too long to parse
                 raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
         cfg = build_run_config(doc)
-        try:
-            default_threads()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
         if args.out is not None and args.dump_config is None:
             _check_out_path(args.out)
     except (ConfigError, OSError) as exc:

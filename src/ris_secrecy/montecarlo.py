@@ -2,9 +2,9 @@
 
 This module is the independent ground truth for the analytic formulas. All
 randomness is blocked: the trial index space is cut into fixed 8192-trial
-blocks and block i draws from a generator seeded by (seed, i). Estimates are
-therefore bit-identical for a given (trials, seed) regardless of the number
-of worker threads.
+blocks and block i draws from a generator seeded by (seed, i), and the blocks
+are reduced one after the other in block order. Estimates are therefore
+bit-identical for a given (trials, seed).
 
 One engine, ``mc_points``, does all the sampling: it draws each block once
 per distinct (model, cell count) and reduces it at every point that shares
@@ -12,7 +12,6 @@ them, since the per-cell gain sums depend only on the model, the cell count
 and (trials, seed). A one-point list gives the estimates at a single point.
 """
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,7 @@ import numpy as np
 from .channels import DOUBLE_RAYLEIGH_MEAN, TRIPLE_CASCADE_MEAN
 from .secrecy import Link, Model, SystemParams, snr_scale
 
-THREADS_ENV_VAR = "RIS_SECRECY_THREADS"
-
-_BLOCK_TRIALS = 8192  # randomness granularity, and the work of one worker task
+_BLOCK_TRIALS = 8192  # randomness granularity, and the trials drawn at a time
 
 
 @dataclass(frozen=True)
@@ -50,20 +47,6 @@ class McEstimate:
     def __post_init__(self):
         if self.std_error < 0.0:
             raise ValueError("std_error must be >= 0")
-
-
-def default_threads() -> int:
-    """Worker-thread count from the RIS_SECRECY_THREADS variable (default 1)."""
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{THREADS_ENV_VAR} must be an integer >= 1, got {raw!r}")
-    return n
 
 
 def _block_seed(seed: int, block_index: int) -> np.random.SeedSequence:
@@ -154,21 +137,6 @@ def _blocks(trials: int):
     return [(i, min(_BLOCK_TRIALS, trials - i * _BLOCK_TRIALS)) for i in range(n_blocks)]
 
 
-def _map_blocks(block_fn, trials: int):
-    """Yield block_fn(block_index, block_size) over the blocks of ``trials``
-    in block order, computed on ``default_threads()`` workers, one executor
-    task per block."""
-    threads = default_threads()
-    blocks = _blocks(trials)
-    if threads <= 1 or len(blocks) == 1:
-        yield from (block_fn(i, n) for i, n in blocks)
-        return
-    # imported here, so that single-threaded runs do not pay for loading it
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(block_fn, *zip(*blocks))
-
-
 @dataclass(frozen=True)
 class McPointResult:
     """Estimates at one point of an ``mc_points`` run.
@@ -213,7 +181,7 @@ def _mc_pass(points, cfg: McConfig) -> list:
     the blocks, which also sums the first four powers of the destination
     gain sum for its (mean, variance) estimates. Each block's array of sums (a
     row per point, then the gain-sum moments) is added to the running totals
-    as it arrives, in block order: a pass holds one block's sums per worker."""
+    as it is made, in block order: a pass holds one block's sums at a time."""
     scaled = [_point_scales(params) for params in points]
 
     def work(i, n):
@@ -232,7 +200,7 @@ def _mc_pass(points, cfg: McConfig) -> list:
         sums[-1, :4] = sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq)
         return sums
 
-    totals = sum(_map_blocks(work, cfg.trials))
+    totals = sum(work(i, n) for i, n in _blocks(cfg.trials))
     n = cfg.trials
     gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n)
     results = []

@@ -35,11 +35,22 @@ def snr_scale_mp(point, r, dps=40):
 
 
 def mgf_double_mp(s, dps):
-    """M(s) in elementary form at ``dps`` digits."""
+    """M(s) at ``dps`` digits. With u = 1 - s^2 it is (1 - s A(u)) / u, where
+    A(u) = acos(s)/sqrt(u) below s = 1 and acosh(s)/sqrt(-u) above; both are
+    sum_k c_k u^k, c_k = binom(2k, k) / (4^k (2k + 1)). The numerator cancels
+    near s = 1 (about -log10|u| digits), so there M(s) = 1/(1 + s) - s
+    sum_{k>=1} c_k u^(k-1), whose terms fall by |u| each; elsewhere the
+    elementary form."""
     with mp.workdps(dps):
         s = mp.mpf(s)
-        if s == 1:
-            return mp.mpf(1) / 3
+        u = 1 - s * s
+        if abs(u) < 0.01:
+            k, term, total = 1, mp.mpf(1) / 2, mp.mpf(1) / 6  # term: c_k (2k + 1) u^(k-1)
+            while abs(term) > mp.eps * total:
+                k += 1
+                term *= u * (2 * k - 1) / (2 * k)
+                total += term / (2 * k + 1)
+            return 1 / (1 + s) - s * total
         if s < 1:
             r = mp.sqrt(1 - s * s)
             return (r - s * mp.acos(s)) / r ** 3

@@ -1,5 +1,6 @@
 """Characterization tests: every case of ``tests/golden/regenerate.py`` rerun
-at 1 and 2 worker threads against its committed output.
+twice in one process against its committed output, so that an output that
+depended on what an earlier command left behind would fail its second run.
 
 On the platform that wrote the outputs (its ``FINGERPRINT``: Python and
 NumPy versions, machine, SIMD extensions) the outputs must be the same bytes.
@@ -64,10 +65,9 @@ def _compare_report(got: str, want: str) -> list:
 _SAME_PLATFORM = regenerate.fingerprint() == (GOLDEN / "FINGERPRINT").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("run", ["1", "2"])
 @pytest.mark.parametrize("case", sorted(regenerate.CASES))
-def test_output_matches_golden(case, threads, tmp_path, monkeypatch):
-    monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
+def test_output_matches_golden(case, run, tmp_path):
     code, got = regenerate.run_case(case, tmp_path)
     want = (GOLDEN / case).read_text(encoding="utf-8")
     assert code == (1 if case.startswith("validate-") and not want.endswith("VALIDATION: PASS\n") else 0)

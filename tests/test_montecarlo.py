@@ -51,36 +51,24 @@ class TestConfigTypes:
 
 
 class TestDeterminism:
-    """The worker count comes only from RIS_SECRECY_THREADS and may not
-    change a single bit of any estimate."""
+    """A rerun may not change a single bit of any estimate. The blocks are
+    reduced in one serial pass, so there is no thread count to vary."""
 
-    def test_identical_across_runs_and_threads(self, v2v_params, monkeypatch):
+    def test_identical_across_runs_and_threads(self, v2v_params):
         cfg = McConfig(trials=30_000, seed=404)
-        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        ref = _one_point(v2v_params, cfg)
-        for threads in ("1", "2", "3", "4"):
-            monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-            res = _one_point(v2v_params, cfg)
-            assert res.asc_diff == ref.asc_diff
-            assert res.asc_pos == ref.asc_pos
+        ref, res = _one_point(v2v_params, cfg), _one_point(v2v_params, cfg)
+        assert (res.asc_diff, res.asc_pos) == (ref.asc_diff, ref.asc_pos)
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
-    def test_multi_point_run_identical_across_threads(self, model, r_s, monkeypatch):
+    def test_multi_point_run_identical_across_threads(self, model, r_s):
         base = SystemParams(model=model, r_s=r_s)
         points = [replace(base, p_s=p_s, c_th=c_th) for p_s, c_th in ((2.0, 0.5), (10.0, 1.0), (40.0, 2.0))]
         cfg = McConfig(trials=30_000, seed=404)
-        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        ref = mc_points(points, cfg)
-        for threads in ("2", "3", "4"):
-            monkeypatch.setenv("RIS_SECRECY_THREADS", threads)
-            assert mc_points(points, cfg) == ref
+        assert mc_points(points, cfg) == mc_points(points, cfg)
 
-    def test_sop_identical_across_threads(self, relay_params, monkeypatch):
+    def test_sop_identical_across_threads(self, relay_params):
         cfg = McConfig(trials=30_000, seed=11)
-        monkeypatch.setenv("RIS_SECRECY_THREADS", "1")
-        single = _one_point(relay_params, cfg).sop
-        monkeypatch.setenv("RIS_SECRECY_THREADS", "4")
-        assert _one_point(relay_params, cfg).sop == single
+        assert _one_point(relay_params, cfg).sop == _one_point(relay_params, cfg).sop
 
     def test_snr_pair_stream_reproducible(self, relay_params):
         a = sample_snr_pairs(relay_params, np.random.SeedSequence(5), 3)
@@ -314,11 +302,10 @@ class TestSinglePassEngine:
             mc_points([SystemParams(model=Model.V2V_RIS_AP, **fields) for fields in points],
                       McConfig(trials=10, seed=1))
 
-    def test_pass_memory_does_not_grow_with_blocks(self, monkeypatch):
+    def test_pass_memory_does_not_grow_with_blocks(self):
         # 100 points over 40 blocks: the pass holds one block's sums plus the
         # running totals (about 0.5 MiB here, most of it the block's draw
         # workspace), where keeping every block's sums to the end took 1.1 MiB
-        monkeypatch.setenv(montecarlo.THREADS_ENV_VAR, "1")
         base = SystemParams(model=Model.V2V_RIS_AP, n_cells=1)
         points = [replace(base, p_s=1.0 + k) for k in range(100)]
         tracemalloc.start()

@@ -29,8 +29,8 @@ def test_readme_quickstart_runs(capsys):
 
 
 def test_cli_import_leaves_the_thread_pool_unloaded():
-    # only a multi-threaded Monte-Carlo run needs concurrent.futures (which
-    # also loads logging), so a fresh interpreter must not import it with the CLI
+    # no command needs a thread pool, and concurrent.futures also loads
+    # logging, so a fresh interpreter must not import it with the CLI
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     code = "import sys, ris_secrecy.cli; print('concurrent.futures' in sys.modules)"

@@ -405,6 +405,14 @@ class TestAscExact:
         assert ref == pytest.approx(35.0076, abs=1e-3)
         assert _asc_exact(p) == pytest.approx(ref, rel=1e-13)
 
+    def test_mpmath_capacity_where_z_s_meets_one(self):
+        # the scale is 10, so the M(z s) argument is 1 at the z = 0.1 cut, where
+        # the elementary form of M cancels to nothing in its numerator
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=10.0, r_d=1.0)
+        ref = reference.capacity_mp(p, p.r_d)
+        assert ref == pytest.approx(reference.capacity_quad(p, p.r_d), rel=1e-10, abs=0.0)
+        assert link_capacities([p])[0][0] == pytest.approx(ref, rel=1e-13)
+
 
 class TestAscApprox:
     def test_v2v_default_value(self, v2v_params):
