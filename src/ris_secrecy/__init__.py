@@ -15,7 +15,6 @@ from .secrecy import (
     SopMode,
     SystemParams,
     asc_approx,
-    link_capacities,
     secrecy_report,
     snr_scale,
     sop,
@@ -26,7 +25,7 @@ __version__ = "0.1.0"
 __all__ = [
     "McConfig", "McEstimate", "mc_points",
     "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
-    "asc_approx", "link_capacities", "secrecy_report", "snr_scale", "sop",
+    "asc_approx", "secrecy_report", "snr_scale", "sop",
     "QuadratureError",
     "__version__",
 ]

@@ -235,28 +235,6 @@ def _capacity_batch(batch, one_minus_mgf) -> np.ndarray:
         _STEP / math.log(2.0))
 
 
-def link_capacities(points) -> np.ndarray:
-    """Average capacities (c_d, c_e) in bits/s/Hz at every point, one row each.
-
-    ``points`` is a sequence of SystemParams sharing one model. Every link is
-    computed on its own, so a point's row is bit-identical whether it is
-    computed alone or with any other points. The links go through the MGF in
-    batches of at most ``_BATCH_NODES`` nodes, so the working memory is about
-    1-2 MB at any number of points; only the returned rows grow with it.
-    Raises QuadratureError, with ``component`` the index of the point, when a
-    capacity is not finite.
-    """
-    if not points:
-        return np.empty((0, 2))
-    out = _capacity_run([(params, link) for params in points for link in Link]).reshape(-1, 2)
-    bad = ~np.isfinite(out).all(axis=1)
-    if bad.any():
-        index = int(np.argmax(bad))
-        raise QuadratureError(f"the capacities of point {index} are not finite: {out[index].tolist()}",
-                              component=index)
-    return out
-
-
 def asc_approx(params: SystemParams) -> float:
     """Closed-form secrecy-capacity approximation: the difference of the
     per-link Jensen bounds log2(1 + N mu s), with mu the per-cell mean gain
@@ -339,14 +317,25 @@ def secrecy_report(points) -> list:
     """Every analytic metric at many points, one SecrecyReport per point in order.
 
     ``points`` is a sequence of SystemParams sharing one model, as for
-    ``link_capacities`` and ``mc_points``. The capacities of all points come from one
-    ``link_capacities`` call, so a point's report is bit-identical whether it
-    is computed alone or in any list. Raises QuadratureError, with
-    ``component`` the index of the point, when a capacity is not finite.
+    ``mc_points``; an empty sequence gives an empty list. The capacities of
+    all points come from one capacity run in which every link is computed on
+    its own, so a point's report is bit-identical whether it is computed alone
+    or in any list. The links go through the MGF in batches of at most
+    ``_BATCH_NODES`` nodes, so the working memory is about 1-2 MB at any
+    number of points; only the returned reports grow with it. Raises
+    QuadratureError, with ``component`` the index of the point, when a
+    capacity is not finite.
     """
     points = list(points)
-    capacities = link_capacities(points).tolist()
+    if not points:
+        return []
+    capacities = _capacity_run([(params, link) for params in points for link in Link]).reshape(-1, 2)
+    bad = ~np.isfinite(capacities).all(axis=1)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise QuadratureError(f"the capacities of point {index} are not finite: {capacities[index].tolist()}",
+                              component=index)
     return [SecrecyReport(c_d=c_d, c_e=c_e, asc_exact=c_d - c_e, asc_approx=asc_approx(params),
                           sop_corrected=sop(params, SopMode.CORRECTED),
                           sop_paper_literal=sop(params, SopMode.PAPER_LITERAL))
-            for params, (c_d, c_e) in zip(points, capacities)]
+            for params, (c_d, c_e) in zip(points, capacities.tolist())]

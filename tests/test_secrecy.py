@@ -21,7 +21,6 @@ from ris_secrecy.secrecy import (
     SopMode,
     SystemParams,
     asc_approx,
-    link_capacities,
     secrecy_report,
     snr_scale,
     sop,
@@ -37,6 +36,11 @@ ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
 # cancel: the destination SNR scale is about 2.33.
 CANCELLING_RELAY = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1.0, n_0=1.0, n_cells=1, r_s=1e-300,
                                 r_d=math.exp(690.75), r_e=1e300, beta=math.exp(3.5))
+
+
+def _capacities(points) -> np.ndarray:
+    """The (c_d, c_e) row of every point, as its secrecy report gives them."""
+    return np.array([(rep.c_d, rep.c_e) for rep in secrecy_report(points)]).reshape(-1, 2)
 
 
 class TestSystemParams:
@@ -130,18 +134,18 @@ class TestSnrScale:
 class TestAvgCapacity:
     def test_zero_power_limit(self, v2v_params):
         p = replace(v2v_params, p_s=1e-12)
-        assert link_capacities([p])[0, 0] < 1e-9
+        assert _capacities([p])[0, 0] < 1e-9
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_destination_beats_eavesdropper_when_closer(self, model, r_s):
-        c_d, c_e = link_capacities([SystemParams(model=model, r_d=4.0, r_e=8.0, r_s=r_s)])[0]
+        c_d, c_e = _capacities([SystemParams(model=model, r_d=4.0, r_e=8.0, r_s=r_s)])[0]
         assert c_d > c_e
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_jensen_upper_bound(self, model, r_s):
         for p_s in (1.0, 10.0, 50.0):
             p = SystemParams(model=model, p_s=p_s, r_s=r_s)
-            for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+            for r, capacity in zip((p.r_d, p.r_e), _capacities([p])[0]):
                 assert capacity < reference.jensen_bound(p, r)
 
 
@@ -155,7 +159,7 @@ class TestAvgCapacity:
     ])
     def test_against_adaptive_scalar_reference(self, kwargs):
         p = SystemParams(**kwargs)
-        for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+        for r, capacity in zip((p.r_d, p.r_e), _capacities([p])[0]):
             assert capacity == pytest.approx(reference.capacity_quad(p, r), rel=1e-8)
 
 
@@ -167,7 +171,7 @@ class TestAvgCapacity:
     ])
     def test_low_snr_against_complement_reference(self, kwargs):
         p = SystemParams(**kwargs)
-        caps = link_capacities([p])[0]
+        caps = _capacities([p])[0]
         for link, r, batched in zip(Link, (p.r_d, p.r_e), caps):
             ref = reference.capacity_quad(p, r)
             assert secrecy._capacity_run([(p, link)])[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
@@ -181,7 +185,7 @@ class TestAvgCapacity:
         # capacity is proportional to s, so an argument formed as
         # exp(v + ln s) would be up to |ln s| ulps off.
         p = SystemParams(model=model, r_s=r_s, p_s=p_s)
-        for r, capacity in zip((p.r_d, p.r_e), link_capacities([p])[0]):
+        for r, capacity in zip((p.r_d, p.r_e), _capacities([p])[0]):
             assert capacity == pytest.approx(reference.capacity_low_snr_mp(p, r), rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("model,r_s,expected", [(Model.V2V_RIS_AP, None, 1028.3622),
@@ -191,7 +195,7 @@ class TestAvgCapacity:
         p = SystemParams(model=model, r_s=r_s, p_s=1.5e308, r_d=1.0, r_e=1.0)
         ref = reference.capacity_extreme_snr(p, p.r_d)
         assert ref == pytest.approx(expected, abs=1e-4)
-        c_d, c_e = link_capacities([p])[0]
+        c_d, c_e = _capacities([p])[0]
         assert c_d == c_e
         assert c_d == pytest.approx(ref, rel=1e-14)
 
@@ -248,21 +252,21 @@ def _poison_eavesdropper(monkeypatch, params):
 
 
 class TestCapacityEngine:
-    """link_capacities: every link on its own, in MGF calls of bounded size."""
+    """The capacity engine: every link on its own, in MGF calls of bounded size."""
 
     @pytest.mark.parametrize("model", list(Model))
     @given(data=st.data())
     @settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     def test_batched_matches_single_link_view(self, model, data):
         points = data.draw(_point_runs(model))
-        caps = link_capacities(points)
+        caps = _capacities(points)
         assert caps.shape == (len(points), 2)
         for p, row in zip(points, caps):
             for link, batched in zip(Link, row):
                 single = secrecy._capacity_run([(p, link)])[0]
                 assert math.isfinite(batched) and batched >= 0.0
                 assert batched == single
-            assert row.tobytes() == link_capacities([p])[0].tobytes()
+            assert row.tobytes() == _capacities([p])[0].tobytes()
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
     def test_identical_links_in_one_run_are_bit_identical(self, model, r_s):
@@ -270,7 +274,7 @@ class TestCapacityEngine:
         symmetric = replace(near_far, r_d=5.0, r_e=5.0)
         swapped = replace(near_far, r_d=8.0, r_e=4.0)
         other = replace(near_far, p_s=2.0, r_d=3.0)
-        caps = link_capacities([near_far, other, symmetric, swapped])
+        caps = _capacities([near_far, other, symmetric, swapped])
         assert caps[2, 0] - caps[2, 1] == 0.0
         assert caps[3, 0] == caps[0, 1] and caps[3, 1] == caps[0, 0]
         assert caps[3, 0] - caps[3, 1] == -(caps[0, 0] - caps[0, 1])
@@ -294,18 +298,18 @@ class TestCapacityEngine:
         # 177 to 211
         points[13] = SystemParams(model=Model.V2V_RIS_AP, p_s=1.5e308, r_d=1.0, r_e=1.0)
         calls = self._count_mgf_calls(monkeypatch)
-        caps = link_capacities(points)
+        caps = _capacities(points)
         assert len(calls) >= 2 and max(calls) <= secrecy._BATCH_NODES
         assert np.all(np.isfinite(caps))
         for p, row in zip(points, caps):
-            assert row.tobytes() == link_capacities([p])[0].tobytes()
+            assert row.tobytes() == _capacities([p])[0].tobytes()
 
     def test_columns_larger_than_the_cap_are_batches_alone(self, monkeypatch):
         points = [SystemParams(model=Model.V2V_RIS_AP, p_s=float(p)) for p in np.geomspace(0.01, 1e4, 5)]
-        whole = link_capacities(points)
+        whole = _capacities(points)
         monkeypatch.setattr(secrecy, "_BATCH_NODES", 100)  # below every column's node count
         calls = self._count_mgf_calls(monkeypatch)
-        assert link_capacities(points).tobytes() == whole.tobytes()
+        assert _capacities(points).tobytes() == whole.tobytes()
         assert len(calls) == 2 * len(points)
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
@@ -314,7 +318,7 @@ class TestCapacityEngine:
         points[1000] = replace(points[1000], p_s=1.5e308, r_d=1.0, r_e=2.0)
         tracemalloc.start()
         try:
-            caps = link_capacities(points)
+            caps = _capacities(points)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -323,15 +327,16 @@ class TestCapacityEngine:
 
     def test_points_must_share_a_model(self, v2v_params, relay_params):
         with pytest.raises(ValueError):
-            link_capacities([v2v_params, relay_params])
-        assert link_capacities([]).shape == (0, 2)
+            secrecy_report([v2v_params, relay_params])
+        assert secrecy_report([]) == []
 
     def test_failure_names_the_point(self, monkeypatch):
         points = _POWER_POINTS
         _poison_eavesdropper(monkeypatch, points[37])
         with pytest.raises(secrecy.QuadratureError) as info:
-            link_capacities(points)
+            secrecy_report(points)
         assert info.value.component == 37
+        assert "point 37" in str(info.value)
 
 
 class TestMonotonicity:
@@ -342,7 +347,7 @@ class TestMonotonicity:
     @staticmethod
     def _asc_pair(lower, upper):
         """(ASC at lower, ASC at upper, tolerance)."""
-        (cd_lo, ce_lo), (cd_up, ce_up) = link_capacities([lower, upper])
+        (cd_lo, ce_lo), (cd_up, ce_up) = _capacities([lower, upper])
         asc_lo, asc_up = cd_lo - ce_lo, cd_up - ce_up
         return asc_lo, asc_up, max(1e-12, 1e-9 * max(abs(asc_lo), abs(asc_up)))
 
@@ -380,7 +385,7 @@ class TestMonotonicity:
 
 def _asc_exact(params: SystemParams) -> float:
     """c_d - c_e at one point, from a capacity run of that point alone."""
-    c_d, c_e = link_capacities([params])[0]
+    c_d, c_e = _capacities([params])[0]
     return c_d - c_e
 
 
@@ -411,7 +416,7 @@ class TestAscExact:
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=10.0, r_d=1.0)
         ref = reference.capacity_mp(p, p.r_d)
         assert ref == pytest.approx(reference.capacity_quad(p, p.r_d), rel=1e-10, abs=0.0)
-        assert link_capacities([p])[0][0] == pytest.approx(ref, rel=1e-13)
+        assert _capacities([p])[0][0] == pytest.approx(ref, rel=1e-13)
 
 
 class TestAscApprox:
@@ -636,7 +641,7 @@ class TestRecipePoints:
 
 
 class TestCapacityDomain:
-    """link_capacities anywhere in the valid domain, n_cells up to the top of
+    """Capacities anywhere in the valid domain, n_cells up to the top of
     the double range included: finite, nonnegative capacities; never nan,
     inf or an exception."""
 
@@ -646,7 +651,7 @@ class TestCapacityDomain:
               suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
     def test_finite_and_nonnegative(self, model, data):
         points = data.draw(st.lists(_domain_points(model), min_size=1, max_size=2))
-        caps = link_capacities(points)
+        caps = _capacities(points)
         assert caps.shape == (len(points), 2)
         assert np.all(np.isfinite(caps)) and np.all(caps >= 0.0)
 
@@ -658,7 +663,7 @@ class TestCapacityDomain:
         for n_cells in (10 ** 8, 10 ** 12, 2 ** 53) + tuple(10 ** e for e in (100, 200, 290, 300, 307, 308)):
             for p_s in (1e-300, 1e-200, 1e-100, 1.0, 1e10, 1e100, 1e200, 1e300, 1.5e308):
                 p = SystemParams(model=model, p_s=p_s, r_d=1.0, r_e=1.0, n_cells=n_cells, **r_s)
-                c_d, c_e = link_capacities([p])[0]
+                c_d, c_e = _capacities([p])[0]
                 ref = reference.capacity_delta_method(p, p.r_d)
                 assert c_d == c_e == pytest.approx(ref, rel=1e-12, abs=0.0), (n_cells, p_s)
 
@@ -670,7 +675,7 @@ class TestSecrecyReport:
         points = [replace(fig8, c_th=c_th) for c_th in (0.25, 1.0, 1.5)] + [replace(relay_params, n_cells=9)]
         reports = secrecy_report(points)
         assert len(reports) == len(points)
-        caps = link_capacities(points)
+        caps = secrecy._capacity_run([(p, link) for p in points for link in Link]).reshape(-1, 2)
         for params, rep, (c_d, c_e) in zip(points, reports, caps):
             assert (rep.c_d, rep.c_e) == (c_d, c_e)
             assert rep.asc_exact == rep.c_d - rep.c_e
@@ -707,4 +712,4 @@ class TestSecrecyReport:
 
     def test_jensen_bound_dominates_per_link_capacity(self, v2v_params):
         # the closed-form approximation is built from per-link upper bounds
-        assert link_capacities([v2v_params])[0, 0] <= reference.jensen_bound(v2v_params, v2v_params.r_d)
+        assert _capacities([v2v_params])[0, 0] <= reference.jensen_bound(v2v_params, v2v_params.r_d)
