@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import DOUBLE_RAYLEIGH_MEAN, TRIPLE_CASCADE_MEAN
-from .secrecy import Link, Model, SystemParams, snr_scale
+from .secrecy import Link, Model, SystemParams, _cell_mean, _index, snr_scale
 
 _BLOCK_TRIALS = 8192  # randomness granularity, and the trials drawn at a time
 
@@ -30,10 +29,13 @@ class McConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.trials < 1:
+        trials, seed = _index(self.trials, "trials"), _index(self.seed, "seed")
+        if trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 0 <= int(self.seed) < 2 ** 64:
+        if not 0 <= seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)
@@ -179,10 +181,13 @@ def mc_points(points, cfg: McConfig) -> list:
 def _mc_pass(points, cfg: McConfig) -> list:
     """``mc_points`` for points that share model and n_cells: one pass over
     the blocks, which also sums the first four powers of the destination
-    gain sum for its (mean, variance) estimates. Each block's array of sums (a
-    row per point, then the gain-sum moments) is added to the running totals
-    as it is made, in block order: a pass holds one block's sums at a time."""
+    gain sum less its known mean N E[g], for the sum's (mean, variance)
+    estimates: powers of the raw sum would cancel by about N^2 1e-16. Each
+    block's array of sums (a row per point, then the gain-sum moments) is
+    added to the running totals as it is made, in block order: a pass holds
+    one block's sums at a time."""
     scaled = [_point_scales(params) for params in points]
+    centre = points[0].n_cells * _cell_mean(points[0].model)
 
     def work(i, n):
         sum_d, sum_e = sample_gain_sums(points[0], _block_seed(cfg.seed, i), n)
@@ -196,13 +201,14 @@ def _mc_pass(points, cfg: McConfig) -> list:
                 cs *= lift
             pos = np.maximum(cs, 0.0)
             row[:] = cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), outages
-        sq = sum_d * sum_d
-        sums[-1, :4] = sum_d.sum(), sq.sum(), np.dot(sq, sum_d), np.dot(sq, sq)
+        x = np.subtract(sum_d, centre, out=sum_d)
+        sq = x * x
+        sums[-1, :4] = x.sum(), sq.sum(), np.dot(sq, x), np.dot(sq, sq)
         return sums
 
     totals = sum(work(i, n) for i, n in _blocks(cfg.trials))
     n = cfg.trials
-    gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n)
+    gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n, centre)
     results = []
     for (sd, sd2, sp, sp2, outages), (*_, lift) in zip(map(np.ndarray.tolist, totals[:-1]), scaled):
         p = outages / n
@@ -225,8 +231,7 @@ def _point_scales(params: SystemParams):
     brings that bound to [1/2, 1); the estimates are divided by it at the
     end, which is exact."""
     scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
-    mean = DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN
-    bound = params.n_cells * mean * max(scale_d, scale_e)
+    bound = params.n_cells * _cell_mean(params.model) * max(scale_d, scale_e)
     lift = math.ldexp(1.0, min(-math.frexp(bound)[1], 1000)) if bound < _LIFT_BELOW else 1.0
     return scale_d, scale_e, params.c_th, lift
 
@@ -263,16 +268,19 @@ def _moment_estimate(total: float, total_sq: float, n: int, lift: float = 1.0) -
     return McEstimate(value=mean / lift, std_error=se / lift, trials=n)
 
 
-def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int):
-    """(mean, variance) estimates from raw sums of x..x^4; the variance
-    standard error uses the fourth central moment."""
+def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int, centre: float):
+    """(mean, variance) estimates of the gain sum X from the sums of x..x^4,
+    x = X - centre; the variance standard error uses the fourth central
+    moment. With ``centre`` the known mean, x is of the order of the spread
+    of X, so these sums keep the digits that sums of X..X^4 would lose."""
     mean = s1 / n
     m2 = s2 / n - mean ** 2
     var = m2 * n / (n - 1) if n > 1 else 0.0
-    # central fourth moment from raw sums
+    # central fourth moment from the sums about the centre
     m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean ** 2 * s2 - 3.0 * n * mean ** 4) / n
     var_of_var = max(0.0, (m4 - (n - 3) / (n - 1) * m2 ** 2) / n) if n > 3 else 0.0
-    mean_est = _moment_estimate(s1, s2, n)
+    offset = _moment_estimate(s1, s2, n)
+    mean_est = McEstimate(value=centre + offset.value, std_error=offset.std_error, trials=n)
     var_est = McEstimate(value=var, std_error=math.sqrt(var_of_var), trials=n)
     return mean_est, var_est
 

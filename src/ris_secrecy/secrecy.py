@@ -17,6 +17,7 @@ of the two links' scales from the distances alone.
 """
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -66,8 +67,10 @@ class SystemParams:
         for name in ("p_s", "n_0", "beta"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
-        if not (1 <= self.n_cells <= sys.float_info.max and int(self.n_cells) == self.n_cells):
+        n_cells = _index(self.n_cells, "n_cells")
+        if not 1 <= n_cells <= sys.float_info.max:
             raise ValueError("n_cells must be an integer >= 1 within the double range")
+        object.__setattr__(self, "n_cells", n_cells)
         if not (0.0 < self.r_d < math.inf and 0.0 < self.r_e < math.inf):
             raise ValueError("distances must be finite and > 0")
         if self.model is Model.V2V_RIS_AP:
@@ -84,6 +87,23 @@ class SystemParams:
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
         if not 0.0 < self.c_th < math.inf:
             raise ValueError("c_th must be finite and > 0")
+
+
+def _cell_mean(model: Model) -> float:
+    """E[g], the mean gain of one cell of ``model``."""
+    return channels.DOUBLE_RAYLEIGH_MEAN if model is Model.V2V_RIS_AP else channels.TRIPLE_CASCADE_MEAN
+
+
+def _index(value, name: str) -> int:
+    """The integer field ``name`` as a Python int. Ints and NumPy integers
+    pass; floats, even integral ones, bools and other types raise ValueError:
+    NumPy takes no float where it needs an int."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,12 +202,10 @@ def _capacity_run(columns) -> np.ndarray:
     model = columns[0][0].model
     if any(params.model is not model for params, _link in columns):
         raise ValueError("the points of a capacity run must share one model")
-    v2v = model is Model.V2V_RIS_AP
-    log_mean = math.log(channels.DOUBLE_RAYLEIGH_MEAN if v2v else channels.TRIPLE_CASCADE_MEAN)
-    one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if v2v
+    one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if model is Model.V2V_RIS_AP
                      else channels.one_minus_mgf_triple_cascade)
     return np.concatenate([_capacity_batch(batch, one_minus_mgf)
-                           for batch in _node_batches(columns, log_mean)])
+                           for batch in _node_batches(columns, math.log(_cell_mean(model)))])
 
 
 def _node_batches(columns, log_mean: float):
@@ -242,8 +260,7 @@ def asc_approx(params: SystemParams) -> float:
     no product of the path-loss terms can leave the double range. Where both
     bounds round to x, their difference keeps only the absolute precision of
     x; there it is x_d - x_e = -beta ln(r_d / r_e) plus the log(1 + e^-x)."""
-    mean = channels.DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else channels.TRIPLE_CASCADE_MEAN
-    log_n_mean = math.log(params.n_cells) + math.log(mean)
+    log_n_mean = math.log(params.n_cells) + math.log(_cell_mean(params.model))
     x_d, x_e = (log_n_mean + math.log(snr_scale(params, link)) for link in Link)
     if min(x_d, x_e) > 37.0:  # e^-x < 1e-16, so log(1 + e^x) rounds to x
         diff = (-params.beta * _log_distance_ratio(params)

@@ -9,6 +9,7 @@ working precision that callers set differently is an argument.
 """
 import math
 import warnings
+from fractions import Fraction
 
 import mpmath as mp
 import scipy.integrate as sint
@@ -264,3 +265,16 @@ def sop_mp(point, constants="corrected") -> float:
         n = point.n_cells
         x = ((nu - 1) / scale_d + n * mean * (nu * scale_e / scale_d - 1)) / mp.sqrt(2 * n * variance)
         return float(mp.erfc(-x) / 2)
+
+
+def sample_variance_exact(values):
+    """(mean, unbiased variance, standard error of that variance) of the
+    floats ``values``, in exact rational arithmetic before the final rounding.
+    The standard error is sqrt((m4 - (n - 3)/(n - 1) m2^2)/n) from the central
+    moments m2 and m4."""
+    xs = [Fraction(v) for v in values]
+    n = len(xs)
+    mean = sum(xs) / n
+    m2 = sum((x - mean) ** 2 for x in xs) / n
+    m4 = sum((x - mean) ** 4 for x in xs) / n
+    return float(mean), float(m2 * n / (n - 1)), math.sqrt((m4 - Fraction(n - 3, n - 1) * m2 ** 2) / n)

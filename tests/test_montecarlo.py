@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import reference
 from ris_secrecy import cli, montecarlo
 from ris_secrecy.channels import (
     DOUBLE_RAYLEIGH_MEAN,
@@ -45,7 +46,8 @@ def sample_snr_pairs(params, seq, n):
 
 
 class TestConfigTypes:
-    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"seed": -1}, {"seed": 2 ** 64}])
+    @pytest.mark.parametrize("kwargs", [{"trials": 0}, {"trials": -1}, {"seed": -1}, {"seed": 2 ** 64},
+                                        {"seed": 1.5}, {"trials": 100.5}, {"seed": True}])
     def test_mc_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             McConfig(**kwargs)
@@ -113,6 +115,24 @@ class TestSnrSampling:
         assert abs(mean_est.value - n * TRIPLE_CASCADE_MEAN) < 4.0 * mean_est.std_error
         assert abs(var_est.value - corrected) < 4.0 * var_est.std_error
         assert abs(var_est.value - literal) > 10.0 * var_est.std_error
+
+    @pytest.mark.parametrize("model", ["relay", "v2v"])
+    def test_moments_keep_their_digits_at_a_huge_cell_count(self, model, monkeypatch):
+        # 16 fixed gain sums about N E[g] at N = 1e8, spread like real ones:
+        # powers of the raw sums would cancel by about N^2 1e-16, which put
+        # the variance's standard error 3x off. Drawing N = 1e8 cells costs
+        # 16-19 s per model.
+        params = replace(_MODELS[model], n_cells=10 ** 8)
+        mean, variance = ((DOUBLE_RAYLEIGH_MEAN, DOUBLE_RAYLEIGH_VARIANCE) if model == "v2v"
+                          else (TRIPLE_CASCADE_MEAN, TRIPLE_CASCADE_VARIANCE))
+        n_cells = params.n_cells
+        sums = n_cells * mean + math.sqrt(n_cells * variance) * np.random.default_rng(12).standard_normal(16)
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", lambda _params, _seq, n: (sums[:n].copy(), sums[:n].copy()))
+        mean_est, var_est = _one_point(params, McConfig(trials=16, seed=1)).gain_sum
+        exact_mean, exact_var, exact_se = reference.sample_variance_exact(sums.tolist())
+        assert mean_est.value == pytest.approx(exact_mean, rel=1e-15)
+        assert var_est.value == pytest.approx(exact_var, rel=1e-12)
+        assert var_est.std_error == pytest.approx(exact_se, rel=1e-12)
 
 
 class TestMcAsc:
@@ -193,6 +213,7 @@ def _reference_point(params, cfg):
     g1 = g2 = g3 = g4 = 0.0
     outages = 0
     scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+    centre = params.n_cells * (DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN)
     for i, n in _blocks(cfg.trials):
         sum_d, sum_e = sample_gain_sums(params, _block_seed(cfg.seed, i), n)
         cs = np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
@@ -202,10 +223,11 @@ def _reference_point(params, cfg):
         sp += pos.sum()
         sp2 += np.dot(pos, pos)
         outages += np.count_nonzero(cs < params.c_th)
-        sq = sum_d * sum_d
-        g1 += sum_d.sum()
+        x = sum_d - centre
+        sq = x * x
+        g1 += x.sum()
         g2 += sq.sum()
-        g3 += np.dot(sq, sum_d)
+        g3 += np.dot(sq, x)
         g4 += np.dot(sq, sq)
     n = cfg.trials
 
@@ -216,7 +238,7 @@ def _reference_point(params, cfg):
 
     p = outages / n
     return (estimate(sd, sd2), estimate(sp, sp2), McEstimate(p, math.sqrt(p * (1.0 - p) / n), n),
-            montecarlo._gain_sum_estimates(g1, g2, g3, g4, n))
+            montecarlo._gain_sum_estimates(g1, g2, g3, g4, n, centre))
 
 
 _MODELS = {"v2v": SystemParams(model=Model.V2V_RIS_AP),

@@ -57,6 +57,8 @@ class TestSystemParams:
             {"beta": 0.0},
             {"n_cells": 0},
             {"n_cells": 2.5},
+            {"n_cells": 16.0},  # integral, but a float: mc_points could not draw it
+            {"n_cells": True},
             {"r_d": 0.0},
             {"r_e": -3.0},
             {"r_s": 5.0},  # not allowed on the access-point model
