@@ -119,9 +119,9 @@ class TestSnrSampling:
     @pytest.mark.parametrize("model", ["relay", "v2v"])
     def test_moments_keep_their_digits_at_a_huge_cell_count(self, model, monkeypatch):
         # 16 fixed gain sums about N E[g] at N = 1e8, spread like real ones:
-        # powers of the raw sums would cancel by about N^2 1e-16, which put
-        # the variance's standard error 3x off. Drawing N = 1e8 cells costs
-        # 16-19 s per model.
+        # powers of the raw sums cancel by about N^2 1e-16, which puts the
+        # variance's standard error 3.6x (relay) and 5.7x (v2v) off here.
+        # Drawing N = 1e8 cells would cost 16-19 s per model.
         params = replace(_MODELS[model], n_cells=10 ** 8)
         mean, variance = ((DOUBLE_RAYLEIGH_MEAN, DOUBLE_RAYLEIGH_VARIANCE) if model == "v2v"
                           else (TRIPLE_CASCADE_MEAN, TRIPLE_CASCADE_VARIANCE))

@@ -57,8 +57,6 @@ class TestSystemParams:
             {"beta": 0.0},
             {"n_cells": 0},
             {"n_cells": 2.5},
-            {"n_cells": 16.0},  # integral, but a float: mc_points could not draw it
-            {"n_cells": True},
             {"r_d": 0.0},
             {"r_e": -3.0},
             {"r_s": 5.0},  # not allowed on the access-point model
@@ -74,6 +72,8 @@ class TestSystemParams:
             {"p_s": 1e300, "r_d": 1e-10},  # the SNR scale overflows
             {"r_d": 1e-200},  # r_d^-beta overflows
             {"r_e": 1e200},  # r_e^-beta underflows to 0
+            {"n_cells": 16.0},  # integral, but a float: mc_points could not draw it
+            {"n_cells": True},
         ],
     )
     def test_v2v_validation(self, kwargs):
