@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channels
 from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
-from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, secrecy_report
+from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, _index, _real, secrecy_report
 
 # The keys of the base section, each a SystemParams field
 _BASE_KEYS = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s")
@@ -59,6 +59,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.param not in SWEEPABLE:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, got {self.param!r}")
+        for name, check in (("start", _real), ("stop", _real), ("steps", _index)):
+            object.__setattr__(self, name, check(getattr(self, name), f"sweep.{name}"))
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep start and stop must be finite")
         if not self.start < self.stop:
@@ -99,93 +101,59 @@ class RunConfig:
             raise ConfigError("r_s can only be swept for the relay model")
 
 
+# The keys whose values the types take as integers. JSON has one number type,
+# so an integral float under one of them, such as 16.0, stands for an int.
+_INTEGER_KEYS = ("n_cells", "steps", "trials", "seed", "batch")
+
+
 def _section(name: str, doc, allowed) -> dict:
-    """``doc`` as a config section: a JSON object with keys from ``allowed``."""
+    """``doc`` as a config section: a JSON object with keys from ``allowed``,
+    with an integral float under an integer key as an int."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{name} must be a JSON object, got {doc!r}")
     unknown = set(doc) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in {name}: {sorted(unknown)}")
-    return doc
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int. Booleans, non-numbers and numbers with a fractional
-    part are config errors, not truncated; integral floats such as 16.0 pass."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    """``value`` as a float. Booleans and non-numbers are config errors, not
-    coerced; the range is checked where the value is used."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ConfigError(f"{name} is outside the floating-point range") from None
-    raise ConfigError(f"{name} must be a number, got {value!r}")
-
-
-def _parse_base(config: dict) -> SystemParams:
-    """The ``base`` section of ``config`` and its top-level ``c_th`` as a point;
-    absent keys take the SystemParams defaults, except the relay's r_s."""
-    doc = _section("base", config["base"], ("model",) + _BASE_KEYS)
-    if "model" not in doc:
-        raise ConfigError("base.model is required ('v2v_ris_ap' or 'vanet_ris_relay')")
-    try:
-        model = Model(doc["model"])
-    except ValueError:
-        raise ConfigError(f"unknown model {doc['model']!r}") from None
-    if model is Model.V2V_RIS_AP and "r_s" in doc:
-        raise ConfigError("r_s applies only to the relay model")
-    fields = {key: (_integer if key == "n_cells" else _real)(f"base.{key}", doc[key])
-              for key in _BASE_KEYS if key in doc}
-    if model is Model.VANET_RIS_RELAY:
-        fields.setdefault("r_s", DEFAULT_RELAY_R_S)
-    if "c_th" in config:
-        fields["c_th"] = _real("c_th", config["c_th"])
-    try:
-        return SystemParams(model=model, **fields)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return {key: int(value) if key in _INTEGER_KEYS and isinstance(value, float) and value.is_integer()
+            else value for key, value in doc.items()}
 
 
 def build_run_config(doc: dict) -> RunConfig:
-    """Resolve a JSON config document into a RunConfig."""
+    """Resolve a JSON config document into a RunConfig; the types check every
+    field, and a value they reject is a ConfigError."""
     doc = _section("config", doc, ("base", "sweep", "c_th", "mc", "outputs"))
     if "base" not in doc:
         raise ConfigError("config requires a 'base' section")
-    base = _parse_base(doc)
-    sweep = None
-    if doc.get("sweep") is not None:
-        sw = _section("sweep", doc["sweep"], ("param", "start", "stop", "steps", "scale"))
-        sweep = SweepSpec(
-            param=sw.get("param", ""),
-            start=_real("sweep.start", sw.get("start", 0.0)),
-            stop=_real("sweep.stop", sw.get("stop", 0.0)),
-            steps=_integer("sweep.steps", sw.get("steps", 0)),
-            scale=sw.get("scale", "linear"),
-        )
-    mc = None
-    if doc.get("mc") is not None:
-        m = _section("mc", doc["mc"], ("trials", "seed", "batch"))
-        if _integer("mc.batch", m.get("batch", 1)) < 1:  # accepted and checked, but has no effect
-            raise ConfigError("batch must be >= 1")
-        try:
-            mc = McConfig(
-                trials=_integer("mc.trials", m.get("trials", McConfig.trials)),
-                seed=_integer("mc.seed", m.get("seed", McConfig.seed)),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+    # the base section and the top-level c_th make the point; absent keys
+    # take the SystemParams defaults, except the relay's r_s
+    base = _section("base", doc["base"], ("model",) + _BASE_KEYS)
+    if "model" not in base:
+        raise ConfigError("base.model is required ('v2v_ris_ap' or 'vanet_ris_relay')")
+    try:
+        base["model"] = Model(base["model"])
+    except ValueError:
+        raise ConfigError(f"unknown model {base['model']!r}") from None
+    if base["model"] is Model.VANET_RIS_RELAY:
+        base.setdefault("r_s", DEFAULT_RELAY_R_S)
+    if "c_th" in doc:
+        base["c_th"] = doc["c_th"]
+    sweep = mc = None
+    try:
+        point = SystemParams(**base)
+        if doc.get("sweep") is not None:
+            sw = _section("sweep", doc["sweep"], ("param", "start", "stop", "steps", "scale"))
+            sweep = SweepSpec(**{"param": "", "start": 0.0, "stop": 0.0, "steps": 0, **sw})
+        if doc.get("mc") is not None:
+            m = _section("mc", doc["mc"], ("trials", "seed", "batch"))
+            if _index(m.pop("batch", 1), "batch") < 1:  # accepted and checked, but has no effect
+                raise ConfigError("batch must be >= 1")
+            mc = McConfig(**m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     outputs = doc.get("outputs", list(DEFAULT_OUTPUTS))
     if not (isinstance(outputs, list) and all(isinstance(out, str) for out in outputs)):
         raise ConfigError(f"outputs must be a list of output names, got {outputs!r}")
-    return RunConfig(base=base, sweep=sweep, mc=mc, outputs=tuple(outputs))
+    return RunConfig(base=point, sweep=sweep, mc=mc, outputs=tuple(outputs))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -448,7 +416,7 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 doc = json.load(fh)
-            except ValueError as exc:  # also a non-UTF-8 file or an integer too long to parse
+            except (ValueError, RecursionError) as exc:  # also non-UTF-8, too-long integers, deep nesting
                 raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
         cfg = build_run_config(doc)
         if args.out is not None and args.dump_config is None:

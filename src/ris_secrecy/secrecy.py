@@ -50,7 +50,9 @@ class SystemParams:
 
     Distances are in metres, p_s in watts, n_0 in the same normalized units
     as p_s; r_s is the source-to-RIS distance and exists only for the relay
-    model.
+    model. ``model`` must be a Model. The real fields take ints, floats and
+    NumPy reals and store a float, and n_cells takes an int or NumPy integer
+    and stores an int; any other value raises ValueError.
     """
 
     model: Model
@@ -64,29 +66,28 @@ class SystemParams:
     c_th: float = 1.0
 
     def __post_init__(self):
-        for name in ("p_s", "n_0", "beta"):
-            if not 0.0 < getattr(self, name) < math.inf:
+        if not isinstance(self.model, Model):
+            raise ValueError(f"model must be a Model, got {self.model!r}")
+        if self.model is Model.V2V_RIS_AP:
+            if self.r_s is not None:
+                raise ValueError("r_s applies only to the relay model")
+        elif self.r_s is None:
+            raise ValueError("the relay model requires a finite r_s > 0")
+        for name in ("p_s", "n_0", "beta", "r_d", "r_e", "c_th") + (() if self.r_s is None else ("r_s",)):
+            value = _real(getattr(self, name), name)
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0")
+            object.__setattr__(self, name, value)
         n_cells = _index(self.n_cells, "n_cells")
         if not 1 <= n_cells <= sys.float_info.max:
             raise ValueError("n_cells must be an integer >= 1 within the double range")
         object.__setattr__(self, "n_cells", n_cells)
-        if not (0.0 < self.r_d < math.inf and 0.0 < self.r_e < math.inf):
-            raise ValueError("distances must be finite and > 0")
-        if self.model is Model.V2V_RIS_AP:
-            if self.r_s is not None:
-                raise ValueError("r_s applies only to the relay model")
-        else:
-            if self.r_s is None or not 0.0 < self.r_s < math.inf:
-                raise ValueError("the relay model requires a finite r_s > 0")
         try:
             scales = [snr_scale(self, link) for link in Link]
         except OverflowError:
             scales = [math.inf]
         if not all(0.0 < v < math.inf for v in scales):
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
-        if not 0.0 < self.c_th < math.inf:
-            raise ValueError("c_th must be finite and > 0")
 
 
 def _cell_mean(model: Model) -> float:
@@ -104,6 +105,19 @@ def _index(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(value, name: str) -> float:
+    """The real field ``name`` as a float. Floats, ints and NumPy reals pass;
+    bools, other types and ints beyond the double range raise ValueError."""
+    if type(value) is float:
+        return value
+    if isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} is outside the double range") from None
+    raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass(frozen=True)

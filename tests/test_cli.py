@@ -194,8 +194,9 @@ class TestEval:
         assert main(["eval", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("raw", [b'{"base": {"model": "v2v_ris_ap", "p_s": ' + b"1" * 5000 + b"}}",
-                                     b'{"base": {"model": "v2v_ris_\xff"}}'],
-                             ids=["integer_too_long", "not_utf8"])
+                                     b'{"base": {"model": "v2v_ris_\xff"}}',
+                                     b"[" * 100_000 + b"]" * 100_000],
+                             ids=["integer_too_long", "not_utf8", "nested"])
     def test_unreadable_documents_are_config_errors(self, tmp_path, capsys, raw):
         path = tmp_path / "bad.json"
         path.write_bytes(raw)

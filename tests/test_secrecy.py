@@ -74,11 +74,24 @@ class TestSystemParams:
             {"r_e": 1e200},  # r_e^-beta underflows to 0
             {"n_cells": 16.0},  # integral, but a float: mc_points could not draw it
             {"n_cells": True},
+            {"p_s": True},  # real fields take no bools, strings or None
+            {"c_th": True},
+            {"r_d": "4"},
+            {"beta": None},
         ],
     )
     def test_v2v_validation(self, kwargs):
         with pytest.raises(ValueError):
             SystemParams(model=Model.V2V_RIS_AP, **kwargs)
+
+    def test_model_is_a_model_and_reals_are_floats(self):
+        # a model name would mix the laws: the relay's triple cascade with
+        # the access point's SNR scales
+        for model, r_s in (("vanet_ris_relay", 10.0), ("v2v_ris_ap", 1.0), (None, 1.0)):
+            with pytest.raises(ValueError, match=r"^model must be a Model"):
+                SystemParams(model=model, r_s=r_s)
+        p_s = SystemParams(model=Model.V2V_RIS_AP, p_s=10).p_s
+        assert type(p_s) is float and p_s == 10.0
 
     @pytest.mark.parametrize("c_th", [0.0, -1.0, math.nan, math.inf])
     def test_threshold_validation(self, c_th):
