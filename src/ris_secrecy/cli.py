@@ -61,8 +61,8 @@ class SweepSpec:
             raise ConfigError(f"sweep.param must be one of {SWEEPABLE}, got {self.param!r}")
         for name, check in (("start", _real), ("stop", _real), ("steps", _index)):
             object.__setattr__(self, name, check(getattr(self, name), f"sweep.{name}"))
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep start and stop must be finite")
+        if not math.isfinite(self.stop - self.start):  # also rejects non-finite ends
+            raise ConfigError("sweep start, stop and stop - start must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep requires start < stop")
         if self.steps < 2:
@@ -78,7 +78,7 @@ class SweepSpec:
         else:
             vals = np.linspace(self.start, self.stop, self.steps)
         if self.param == "n_cells":
-            return [max(1, int(round(v))) for v in vals]
+            return [int(round(v)) for v in vals]
         return [float(v) for v in vals]
 
 
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
     except QuadratureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("config error: the run does not fit in memory", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

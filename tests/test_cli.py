@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,13 @@ def _v2v_doc(**overrides):
     doc = {"base": {"model": "v2v_ris_ap"}, "outputs": ["asc_approx"]}
     doc.update(overrides)
     return doc
+
+
+def _child_env(**extra):
+    """The environment of a child Python that imports the package from src."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
 
 
 def _read_csv(path):
@@ -126,6 +132,9 @@ class TestConfigParsing:
             # an integer field beyond the double range
             {"base": {"model": "v2v_ris_ap", "n_cells": 10 ** 400}},
             {"base": {"model": "v2v_ris_ap"}, "mc": {"seed": -5}},
+            # finite ends whose span overflows
+            {"base": {"model": "v2v_ris_ap"},
+             "sweep": {"param": "p_s", "start": -1e308, "stop": 1.7e308, "steps": 3}},
         ],
     )
     def test_rejects_bad_documents(self, doc):
@@ -245,26 +254,37 @@ class TestEval:
         assert "config error: c_th=-1.0" in capsys.readouterr().err
 
     def test_high_snr_points_succeed(self, tmp_path, capsys):
+        # SNR scales near the top and the bottom of the double range, and cell
+        # counts that take N E[g] s to the top, are valid points too; a
+        # RuntimeWarning fails the test (pyproject.toml)
+        v2v = {"model": "v2v_ris_ap", "r_d": 1.0, "r_e": 2.0}
+        relay = {"model": "vanet_ris_relay", "r_s": 1.0, "r_d": 1.0, "r_e": 2.0}
         for base in ({"model": "v2v_ris_ap", "p_s": 1e12, "r_d": 0.001},
-                     {"model": "vanet_ris_relay", "p_s": 1e6, "r_s": 0.01, "r_d": 0.01}):
-            cfg = _write(tmp_path, {"base": base, "outputs": ["asc_exact"]})
-            assert main(["eval", "--config", cfg, "--csv"]) == 0
-            _header, value = capsys.readouterr().out.splitlines()
-            assert math.isfinite(float(value))
+                     {"model": "vanet_ris_relay", "p_s": 1e6, "r_s": 0.01, "r_d": 0.01},
+                     dict(v2v, p_s=1.5e308), dict(relay, p_s=1.5e308),
+                     dict(v2v, p_s=1e-300), dict(relay, p_s=1e-300),
+                     dict(v2v, n_cells=1e308), dict(relay, p_s=1.5e308, n_cells=1e12)):
+            doc = {"base": base, "outputs": ["asc_exact", "asc_approx", "sop_corrected", "sop_paper_literal"]}
+            assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+            _header, row = capsys.readouterr().out.splitlines()
+            assert all(math.isfinite(float(v)) for v in row.split(",")), base
 
+    @pytest.mark.parametrize("p_s, trials", [(1.5e308, 100), (1e-20, 20_000), (1e-300, 20_000)],
+                             ids=["1.5e308", "1e-20", "1e-300"])
     @pytest.mark.parametrize("base", [{"model": "v2v_ris_ap"}, {"model": "vanet_ris_relay", "r_s": 1.0}],
                              ids=["v2v", "relay"])
-    def test_mc_asc_at_the_top_of_the_double_range(self, tmp_path, capsys, base):
-        # SNR scale times gain sum overflows here: the Monte-Carlo capacities
-        # take their log form
-        doc = {"base": dict(base, p_s=1.5e308, r_d=1.0, r_e=2.0), "outputs": ["asc_exact", "mc_asc"],
-               "mc": {"trials": 100, "seed": 42}}
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+    def test_mc_asc_at_the_top_of_the_double_range(self, tmp_path, capsys, base, p_s, trials):
+        # At the top, SNR scale times gain sum overflows: the Monte-Carlo
+        # capacities take their log form. At the bottom, 1 + s X keeps no
+        # digit of s X (1e-20) and the squared capacity differences would
+        # underflow (1e-300). A RuntimeWarning fails the test (pyproject.toml).
+        doc = {"base": dict(base, p_s=p_s, r_d=1.0, r_e=2.0), "outputs": ["asc_exact", "mc_asc"],
+               "mc": {"trials": trials, "seed": 42}}
+        assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
         header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
         cells = dict(zip(header, map(float, row)))
         assert all(math.isfinite(v) for v in cells.values())
+        assert cells["mc_asc_diff_se"] > 0
         assert abs(cells["asc_exact"] - cells["mc_asc_diff"]) <= 4.0 * cells["mc_asc_diff_se"]
 
     @pytest.mark.parametrize("doc,expected", [
@@ -372,10 +392,9 @@ class TestOutputPaths:
         # the reader leaves after the first line, as `| head -1` does, of an
         # output (about 380 KB) larger than a pipe's 64 KiB buffer
         doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 10_000})
-        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         with subprocess.Popen([sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, doc)],
-                              env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                              env=_child_env(PYTHONUNBUFFERED=unbuffered),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"p_s,asc_approx\n"
             proc.stdout.close()
             assert proc.wait(timeout=120) == 2
@@ -485,6 +504,31 @@ class TestSweep:
         monkeypatch.setenv("RIS_SECRECY_THREADS", "abc")
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "set.csv")]) == 0
         assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_cell_count_below_one_is_a_config_error(self, tmp_path, capsys):
+        # the counts -5, -1 and 3: a swept count is rounded, never raised to 1
+        doc = _v2v_doc(sweep={"param": "n_cells", "start": -5.0, "stop": 3.0, "steps": 3})
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", _write(tmp_path, doc), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error: n_cells=-5: ")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the child's address space with RLIMIT_AS")
+    def test_run_too_large_for_memory_is_a_config_error(self, tmp_path):
+        # 10^12 sweep values take 7.3 TiB; the child may map at most 2 GiB
+        import resource
+
+        def cap():
+            limit = 2 * 2 ** 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 10 ** 12})
+        proc = subprocess.run([sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, doc)],
+                              env=_child_env(OPENBLAS_NUM_THREADS="1"), preexec_fn=cap,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("config error: ") and "Traceback" not in proc.stderr
 
     def test_seed_override_changes_mc_columns_only(self, tmp_path):
         # two documents that differ only in mc.seed
@@ -707,17 +751,26 @@ class TestRecipes:
 
     def test_module_entry_point_runs_a_recipe(self, tmp_path):
         out = tmp_path / "fig7.csv"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run(
             [sys.executable, "-m", "ris_secrecy", "sweep",
              "--config", str(RECIPES / "fig7.json"), "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
+            env=_child_env(), capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         header, rows = _read_csv(out)
         assert header[0] == "p_s"
         assert len(rows) == 25
+
+    @pytest.mark.parametrize("name", ["fig5", "fig8"])
+    def test_validate_rerun_writes_the_same_bytes(self, name, tmp_path):
+        # relay recipes, so the reports carry the gain-sum variance lines too;
+        # fig8's SOPs lie between 0 and 1, and some of its points fail (exit 1)
+        reports = []
+        for run in ("first", "second"):
+            out = tmp_path / f"{run}.txt"
+            assert main(["validate", "--config", str(RECIPES / f"{name}.json"), "--out", str(out)]) in (0, 1)
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
 
 # Calls cli.main once per argument list, as a library caller in one process
@@ -756,10 +809,8 @@ class TestInterpreterExit:
         runs = [["sweep", "--config", _write(tmp_path, self.SWEEP, "first.json"), "--out", str(first_out)],
                 [command, "--config", _write(tmp_path, second, "second.json"), "--out", str(second_out)]]
         marker = tmp_path / "marker"
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.run([sys.executable, "-c", EXIT_HOST, str(marker), json.dumps(runs)],
-                              env=env, capture_output=True, text=True, timeout=120)
+                              env=_child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == code, proc.stderr
         assert marker.read_text() == "host handler ran after 1 freeze"
         assert proc.stdout == "True 0\n"

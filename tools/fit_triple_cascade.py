@@ -8,10 +8,11 @@ integral over the Rayleigh factor y,
 
     q(s) = int_0^inf y exp(-y^2/2) (1 - M_dbl(s y)) dy,
 
-with M_dbl the elementary double-Rayleigh MGF, and prints the table in the
-form ``channels.py`` holds it. With ``--check`` it compares instead, and exits
-1 when a coefficient differs from the committed one by more than 1e-14 (a
-coefficient moves ln q, and so q relatively, by at most its own change).
+with M_dbl the double-Rayleigh MGF of ``tests/reference.py``, and prints the
+table in the form ``channels.py`` holds it. With ``--check`` it compares
+instead, and exits 1 when a coefficient differs from the committed one by more
+than 1e-14 (a coefficient moves ln q, and so q relatively, by at most its own
+change).
 The package does not import this script.
 
     PYTHONPATH=src python tools/fit_triple_cascade.py           # print the table
@@ -21,11 +22,16 @@ It takes about a minute: one adaptive mpmath quadrature per Chebyshev node.
 """
 import argparse
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 
 from ris_secrecy import channels
+
+# the test suite's independent references, which import nothing from the package
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from reference import mgf_double_mp  # noqa: E402
 
 DPS = 30
 # Chebyshev nodes per piece. The coefficients fall by about 10x per term, and
@@ -35,22 +41,6 @@ NODES = 24
 # error of q, by at most its own size.
 TRIM = 1e-17
 CHECK_TOL = 1e-14
-
-
-def _one_minus_mgf_dbl(t):
-    """1 - M_dbl(t) at the working precision, which must exceed the digits
-    that cancel: about -log10(t) for small t."""
-    if t == 0:
-        return mp.mpf(0)
-    x = (t - 1) / (t + 1)
-    if abs(x) <= mp.mpf("0.1"):
-        # the elementary forms are 0/0 at t = 1; the hypergeometric one is not
-        return 1 - mp.mpf(4) / 3 * mp.hyp2f1(2, mp.mpf(1) / 2, mp.mpf(5) / 2, x) / (1 + t) ** 2
-    if t < 1:
-        r = mp.sqrt(1 - t * t)
-        return 1 - (r - t * mp.acos(t)) / r ** 3
-    r = mp.sqrt(t * t - 1)
-    return 1 - (t * mp.acosh(t) - r) / r ** 3
 
 
 def log_one_minus_mgf_triple(u):
@@ -65,7 +55,9 @@ def log_one_minus_mgf_triple(u):
             cuts.append(y)
             y *= 8
         cuts += [1, 2, 3, 4, 6, 8, 10, 13]
-        value = mp.quad(lambda y: y * mp.exp(-y * y / 2) * _one_minus_mgf_dbl(s * y), cuts)
+        # 1 - M_dbl at this precision, which exceeds the digits that cancel:
+        # about -log10(s y) for small s y
+        value = mp.quad(lambda y: y * mp.exp(-y * y / 2) * (1 - mgf_double_mp(s * y, mp.mp.dps)), cuts)
         return mp.log(value)
 
 
