@@ -18,7 +18,7 @@ import numpy as np
 
 from . import channels
 from .montecarlo import McConfig, McEstimate, McPointResult, mc_points
-from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, _index, _real, secrecy_report
+from .secrecy import Model, QuadratureError, SecrecyReport, SystemParams, _index, _real, secrecy_report
 
 # The keys of the base section, each a SystemParams field
 _BASE_KEYS = ("p_s", "n_0", "beta", "n_cells", "r_d", "r_e", "r_s")
@@ -256,18 +256,17 @@ def run_sweep(cfg: RunConfig, out) -> None:
         out.write(",".join([_fmt(value)] + [_fmt(row[c]) for c in cols]) + "\n")
 
 
-def run_validate(cfg: RunConfig, out, mode: SopMode) -> int:
+def run_validate(cfg: RunConfig, out) -> int:
     """Compare analytic metrics against Monte-Carlo at every point.
 
-    The ASC check allows three MC standard errors; the SOP check allows
-    ``SOP_TOL`` plus three. For the relay model the variance of the summed
-    gains is also checked against both closed-form constants, once for each
-    cell count the run draws. Every check uses the rows of the run: its
-    analytic reports and its one Monte-Carlo pass, which the outputs
-    ``mc_asc`` and ``mc_sop`` switch on. Returns 0 when every check concludes
-    and passes, 1 otherwise.
+    The ASC check allows three MC standard errors; the SOP check of
+    ``sop_corrected`` allows ``SOP_TOL`` plus three. For the relay model the
+    variance of the summed gains, checked against both closed-form constants
+    once for each cell count the run draws, judges the relay constants. Every
+    check uses the rows of the run: its analytic reports and its one
+    Monte-Carlo pass, which the outputs ``mc_asc`` and ``mc_sop`` switch on.
+    Returns 0 when every check concludes and passes, 1 otherwise.
     """
-    sop_name = f"sop_{mode.value}"
     values, rows = _rows(replace(cfg, outputs=("mc_asc", "mc_sop")))
     too_few = _TOO_FEW if cfg.mc.trials < 2 else None  # a mean's std error needs two trials
     all_ok = True
@@ -280,7 +279,7 @@ def run_validate(cfg: RunConfig, out, mode: SopMode) -> int:
                         inconclusive=too_few or (_TOO_WIDE if 3.0 * se > 0.1 * max(abs(analytic), 1e-6)
                                                  else None)) and all_ok
         se = row["mc_sop_se"]
-        all_ok = _check(out, f"{label}: sop[{mode.value}]", row[sop_name], row["mc_sop"], se,
+        all_ok = _check(out, f"{label}: sop[corrected]", row["sop_corrected"], row["mc_sop"], se,
                         f"{SOP_TOL:g}+3se", SOP_TOL + 3.0 * se,
                         inconclusive=too_few or (_TOO_WIDE if se > 0.5 * SOP_TOL else None)) and all_ok
     if cfg.base.model is Model.VANET_RIS_RELAY:
@@ -359,9 +358,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write the fully resolved config as JSON and exit")
         if name == "eval":
             p.add_argument("--csv", action="store_true", help="emit one CSV row instead of a table")
-        if name == "validate":
-            p.add_argument("--mode", choices=("corrected", "paper-literal"), default="corrected",
-                           help="relay-model SOP constants checked against Monte-Carlo")
     return parser
 
 
@@ -434,8 +430,7 @@ def main(argv=None) -> int:
                 raise ConfigError("the sweep command requires a 'sweep' section in the config")
             run_sweep(cfg, out)
             return 0
-        mode = SopMode.CORRECTED if args.mode == "corrected" else SopMode.PAPER_LITERAL
-        return run_validate(cfg, out, mode)
+        return run_validate(cfg, out)
 
     try:
         if args.dump_config is not None:

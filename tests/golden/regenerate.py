@@ -37,9 +37,7 @@ CASES = {f"sweep-{fig}.csv": (fig, ["sweep"], None) for fig in
 CASES.update({f"eval-{fig}.csv": (fig, ["eval", "--csv"], ALL_OUTPUTS) for fig in ("fig4", "fig5")})
 CASES.update({f"eval-{fig}.txt": (fig, ["eval"], ALL_OUTPUTS) for fig in ("fig4", "fig8")})
 CASES["dump-config-fig8.json"] = ("fig8", ["sweep", "--dump-config"], None)
-CASES.update({f"validate-{fig}-{mode}.txt": (fig, ["validate", "--mode", mode], None)
-              for fig, mode in (("fig4", "corrected"), ("fig5", "corrected"), ("fig5", "paper-literal"),
-                                ("fig8", "corrected"), ("fig8", "paper-literal"))})
+CASES.update({f"validate-{fig}.txt": (fig, ["validate"], None) for fig in ("fig4", "fig5", "fig8")})
 
 
 def fingerprint() -> str:

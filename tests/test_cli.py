@@ -253,7 +253,7 @@ class TestEval:
         assert not out.exists()
         assert "config error: c_th=-1.0" in capsys.readouterr().err
 
-    def test_high_snr_points_succeed(self, tmp_path, capsys):
+    def test_extreme_snr_points_succeed(self, tmp_path, capsys):
         # SNR scales near the top and the bottom of the double range, and cell
         # counts that take N E[g] s to the top, are valid points too; a
         # RuntimeWarning fails the test (pyproject.toml)
@@ -273,7 +273,7 @@ class TestEval:
                              ids=["1.5e308", "1e-20", "1e-300"])
     @pytest.mark.parametrize("base", [{"model": "v2v_ris_ap"}, {"model": "vanet_ris_relay", "r_s": 1.0}],
                              ids=["v2v", "relay"])
-    def test_mc_asc_at_the_top_of_the_double_range(self, tmp_path, capsys, base, p_s, trials):
+    def test_mc_asc_at_the_ends_of_the_double_range(self, tmp_path, capsys, base, p_s, trials):
         # At the top, SNR scale times gain sum overflows: the Monte-Carlo
         # capacities take their log form. At the bottom, 1 + s X keeps no
         # digit of s X (1e-20) and the squared capacity differences would
@@ -326,13 +326,25 @@ class TestEval:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "sweep"])
-    def test_mode_is_a_validate_option(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("command", ["eval", "sweep", "validate"])
+    def test_mode_is_rejected_by_every_command(self, tmp_path, capsys, command):
         doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", _write(tmp_path, doc), "--mode", "paper-literal"])
         assert exc.value.code == 2
-        assert "--mode" in capsys.readouterr().err
+        assert "unrecognized arguments: --mode paper-literal" in capsys.readouterr().err
+
+    def test_paper_literal_sop_misses_mc_at_a_relay_interior_point(self, tmp_path, capsys):
+        # the paper's relay constants put the outage at about 1e-24 where the
+        # simulated outage is about 0.51; validate judges only the corrected
+        # formula, so eval's columns keep the literal one's miss visible
+        doc = {"base": {"model": "vanet_ris_relay", "p_s": 1000.0},
+               "outputs": ["sop_corrected", "sop_paper_literal", "mc_sop"],
+               "mc": {"trials": 40_000, "seed": 42}}
+        assert main(["eval", "--config", _write(tmp_path, doc), "--csv"]) == 0
+        header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+        cells = dict(zip(header, map(float, row)))
+        assert abs(cells["sop_paper_literal"] - cells["mc_sop"]) > 0.02 + 3.0 * cells["mc_sop_se"]
 
     def test_dump_config_round_trips_and_is_stable(self, tmp_path):
         cfg_path = _write(tmp_path, _v2v_doc(mc={"trials": 1000}))
@@ -481,7 +493,7 @@ class TestSweep:
         hi = min((r for r, v in pts if v > 0.85), default=None)
         assert lo is not None and hi is not None and hi - lo < 5.0
 
-    def test_byte_identical_reruns_and_thread_independence(self, tmp_path):
+    def test_byte_identical_reruns_and_batch_independence(self, tmp_path):
         doc = _v2v_doc(outputs=["asc_approx", "mc_asc", "mc_sop"],
                        sweep={"param": "p_s", "start": 2.0, "stop": 20.0, "steps": 5},
                        mc={"trials": 20_000, "seed": 42})
@@ -668,16 +680,17 @@ class TestValidate:
         assert "tol(0.02+3se)=0.0293" in sop_line and sop_line.endswith("PASS")
         assert "VALIDATION: PASS" in out
 
-    def test_paper_literal_mode_fails_for_relay_interior_point(self, tmp_path, capsys):
-        doc = {
-            "base": {"model": "vanet_ris_relay", "p_s": 1000.0},
-            "outputs": ["asc_exact"],
-            "mc": {"trials": 40_000, "seed": 42},
-        }
-        code = main(["validate", "--config", _write(tmp_path, doc), "--mode", "paper-literal"])
+    def test_sop_line_with_too_large_a_std_error_is_inconclusive(self, tmp_path, capsys):
+        # 1,000 trials give the outage estimate a std error of 0.016, above
+        # half the formula's tolerance, so the line cannot conclude
+        doc = {"base": {"model": "vanet_ris_relay", "p_s": 1000.0}, "c_th": 1.0,
+               "mc": {"trials": 1000, "seed": 1}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) == 1
         out = capsys.readouterr().out
-        assert code == 1
-        assert "sop[paper_literal]" in out and "FAIL" in out
+        (line,) = [line for line in out.splitlines() if "sop[corrected]" in line]
+        assert line.startswith("base point: sop[corrected]=0.468506 mc=0.52 +-0.016 ")
+        assert line.endswith("INCONCLUSIVE (std error too large to conclude)")
+        assert "VALIDATION: FAIL" in out
 
     def test_relay_report_prints_both_variance_candidates(self, tmp_path, capsys):
         doc = {

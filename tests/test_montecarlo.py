@@ -61,19 +61,19 @@ class TestDeterminism:
     """A rerun may not change a single bit of any estimate. The blocks are
     reduced in one serial pass, so there is no thread count to vary."""
 
-    def test_identical_across_runs_and_threads(self, v2v_params):
+    def test_identical_across_runs(self, v2v_params):
         cfg = McConfig(trials=30_000, seed=404)
         ref, res = _one_point(v2v_params, cfg), _one_point(v2v_params, cfg)
         assert (res.asc_diff, res.asc_pos) == (ref.asc_diff, ref.asc_pos)
 
     @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
-    def test_multi_point_run_identical_across_threads(self, model, r_s):
+    def test_multi_point_run_identical_across_runs(self, model, r_s):
         base = SystemParams(model=model, r_s=r_s)
         points = [replace(base, p_s=p_s, c_th=c_th) for p_s, c_th in ((2.0, 0.5), (10.0, 1.0), (40.0, 2.0))]
         cfg = McConfig(trials=30_000, seed=404)
         assert mc_points(points, cfg) == mc_points(points, cfg)
 
-    def test_sop_identical_across_threads(self, relay_params):
+    def test_sop_identical_across_runs(self, relay_params):
         cfg = McConfig(trials=30_000, seed=11)
         assert _one_point(relay_params, cfg).sop == _one_point(relay_params, cfg).sop
 

@@ -140,6 +140,12 @@ class TestSnrScale:
                 continue  # a subnormal scale cannot hold 12 digits
             assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
 
+    def test_overflowing_power_step_is_a_valid_point(self):
+        # p_s r_d^-beta overflows, but the scale p_s r_d^-beta / n_0 is 1e27
+        p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e300, n_0=1e300, r_d=1e-10)
+        ref = reference.snr_scale_mp(p, p.r_d)
+        assert abs(snr_scale(p, Link.DESTINATION) - ref) <= 1e-12 * ref
+
     def test_relay_hop_cancelling_the_link_path(self):
         for link, r in zip(Link, (CANCELLING_RELAY.r_d, CANCELLING_RELAY.r_e)):
             assert snr_scale(CANCELLING_RELAY, link) == pytest.approx(
@@ -615,6 +621,12 @@ class TestClosedFormDomain:
         # 2.7e-9; their difference alone would keep only about 1e-14 of it
         params = SystemParams(model=model, p_s=1e200, r_d=1.0, r_e=r_e, r_s=r_s)
         assert asc_approx(params) == pytest.approx(reference.asc_approx_mp(params), rel=1e-14, abs=0.0)
+
+    def test_overflowing_distance_quotient(self):
+        # r_d / r_e overflows, so ln(r_d / r_e) is a difference of logs
+        params = SystemParams(model=Model.V2V_RIS_AP, p_s=1e80, beta=0.1, r_d=1e300, r_e=1e-10)
+        (report,) = secrecy_report([params])
+        assert report.asc_approx == pytest.approx(reference.asc_approx_mp(params), rel=1e-14, abs=0.0)
 
     def test_relay_hop_cancelling_the_link_path(self):
         assert asc_approx(CANCELLING_RELAY) == pytest.approx(reference.asc_approx_mp(CANCELLING_RELAY), rel=1e-14)
