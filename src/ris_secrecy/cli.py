@@ -244,7 +244,8 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
     items += [(c, row[c]) for c in cols]
     width = max(len(k) for k, _ in items)
     for k, v in items:
-        sval = v if isinstance(v, str) else f"{v:.12g}"
+        # integer fields print whole: :.12g gives 1e+12 for 1000000000001
+        sval = v if isinstance(v, str) else str(v) if isinstance(v, int) else f"{v:.12g}"
         out.write(f"{k:<{width}}  {sval}\n")
 
 

@@ -85,8 +85,8 @@ def sample_gain_sums(params: SystemParams, seq: np.random.SeedSequence, n: int):
     destination link, then the two of the eavesdropper link (k = 4); the
     relay puts its source leg first (k = 5). The draw takes log(1 - U) of
     every uniform, multiplies the logs of each gain's factors and takes one
-    square root per gain: 2 sqrt(L1 L2) for v2v, with the 2 applied to the
-    sums, and sqrt(-8 Ls L1 L2) for the relay. Every log lies in
+    square root per gain: 2 sqrt(L1 L2) for v2v and 2 sqrt(-2 Ls L1 L2) for
+    the relay, with the 2 applied to the sums. Every log lies in
     [-36.8, 0], so the products neither overflow nor change sign.
 
     Factor j is the stretch of the PCG64 stream seeded by ``seq`` that
@@ -115,22 +115,20 @@ def sample_gain_sums(params: SystemParams, seq: np.random.SeedSequence, n: int):
             for cursor, factor in zip(cursors, f):
                 cursor.random(out=factor)
             _log_one_minus(f)
-            if k == 4:
-                gd = np.multiply(f[0], f[1], out=f[0])
-                ge = np.multiply(f[2], f[3], out=f[2])
-            else:  # the source leg, times -8 once, times each receiver's pair
-                source = np.multiply(f[0], -8.0, out=f[0])
-                gd = np.multiply(source, np.multiply(f[1], f[2], out=f[1]), out=f[1])
-                ge = np.multiply(source, np.multiply(f[3], f[4], out=f[3]), out=f[3])
+            gd = np.multiply(f[-4], f[-3], out=f[-4])
+            ge = np.multiply(f[-2], f[-1], out=f[-2])
+            if k == 5:  # the relay's source leg, times -2 once, times each receiver's pair
+                source = np.multiply(f[0], -2.0, out=f[0])
+                gd *= source
+                ge *= source
             # einsum, not a BLAS matrix-vector product, whose row sums change
             # with a chunk's row count (einsum's change only for one-row
             # chunks of about 1e4 cells or more); added to zeros, so a row
             # drawn in one piece keeps its sum bit for bit
             sum_d[r0:r1] += np.einsum("ij->i", np.sqrt(gd, out=gd))
             sum_e[r0:r1] += np.einsum("ij->i", np.sqrt(ge, out=ge))
-    if k == 4:  # exact: a power of two
-        sum_d *= 2.0
-        sum_e *= 2.0
+    sum_d *= 2.0  # exact: doubling commutes with every rounding above
+    sum_e *= 2.0
     return sum_d, sum_e
 
 

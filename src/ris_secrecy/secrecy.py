@@ -82,11 +82,7 @@ class SystemParams:
         if not 1 <= n_cells <= sys.float_info.max:
             raise ValueError("n_cells must be an integer >= 1 within the double range")
         object.__setattr__(self, "n_cells", n_cells)
-        try:
-            scales = [snr_scale(self, link) for link in Link]
-        except OverflowError:
-            scales = [math.inf]
-        if not all(0.0 < v < math.inf for v in scales):
+        if not all(0.0 < snr_scale(self, link) < math.inf for link in Link):
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
 
 
@@ -149,7 +145,7 @@ def snr_scale(params: SystemParams, link: Link) -> float:
     """SNR scale multiplying the summed gains: p_s r_i^-beta / n_0, with an
     extra r_s^-beta hop loss for the relay model.
 
-    Raises OverflowError when the scale is beyond the double range.
+    A scale above the double range is math.inf, and one below it is 0.0.
     """
     relay = params.model is Model.VANET_RIS_RELAY
     distance = params.r_d if link is Link.DESTINATION else params.r_e
@@ -175,7 +171,10 @@ def snr_scale(params: SystemParams, link: Link) -> float:
         product = distance * params.r_s
         log_path = (-params.beta * math.log(product) if _TINY <= product < math.inf
                     else log_path - params.beta * math.log(params.r_s))
-    return math.exp(math.log(params.p_s) + log_path - math.log(params.n_0))
+    try:
+        return math.exp(math.log(params.p_s) + log_path - math.log(params.n_0))
+    except OverflowError:
+        return math.inf
 
 
 class QuadratureError(ArithmeticError):
@@ -305,7 +304,7 @@ def _path_ratio(params: SystemParams) -> float:
     try:
         if _TINY <= q < math.inf:
             return q ** params.beta
-        return math.exp(params.beta * (math.log(params.r_d) - math.log(params.r_e)))
+        return math.exp(params.beta * _log_distance_ratio(params))
     except OverflowError:
         return math.inf
 

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ris_secrecy import Model, SystemParams
 from ris_secrecy.montecarlo import sample_gain_sums
+
+# Every run draws the same examples, so whether a property catches a fault
+# does not depend on the run; each @settings keeps its own example count,
+# deadline and health checks on top of this profile
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

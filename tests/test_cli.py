@@ -186,6 +186,12 @@ class TestEval:
         assert "asc_approx" in out
         assert "1.85937081" in out
 
+    def test_table_prints_integer_fields_whole(self, tmp_path, capsys):
+        doc = _v2v_doc(base={"model": "v2v_ris_ap", "n_cells": 1_000_000_000_001})
+        assert main(["eval", "--config", _write(tmp_path, doc)]) == 0
+        (line,) = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n_cells ")]
+        assert line.split() == ["n_cells", "1000000000001"]
+
     def test_csv_row(self, tmp_path):
         cfg = _write(tmp_path, _v2v_doc())
         out = tmp_path / "row.csv"

@@ -28,15 +28,16 @@ def test_readme_quickstart_runs(capsys):
     assert len(lines) == 2 and "+-" in lines[1]
 
 
-def test_cli_import_leaves_the_thread_pool_unloaded():
-    # no command needs a thread pool, and concurrent.futures also loads
-    # logging, so a fresh interpreter must not import it with the CLI
+def test_cli_import_loads_no_unneeded_module():
+    # every command's start-up pays for what the CLI imports: no command
+    # needs a thread pool or logging, and SciPy and mpmath are test oracles
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    code = "import sys, ris_secrecy.cli; print('concurrent.futures' in sys.modules)"
+    code = ("import sys, ris_secrecy.cli; "
+            "print([m for m in ('concurrent.futures', 'logging', 'scipy', 'mpmath') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout == "[]\n"
 
 
 def test_reference_module_imports_nothing_from_the_package():
