@@ -7,25 +7,14 @@ average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
 from .montecarlo import McConfig, McEstimate, mc_points
-from .secrecy import (
-    Link,
-    Model,
-    QuadratureError,
-    SecrecyReport,
-    SopMode,
-    SystemParams,
-    asc_approx,
-    secrecy_report,
-    snr_scale,
-    sop,
-)
+from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, asc_approx, secrecy_report, sop
 
 __version__ = "0.1.0"
 
 __all__ = [
     "McConfig", "McEstimate", "mc_points",
-    "Link", "Model", "SecrecyReport", "SopMode", "SystemParams",
-    "asc_approx", "secrecy_report", "snr_scale", "sop",
+    "Model", "SecrecyReport", "SopMode", "SystemParams",
+    "asc_approx", "secrecy_report", "sop",
     "QuadratureError",
     "__version__",
 ]

@@ -6,6 +6,8 @@ failure.
 """
 import argparse
 import atexit
+import contextlib
+import errno
 import gc
 import io
 import json
@@ -384,6 +386,8 @@ def _write_stdout(text: str) -> None:
     """Write ``text`` to standard output; any error is a config error. After
     one, standard output points at the null device, so that the
     interpreter's final flush of what is left cannot fail again."""
+    if sys.stdout is None:  # descriptor 1 was closed when the interpreter started
+        raise ConfigError(f"cannot write standard output: {os.strerror(errno.EBADF)}")
     try:
         # line by line: a line is shorter than a pipe's atomic write, so an
         # unbuffered stream (python -u) cannot write part of one and miss
@@ -398,6 +402,15 @@ def _write_stdout(text: str) -> None:
         except (OSError, ValueError):  # also a stream without a descriptor
             pass
         raise ConfigError(f"cannot write standard output: {exc.strerror or exc}") from None
+
+
+def _fail(code: int, message: str) -> int:
+    """Print ``message`` on standard error and return the exit ``code``; on a
+    closed standard error the message is dropped and the code kept."""
+    if sys.stderr is not None:  # None where descriptor 2 was closed when the interpreter started
+        with contextlib.suppress(OSError):
+            print(message, file=sys.stderr)
+    return code
 
 
 def main(argv=None) -> int:
@@ -419,8 +432,7 @@ def main(argv=None) -> int:
         if args.out is not None and args.dump_config is None:
             _check_out_path(args.out)
     except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"config error: {exc}")
 
     def run(out) -> int:
         if args.command == "eval":
@@ -447,14 +459,11 @@ def main(argv=None) -> int:
             _write_output("--out", args.out, buf.getvalue())
         return code
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"config error: {exc}")
     except QuadratureError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"numerical failure: {exc}")
     except MemoryError:
-        print("config error: the run does not fit in memory", file=sys.stderr)
-        return 2
+        return _fail(2, "config error: the run does not fit in memory")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .secrecy import Link, Model, SystemParams, _cell_mean, _index, snr_scale
+from .secrecy import Model, SystemParams, _cell_mean, _index
 
 _BLOCK_TRIALS = 8192  # randomness granularity, and the trials drawn at a time
 
@@ -184,17 +184,18 @@ def _mc_pass(points, cfg: McConfig) -> list:
     block's array of sums (a row per point, then the gain-sum moments) is
     added to the running totals as it is made, in block order: a pass holds
     one block's sums at a time."""
-    scaled = [_point_scales(params) for params in points]
+    lifts = [_lift(params) for params in points]
     centre = points[0].n_cells * _cell_mean(points[0].model)
 
     def work(i, n):
         sum_d, sum_e = sample_gain_sums(points[0], _block_seed(cfg.seed, i), n)
         top_d, top_e = float(sum_d.max()), float(sum_e.max())
         sums = np.zeros((len(points) + 1, 5))
-        for row, (scale_d, scale_e, c_th, lift) in zip(sums, scaled):
+        for row, params, lift in zip(sums, points, lifts):
+            scale_d, scale_e = params.scales
             cs = _log2_one_plus(scale_d, sum_d, top_d) - _log2_one_plus(scale_e, sum_e, top_e)
             # as c_th > 0, max(cs, 0) < c_th exactly where cs < c_th
-            outages = np.count_nonzero(cs < c_th)
+            outages = np.count_nonzero(cs < params.c_th)
             if lift != 1.0:
                 cs *= lift
             pos = np.maximum(cs, 0.0)
@@ -208,7 +209,7 @@ def _mc_pass(points, cfg: McConfig) -> list:
     n = cfg.trials
     gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n, centre)
     results = []
-    for (sd, sd2, sp, sp2, outages), (*_, lift) in zip(map(np.ndarray.tolist, totals[:-1]), scaled):
+    for (sd, sd2, sp, sp2, outages), lift in zip(map(np.ndarray.tolist, totals[:-1]), lifts):
         p = outages / n
         results.append(McPointResult(_moment_estimate(sd, sd2, n, lift), _moment_estimate(sp, sp2, n, lift),
                                      McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
@@ -222,16 +223,13 @@ def _mc_pass(points, cfg: McConfig) -> list:
 _LIFT_BELOW = 2.0 ** -300
 
 
-def _point_scales(params: SystemParams):
-    """(s_d, s_e, c_th, lift) of a point: its link SNR scales, its threshold
-    and the power of two its capacity differences are summed at. The lift is
-    1, or where N E[g] max(s_d, s_e) is below ``_LIFT_BELOW``, the power that
-    brings that bound to [1/2, 1); the estimates are divided by it at the
-    end, which is exact."""
-    scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
-    bound = params.n_cells * _cell_mean(params.model) * max(scale_d, scale_e)
-    lift = math.ldexp(1.0, min(-math.frexp(bound)[1], 1000)) if bound < _LIFT_BELOW else 1.0
-    return scale_d, scale_e, params.c_th, lift
+def _lift(params: SystemParams) -> float:
+    """The power of two a point's capacity differences are summed at: 1, or
+    where N E[g] max(s_d, s_e) is below ``_LIFT_BELOW``, the power that brings
+    that bound to [1/2, 1); the estimates are divided by it at the end, which
+    is exact."""
+    bound = params.n_cells * _cell_mean(params.model) * max(params.scales)
+    return math.ldexp(1.0, min(-math.frexp(bound)[1], 1000)) if bound < _LIFT_BELOW else 1.0
 
 
 _LOG1P_BELOW = 2.0 ** -20  # scale*top below which 1 + scale*X would drop digits

@@ -11,9 +11,10 @@ fixed trapezoid rule in ln z, with the nodes of many links in each MGF call.
 The average secrecy capacity is the difference of per-link capacities. Its
 closed-form approximation is the difference of the per-link Jensen bounds
 log2(1 + N mu s), taken in the log domain, and the outage probability is an
-erfc form from a Gaussian approximation of the summed gains. Both closed forms
-read the link SNR scale s from ``snr_scale``; the outage form takes the ratio
-of the two links' scales from the distances alone.
+erfc form from a Gaussian approximation of the summed gains. Every metric
+reads the link SNR scales s from ``SystemParams.scales``, computed once when
+the point is built; the outage form takes the ratio of the two links' scales
+from the distances alone.
 """
 import itertools
 import math
@@ -32,11 +33,6 @@ class Model(Enum):
     VANET_RIS_RELAY = "vanet_ris_relay"
 
 
-class Link(Enum):
-    DESTINATION = "destination"
-    EAVESDROPPER = "eavesdropper"
-
-
 class SopMode(Enum):
     CORRECTED = "corrected"
     PAPER_LITERAL = "paper_literal"
@@ -53,6 +49,9 @@ class SystemParams:
     model. ``model`` must be a Model. The real fields take ints, floats and
     NumPy reals and store a float, and n_cells takes an int or NumPy integer
     and stores an int; any other value raises ValueError.
+
+    ``scales`` is (s_d, s_e), the destination and eavesdropper SNR scales,
+    derived state that ``asdict``, ``==``, ``hash`` and ``repr`` do not see.
     """
 
     model: Model
@@ -82,8 +81,10 @@ class SystemParams:
         if not 1 <= n_cells <= sys.float_info.max:
             raise ValueError("n_cells must be an integer >= 1 within the double range")
         object.__setattr__(self, "n_cells", n_cells)
-        if not all(0.0 < snr_scale(self, link) < math.inf for link in Link):
+        scales = (_snr_scale(self, self.r_d), _snr_scale(self, self.r_e))
+        if not all(0.0 < scale < math.inf for scale in scales):
             raise ValueError("the link SNR scales p_s r^-beta / n_0 overflow or underflow")
+        object.__setattr__(self, "scales", scales)
 
 
 def _cell_mean(model: Model) -> float:
@@ -141,14 +142,13 @@ class SecrecyReport:
 _TINY = 2.2250738585072014e-308
 
 
-def snr_scale(params: SystemParams, link: Link) -> float:
-    """SNR scale multiplying the summed gains: p_s r_i^-beta / n_0, with an
-    extra r_s^-beta hop loss for the relay model.
+def _snr_scale(params: SystemParams, distance: float) -> float:
+    """SNR scale multiplying the summed gains of a link: p_s distance^-beta
+    / n_0, with an extra r_s^-beta hop loss for the relay model.
 
     A scale above the double range is math.inf, and one below it is 0.0.
     """
     relay = params.model is Model.VANET_RIS_RELAY
-    distance = params.r_d if link is Link.DESTINATION else params.r_e
     try:
         path = distance ** -params.beta
         hop = params.r_s ** -params.beta if relay else 1.0
@@ -207,13 +207,13 @@ _BATCH_NODES = 1 << 14
 
 
 def _capacity_run(columns) -> np.ndarray:
-    """Average capacity (bits/s/Hz) of every (params, link) column; each
-    column has its own SNR scale and cell count. The columns go through the
-    MGF in batches of at most ``_BATCH_NODES`` nodes, one call each, and each
-    column is summed over its own nodes only, so its value does not depend on
-    the other columns or on the batching."""
+    """Average capacity (bits/s/Hz) of every (params, SNR scale) column;
+    each column has its own SNR scale and cell count. The columns go through
+    the MGF in batches of at most ``_BATCH_NODES`` nodes, one call each, and
+    each column is summed over its own nodes only, so its value does not
+    depend on the other columns or on the batching."""
     model = columns[0][0].model
-    if any(params.model is not model for params, _link in columns):
+    if any(params.model is not model for params, _scale in columns):
         raise ValueError("the points of a capacity run must share one model")
     one_minus_mgf = (channels.one_minus_mgf_double_rayleigh if model is Model.V2V_RIS_AP
                      else channels.one_minus_mgf_triple_cascade)
@@ -226,8 +226,7 @@ def _node_batches(columns, log_mean: float):
     consecutive lists of whole columns of at most ``_BATCH_NODES`` nodes in
     all, or of one larger column."""
     batch, nodes = [], 0
-    for params, link in columns:
-        scale = snr_scale(params, link)
+    for params, scale in columns:
         n_cells = float(params.n_cells)
         first = math.ceil((_LEFT - max(0.0, math.log(n_cells) + log_mean + math.log(scale))) / _STEP)
         count = _LAST + 1 - first
@@ -274,7 +273,7 @@ def asc_approx(params: SystemParams) -> float:
     bounds round to x, their difference keeps only the absolute precision of
     x; there it is x_d - x_e = -beta ln(r_d / r_e) plus the log(1 + e^-x)."""
     log_n_mean = math.log(params.n_cells) + math.log(_cell_mean(params.model))
-    x_d, x_e = (log_n_mean + math.log(snr_scale(params, link)) for link in Link)
+    x_d, x_e = (log_n_mean + math.log(scale) for scale in params.scales)
     if min(x_d, x_e) > 37.0:  # e^-x < 1e-16, so log(1 + e^x) rounds to x
         diff = (-params.beta * _log_distance_ratio(params)
                 + math.log1p(math.exp(-x_d)) - math.log1p(math.exp(-x_e)))
@@ -325,9 +324,8 @@ def sop(params: SystemParams, mode: SopMode = SopMode.CORRECTED) -> float:
         nu = 2.0 ** params.c_th
     except OverflowError:  # drives the erf argument below to +inf
         return 1.0
-    scale_d = snr_scale(params, Link.DESTINATION)
     ratio = _path_ratio(params)
-    noise_term = (nu - 1.0) / scale_d  # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta])
+    noise_term = (nu - 1.0) / params.scales[0]  # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta])
     if params.model is Model.V2V_RIS_AP:
         mean, variance = channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE
     elif mode is SopMode.CORRECTED:
@@ -359,7 +357,7 @@ def secrecy_report(points) -> list:
     points = list(points)
     if not points:
         return []
-    capacities = _capacity_run([(params, link) for params in points for link in Link]).reshape(-1, 2)
+    capacities = _capacity_run([(params, scale) for params in points for scale in params.scales]).reshape(-1, 2)
     bad = ~np.isfinite(capacities).all(axis=1)
     if bad.any():
         index = int(np.argmax(bad))

@@ -1,5 +1,7 @@
 """CLI behaviour: config handling, CSV output, validation runs, exit codes,
 byte-level determinism."""
+import errno
+import io
 import json
 import math
 import os
@@ -405,19 +407,51 @@ class TestOutputPaths:
         err = capsys.readouterr().err
         assert err == f"config error: cannot write {option} '/dev/full': No space left on device\n"
 
-    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-    def test_closed_standard_output_is_a_config_error(self, tmp_path, unbuffered):
+    @pytest.mark.parametrize("case", ["buffered", "unbuffered", "closed_at_start"])
+    def test_closed_standard_output_is_a_config_error(self, tmp_path, case):
+        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 10_000})
+        argv = [sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, doc)]
+        if case == "closed_at_start":
+            # `>&-`: descriptor 1 is closed before the interpreter starts, so sys.stdout is None
+            proc = subprocess.run(argv, env=_child_env(), preexec_fn=lambda: os.close(1),
+                                  stderr=subprocess.PIPE, timeout=120)
+            assert proc.returncode == 2
+            assert proc.stderr == b"config error: cannot write standard output: Bad file descriptor\n"
+            return
         # the reader leaves after the first line, as `| head -1` does, of an
         # output (about 380 KB) larger than a pipe's 64 KiB buffer
-        doc = _v2v_doc(sweep={"param": "p_s", "start": 1.0, "stop": 50.0, "steps": 10_000})
-        with subprocess.Popen([sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, doc)],
-                              env=_child_env(PYTHONUNBUFFERED=unbuffered),
+        with subprocess.Popen(argv, env=_child_env(PYTHONUNBUFFERED="1" if case == "unbuffered" else ""),
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"p_s,asc_approx\n"
             proc.stdout.close()
             assert proc.wait(timeout=120) == 2
             # one line, no traceback
             assert proc.stderr.read() == b"config error: cannot write standard output: Broken pipe\n"
+
+    def test_closed_standard_error_keeps_the_exit_code(self, tmp_path):
+        # `2>&-`: the config error cannot be reported, and the exit code alone says what failed
+        out = tmp_path / "missing" / "x.csv"
+        proc = subprocess.run([sys.executable, "-m", "ris_secrecy", "sweep", "--config", _write(tmp_path, self.SWEEP),
+                               "--out", str(out)], env=_child_env(), preexec_fn=lambda: os.close(2),
+                              stdout=subprocess.PIPE, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
+    @pytest.mark.parametrize("failure,code", [("config", 2), ("numerical", 3)])
+    def test_unwritable_standard_error_keeps_the_exit_code(self, tmp_path, monkeypatch, failure, code):
+        class Closed(io.TextIOBase):
+            def write(self, text):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+        def engine(*_args):
+            raise secrecy.QuadratureError("the capacities of point 0 are not finite", component=0)
+
+        monkeypatch.setattr(cli, "secrecy_report", engine)
+        monkeypatch.setattr(sys, "stderr", Closed())
+        argv = ["sweep", "--config", _write(tmp_path, self.SWEEP)]
+        if failure == "config":
+            argv += ["--out", str(tmp_path / "missing" / "x.csv")]
+        assert main(argv) == code
 
 
 class TestIgnoredBatchKey:
@@ -642,7 +676,7 @@ class TestCapacityRuns:
         params = cli._point(cli.build_run_config(self.RELAY_SWEEP), value)
         # the rule evaluates every link at its own SNR scale (the node at
         # z = 1), and no other link of the sweep has a node there
-        target = secrecy.snr_scale(params, secrecy.Link.DESTINATION)
+        target = params.scales[0]
         original_q = channels.one_minus_mgf_triple_cascade
 
         def poisoned(s):

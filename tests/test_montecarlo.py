@@ -25,7 +25,7 @@ from ris_secrecy.montecarlo import (
     mc_points,
     sample_gain_sums,
 )
-from ris_secrecy.secrecy import Link, Model, SystemParams, secrecy_report, snr_scale, sop
+from ris_secrecy.secrecy import Model, SystemParams, secrecy_report, sop
 
 
 def _capacities(points) -> np.ndarray:
@@ -42,7 +42,8 @@ def sample_snr_pairs(params, seq, n):
     """n trials of the instantaneous SNR pair (gamma_d, gamma_e): the drawn
     gain sums times each link's SNR scale."""
     sum_d, sum_e = sample_gain_sums(params, seq, n)
-    return snr_scale(params, Link.DESTINATION) * sum_d, snr_scale(params, Link.EAVESDROPPER) * sum_e
+    scale_d, scale_e = params.scales
+    return scale_d * sum_d, scale_e * sum_e
 
 
 class TestConfigTypes:
@@ -95,7 +96,7 @@ class TestSnrSampling:
         mean, variance = ((DOUBLE_RAYLEIGH_MEAN, DOUBLE_RAYLEIGH_VARIANCE) if model is Model.V2V_RIS_AP
                           else (TRIPLE_CASCADE_MEAN, TRIPLE_CASCADE_VARIANCE))
         gd, _ = sample_snr_pairs(p, np.random.SeedSequence(8), 1_000_000)
-        scale = snr_scale(p, Link.DESTINATION)
+        scale = p.scales[0]
         expect = p.n_cells * mean * scale
         tol = 4.0 * scale * math.sqrt(p.n_cells * variance / gd.size)
         assert abs(gd.mean() - expect) < tol
@@ -212,7 +213,7 @@ def _reference_point(params, cfg):
     sd = sd2 = sp = sp2 = 0.0
     g1 = g2 = g3 = g4 = 0.0
     outages = 0
-    scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+    scale_d, scale_e = params.scales
     centre = params.n_cells * (DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN)
     for i, n in _blocks(cfg.trials):
         sum_d, sum_e = sample_gain_sums(params, _block_seed(cfg.seed, i), n)
@@ -352,7 +353,7 @@ class TestSinglePassEngine:
         results = mc_points(points, cfg)
         blocks = [sample_gain_sums(v2v_params, _block_seed(cfg.seed, i), n) for i, n in _blocks(cfg.trials)]
         for params, res in zip(points, results):
-            scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+            scale_d, scale_e = params.scales
             outages = sum(np.count_nonzero(np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
                                            < params.c_th) for sum_d, sum_e in blocks)
             assert res.sop.value == outages / cfg.trials
@@ -529,7 +530,7 @@ class TestDrawArithmetic:
     def test_outage_count_equals_positive_part_count(self):
         params = SystemParams(model=Model.V2V_RIS_AP, r_d=6.0, r_e=5.0)
         cfg = McConfig(trials=20_001, seed=21)
-        scale_d, scale_e = snr_scale(params, Link.DESTINATION), snr_scale(params, Link.EAVESDROPPER)
+        scale_d, scale_e = params.scales
         blocks = [sample_gain_sums(params, _block_seed(cfg.seed, i), n) for i, n in _blocks(cfg.trials)]
         cs = np.concatenate([np.log2(1.0 + scale_d * sum_d) - np.log2(1.0 + scale_e * sum_e)
                              for sum_d, sum_e in blocks])

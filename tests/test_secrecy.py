@@ -2,9 +2,10 @@
 accuracy against references that share no code with the package."""
 import json
 import math
+import pickle
 import sys
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +14,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from ris_secrecy import channels, cli, secrecy
+from ris_secrecy import channels, cli, montecarlo, secrecy
 from ris_secrecy.secrecy import (
-    Link,
     Model,
     SecrecyReport,
     SopMode,
     SystemParams,
     asc_approx,
     secrecy_report,
-    snr_scale,
     sop,
 )
 
@@ -110,46 +109,74 @@ class TestSystemParams:
 
 class TestSnrScale:
     def test_default_arithmetic(self, v2v_params):
-        assert snr_scale(v2v_params, Link.DESTINATION) == pytest.approx(SNR_SCALE_V2V_D, rel=1e-14)
-        assert snr_scale(v2v_params, Link.EAVESDROPPER) == pytest.approx(SNR_SCALE_V2V_E, rel=1e-14)
+        assert v2v_params.scales[0] == pytest.approx(SNR_SCALE_V2V_D, rel=1e-14)
+        assert v2v_params.scales[1] == pytest.approx(SNR_SCALE_V2V_E, rel=1e-14)
 
     def test_unit_case(self):
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=1.0, n_0=1.0, r_d=1.0, r_e=1.0)
-        assert snr_scale(p, Link.DESTINATION) == 1.0
+        assert p.scales[0] == 1.0
         q = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1.0, n_0=1.0, r_d=1.0, r_e=1.0, r_s=1.0)
-        assert snr_scale(q, Link.DESTINATION) == 1.0
+        assert q.scales[0] == 1.0
 
     def test_relay_factorizes_through_source_hop(self, v2v_params, relay_params):
-        expected = snr_scale(v2v_params, Link.DESTINATION) * relay_params.r_s ** -relay_params.beta
-        assert snr_scale(relay_params, Link.DESTINATION) == pytest.approx(expected, rel=1e-14)
+        expected = v2v_params.scales[0] * relay_params.r_s ** -relay_params.beta
+        assert relay_params.scales[0] == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("beta", [7.0, 7.5])
     def test_subnormal_power_keeps_its_digits(self, beta):
         # p_s r_d^-beta is subnormal here while the scale 1000^-beta is normal
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e-300, n_0=1e-300, r_d=1000.0, beta=beta)
-        assert snr_scale(p, Link.DESTINATION) == pytest.approx(1000.0 ** -beta, rel=1e-12, abs=0.0)
+        assert p.scales[0] == pytest.approx(1000.0 ** -beta, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("model", list(Model))
     @given(data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_mpmath_product_over_the_domain(self, model, data):
         p = data.draw(_domain_points(model))
-        for link, r in zip(Link, (p.r_d, p.r_e)):
+        for scale, r in zip(p.scales, (p.r_d, p.r_e)):
             ref = reference.snr_scale_mp(p, r)
             if ref < sys.float_info.min:
                 continue  # a subnormal scale cannot hold 12 digits
-            assert abs(snr_scale(p, link) - ref) <= 1e-12 * ref
+            assert abs(scale - ref) <= 1e-12 * ref
 
     def test_overflowing_power_step_is_a_valid_point(self):
         # p_s r_d^-beta overflows, but the scale p_s r_d^-beta / n_0 is 1e27
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=1e300, n_0=1e300, r_d=1e-10)
         ref = reference.snr_scale_mp(p, p.r_d)
-        assert abs(snr_scale(p, Link.DESTINATION) - ref) <= 1e-12 * ref
+        assert abs(p.scales[0] - ref) <= 1e-12 * ref
 
     def test_relay_hop_cancelling_the_link_path(self):
-        for link, r in zip(Link, (CANCELLING_RELAY.r_d, CANCELLING_RELAY.r_e)):
-            assert snr_scale(CANCELLING_RELAY, link) == pytest.approx(
+        for scale, r in zip(CANCELLING_RELAY.scales, (CANCELLING_RELAY.r_d, CANCELLING_RELAY.r_e)):
+            assert scale == pytest.approx(
                 float(reference.snr_scale_mp(CANCELLING_RELAY, r)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("model,r_s", [(Model.V2V_RIS_AP, None), (Model.VANET_RIS_RELAY, 10.0)])
+    def test_each_scale_is_computed_once(self, monkeypatch, model, r_s):
+        calls = []
+        original = secrecy._snr_scale
+
+        def counting(params, distance):
+            calls.append(distance)
+            return original(params, distance)
+
+        monkeypatch.setattr(secrecy, "_snr_scale", counting)
+        p = SystemParams(model=model, r_s=r_s)
+        assert calls == [p.r_d, p.r_e]
+        secrecy_report([p])
+        montecarlo.mc_points([p], montecarlo.McConfig(trials=1000, seed=1))
+        assert len(calls) == 2
+
+    def test_scales_are_derived_state_not_a_field(self, relay_params):
+        assert "scales" not in asdict(relay_params)
+        assert "scales" not in repr(relay_params)
+        # doubling p_s doubles each rounded step of the scale exactly
+        louder = replace(relay_params, p_s=2.0 * relay_params.p_s)
+        assert louder.scales == tuple(2.0 * s for s in relay_params.scales)
+        twin = SystemParams(**asdict(relay_params))
+        assert twin is not relay_params and twin == relay_params
+        assert hash(twin) == hash(relay_params) and twin.scales == relay_params.scales
+        copy = pickle.loads(pickle.dumps(relay_params))
+        assert copy == relay_params and copy.scales == relay_params.scales
 
 
 class TestAvgCapacity:
@@ -193,9 +220,9 @@ class TestAvgCapacity:
     def test_low_snr_against_complement_reference(self, kwargs):
         p = SystemParams(**kwargs)
         caps = _capacities([p])[0]
-        for link, r, batched in zip(Link, (p.r_d, p.r_e), caps):
+        for scale, r, batched in zip(p.scales, (p.r_d, p.r_e), caps):
             ref = reference.capacity_quad(p, r)
-            assert secrecy._capacity_run([(p, link)])[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
+            assert secrecy._capacity_run([(p, scale)])[0] == pytest.approx(ref, rel=1e-9, abs=0.0)
             assert batched == pytest.approx(ref, rel=1e-9, abs=0.0)
 
     @pytest.mark.parametrize("p_s", [1e-12, 1e-290])
@@ -261,7 +288,7 @@ def _poison_eavesdropper(monkeypatch, params):
     """Make the v2v MGF return nan at the eavesdropper SNR scale of ``params``.
     Every link is evaluated at its own SNR scale (the node at z = 1), and no
     other link of ``_POWER_POINTS`` has a node there."""
-    target = snr_scale(params, Link.EAVESDROPPER)
+    target = params.scales[1]
     original = channels.one_minus_mgf_double_rayleigh
 
     def poisoned(s):
@@ -283,8 +310,8 @@ class TestCapacityEngine:
         caps = _capacities(points)
         assert caps.shape == (len(points), 2)
         for p, row in zip(points, caps):
-            for link, batched in zip(Link, row):
-                single = secrecy._capacity_run([(p, link)])[0]
+            for scale, batched in zip(p.scales, row):
+                single = secrecy._capacity_run([(p, scale)])[0]
                 assert math.isfinite(batched) and batched >= 0.0
                 assert batched == single
             assert row.tobytes() == _capacities([p])[0].tobytes()
@@ -702,7 +729,7 @@ class TestSecrecyReport:
         points = [replace(fig8, c_th=c_th) for c_th in (0.25, 1.0, 1.5)] + [replace(relay_params, n_cells=9)]
         reports = secrecy_report(points)
         assert len(reports) == len(points)
-        caps = secrecy._capacity_run([(p, link) for p in points for link in Link]).reshape(-1, 2)
+        caps = secrecy._capacity_run([(p, scale) for p in points for scale in p.scales]).reshape(-1, 2)
         for params, rep, (c_d, c_e) in zip(points, reports, caps):
             assert (rep.c_d, rep.c_e) == (c_d, c_e)
             assert rep.asc_exact == rep.c_d - rep.c_e
