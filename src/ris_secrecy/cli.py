@@ -169,10 +169,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
     return {key: value for key, value in doc.items() if value is not None}
 
 
-def _point(cfg: RunConfig, value=None) -> SystemParams:
-    """The point at one sweep value (or the base point)."""
-    if value is None:
-        return cfg.base
+def _point(cfg: RunConfig, value) -> SystemParams:
+    """The point at one sweep value."""
     try:
         return replace(cfg.base, **{cfg.sweep.param: value})
     except ValueError as exc:
@@ -197,10 +195,10 @@ def _row(report: SecrecyReport, res: McPointResult | None) -> dict:
     select the columns."""
     row = dict(vars(report))
     if res is not None:
-        row.update(gain_sum=res.gain_sum,
-                   mc_asc_diff=res.asc_diff.value, mc_asc_diff_se=res.asc_diff.std_error,
-                   mc_asc_pos=res.asc_pos.value, mc_asc_pos_se=res.asc_pos.std_error,
-                   mc_sop=res.sop.value, mc_sop_se=res.sop.std_error)
+        row["gain_sum"] = res.gain_sum
+        for field in ("asc_diff", "asc_pos", "sop"):
+            estimate = getattr(res, field)
+            row[f"mc_{field}"], row[f"mc_{field}_se"] = estimate.value, estimate.std_error
     return row
 
 
@@ -210,35 +208,29 @@ def _fmt(v) -> str:
 
 
 def _rows(cfg: RunConfig):
-    """(sweep values, [row]) with every analytic metric of every point of the
-    run, from one ``secrecy_report`` call, and the Monte-Carlo metrics when
-    ``cfg.outputs`` asks for any; keyed by column name. All points are
-    resolved, and all metrics computed, before the caller writes any output.
-    A numerical failure names the sweep row it happened at."""
-    values = cfg.sweep.values() if cfg.sweep is not None else [None]
-    points = [_point(cfg, value) for value in values]
+    """(points, [row]): the run's points, the base point or one per sweep
+    value, with every analytic metric of each from one ``secrecy_report``
+    call, and the Monte-Carlo metrics when ``cfg.outputs`` asks for any; keyed
+    by column name. All points are resolved, and all metrics computed, before
+    the caller writes any output. A numerical failure names its sweep row."""
+    points = [cfg.base] if cfg.sweep is None else [_point(cfg, value) for value in cfg.sweep.values()]
     try:
         reports = secrecy_report(points)
     except QuadratureError as exc:
         if cfg.sweep is None:
             raise
-        index = exc.component
-        raise QuadratureError(
-            f"sweep row {index} ({cfg.sweep.param}={values[index]!r}) failed: {exc}",
-            component=index) from exc
+        index, param = exc.component, cfg.sweep.param
+        raise QuadratureError(f"sweep row {index} ({param}={getattr(points[index], param)!r}) failed: {exc}",
+                              component=index) from exc
     mc_results = mc_points(points, cfg.mc) if _wants_mc(cfg.outputs) else [None] * len(points)
-    return values, [_row(report, res) for report, res in zip(reports, mc_results)]
+    return points, [_row(report, res) for report, res in zip(reports, mc_results)]
 
 
-def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
-    """Every requested metric at the base point, as a table or one CSV row;
-    a sweep section in the config is ignored."""
-    _values, (row,) = _rows(replace(cfg, sweep=None))
+def run_point(cfg: RunConfig, out) -> None:
+    """Every requested metric at the base point, as a table; a sweep section
+    in the config is ignored."""
+    _points, (row,) = _rows(replace(cfg, sweep=None))
     cols = _columns(cfg.outputs)
-    if as_csv:
-        out.write(",".join(cols) + "\n")
-        out.write(",".join(_fmt(row[c]) for c in cols) + "\n")
-        return
     doc = config_to_dict(cfg)
     items = list(doc["base"].items()) + [("c_th", doc["c_th"])]
     if "asc_exact" in cfg.outputs:
@@ -252,11 +244,14 @@ def run_point(cfg: RunConfig, out, as_csv: bool = False) -> None:
 
 
 def run_sweep(cfg: RunConfig, out) -> None:
-    values, rows = _rows(cfg)
+    """Every requested metric of every point of the run as CSV, one row per
+    point, led by the swept value when there is a sweep."""
+    points, rows = _rows(cfg)
+    lead = [cfg.sweep.param] if cfg.sweep is not None else []
     cols = _columns(cfg.outputs)
-    out.write(",".join([cfg.sweep.param] + cols) + "\n")
-    for value, row in zip(values, rows):
-        out.write(",".join([_fmt(value)] + [_fmt(row[c]) for c in cols]) + "\n")
+    out.write(",".join(lead + cols) + "\n")
+    for point, row in zip(points, rows):
+        out.write(",".join([_fmt(getattr(point, p)) for p in lead] + [_fmt(row[c]) for c in cols]) + "\n")
 
 
 def run_validate(cfg: RunConfig, out) -> int:
@@ -270,10 +265,11 @@ def run_validate(cfg: RunConfig, out) -> int:
     Monte-Carlo pass, which the outputs ``mc_asc`` and ``mc_sop`` switch on.
     Returns 0 when every check concludes and passes, 1 otherwise.
     """
-    values, rows = _rows(replace(cfg, outputs=("mc_asc", "mc_sop")))
+    points, rows = _rows(replace(cfg, outputs=("mc_asc", "mc_sop")))
     too_few = _TOO_FEW if cfg.mc.trials < 2 else None  # a mean's std error needs two trials
     all_ok = True
-    for value, row in zip(values, rows):
+    for point, row in zip(points, rows):
+        value = getattr(point, cfg.sweep.param) if cfg.sweep is not None else None
         # cell counts print whole: :g gives 1e+06 for 1000000 and 1000001 alike
         label = ("base point" if value is None else f"{cfg.sweep.param}={value}" if isinstance(value, int)
                  else f"{cfg.sweep.param}={value:g}")
@@ -286,10 +282,8 @@ def run_validate(cfg: RunConfig, out) -> int:
                         f"{SOP_TOL:g}+3se", SOP_TOL + 3.0 * se,
                         inconclusive=too_few or (_TOO_WIDE if se > 0.5 * SOP_TOL else None)) and all_ok
     if cfg.base.model is Model.VANET_RIS_RELAY:
-        sweeps_cells = cfg.sweep is not None and cfg.sweep.param == "n_cells"
-        cells = values if sweeps_cells else [cfg.base.n_cells] * len(rows)
         # the points of one cell count share their gain-sum estimates
-        for n_cells, (_mean, var_est) in {n: row["gain_sum"] for n, row in zip(cells, rows)}.items():
+        for n_cells, (_mean, var_est) in {p.n_cells: row["gain_sum"] for p, row in zip(points, rows)}.items():
             all_ok = _adjudicate_gain_variance(out, n_cells, var_est) and all_ok
     out.write("VALIDATION: %s\n" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1
@@ -367,6 +361,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _check_out_path(path: str) -> None:
     """Reject, before the run, an --out path that cannot become a file. The
     file is not opened, so an existing one stays as it is until written."""
+    if not path:
+        raise ConfigError("--out '' names no file")
     if os.path.isdir(path):
         raise ConfigError(f"--out {path!r} is a directory")
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -429,41 +425,33 @@ def main(argv=None) -> int:
             except (ValueError, RecursionError) as exc:  # also non-UTF-8, too-long integers, deep nesting
                 raise ConfigError(f"invalid JSON in {args.config}: {exc}") from None
         cfg = build_run_config(doc)
-        if args.out is not None and args.dump_config is None:
-            _check_out_path(args.out)
-    except (ConfigError, OSError) as exc:
-        return _fail(2, f"config error: {exc}")
-
-    def run(out) -> int:
-        if args.command == "eval":
-            run_point(cfg, out, as_csv=args.csv)
-            return 0
-        if args.command == "sweep":
-            if cfg.sweep is None:
-                raise ConfigError("the sweep command requires a 'sweep' section in the config")
-            run_sweep(cfg, out)
-            return 0
-        return run_validate(cfg, out)
-
-    try:
         if args.dump_config is not None:
             _write_output("--dump-config", args.dump_config, json.dumps(config_to_dict(cfg), indent=2) + "\n")
             return 0
+        if args.out is not None:
+            _check_out_path(args.out)
+        if args.command == "sweep" and cfg.sweep is None:
+            raise ConfigError("the sweep command requires a 'sweep' section in the config")
         # render first and write only a finished run, so that a failing one
         # leaves an existing --out file as it was and writes no partial output
         buf = io.StringIO()
-        code = run(buf)
+        code = run_validate(cfg, buf) if args.command == "validate" else 0
+        if args.command == "sweep":
+            run_sweep(cfg, buf)
+        elif args.command == "eval" and args.csv:
+            run_sweep(replace(cfg, sweep=None), buf)
+        elif args.command == "eval":
+            run_point(cfg, buf)
         if args.out is None:
             _write_stdout(buf.getvalue())
         else:
             _write_output("--out", args.out, buf.getvalue())
         return code
-    except ConfigError as exc:
-        return _fail(2, f"config error: {exc}")
+    except (ConfigError, OSError, MemoryError) as exc:
+        reason = "the run does not fit in memory" if isinstance(exc, MemoryError) else exc
+        return _fail(2, f"config error: {reason}")
     except QuadratureError as exc:
         return _fail(3, f"numerical failure: {exc}")
-    except MemoryError:
-        return _fail(2, "config error: the run does not fit in memory")
 
 
 if __name__ == "__main__":

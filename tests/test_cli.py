@@ -376,17 +376,19 @@ class TestOutputPaths:
     SWEEP = _v2v_doc(outputs=["asc_exact", "mc_asc"], mc={"trials": 1000, "seed": 1},
                      sweep={"param": "p_s", "start": 1.0, "stop": 2.0, "steps": 2})
 
-    def test_missing_out_directory_fails_before_any_engine_runs(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("target,reason", [("missing/x.csv", "is in a directory that does not exist"),
+                                               ("", "names no file")], ids=["missing_dir", "empty"])
+    def test_missing_out_directory_fails_before_any_engine_runs(self, tmp_path, monkeypatch, capsys,
+                                                                 target, reason):
         def engine(*_args):
             raise AssertionError("an engine ran before the --out check")
 
         monkeypatch.setattr(cli, "secrecy_report", engine)
         monkeypatch.setattr(cli, "mc_points", engine)
-        out = tmp_path / "missing" / "x.csv"
-        assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), "--out", str(out)]) == 2
-        assert not out.parent.exists()
-        err = capsys.readouterr().err
-        assert err == f"config error: --out {str(out)!r} is in a directory that does not exist\n"
+        out = str(tmp_path / target) if target else ""
+        assert main(["sweep", "--config", _write(tmp_path, self.SWEEP), "--out", out]) == 2
+        assert not (tmp_path / "missing").exists()
+        assert capsys.readouterr().err == f"config error: --out {out!r} {reason}\n"
 
     @pytest.mark.parametrize("option", ["--out", "--dump-config"])
     @pytest.mark.parametrize("target", ["missing_directory", "directory"])
@@ -488,9 +490,17 @@ class TestIgnoredBatchKey:
 
 
 class TestSweep:
-    def test_requires_sweep_section(self, tmp_path):
-        cfg = _write(tmp_path, _v2v_doc())
-        assert main(["sweep", "--config", cfg]) == 2
+    def test_requires_sweep_section(self, tmp_path, monkeypatch, capsys):
+        # without this check the run would write the base point as a one-row CSV
+        def engine(*_args):
+            raise AssertionError("an engine ran without a sweep section")
+
+        monkeypatch.setattr(cli, "secrecy_report", engine)
+        monkeypatch.setattr(cli, "mc_points", engine)
+        assert main(["sweep", "--config", _write(tmp_path, _v2v_doc())]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "config error: the sweep command requires a 'sweep' section in the config\n"
 
     def test_asc_columns_non_decreasing_in_power(self, tmp_path):
         doc = _v2v_doc(outputs=["asc_exact", "asc_approx"],
@@ -769,6 +779,14 @@ class TestValidate:
         assert verdict == "VALIDATION: FAIL" and not any(line.endswith("FAIL") for line in lines)
         (line,) = [line for line in lines if line.startswith("gain-sum variance")]
         assert line.endswith("(nan se) INCONCLUSIVE (too few trials for a std error)")
+
+    def test_relay_variance_lines_follow_the_cell_counts(self, tmp_path, capsys):
+        # 1, 1.5, 2, 2.5, 3 round to the cell counts 1, 2, 2, 2, 3: one line per distinct count, in order
+        doc = {"base": {"model": "vanet_ris_relay"}, "mc": {"trials": 2000, "seed": 1},
+               "sweep": {"param": "n_cells", "start": 1.0, "stop": 3.0, "steps": 5}}
+        assert main(["validate", "--config", _write(tmp_path, doc)]) in (0, 1)
+        lines = [line for line in capsys.readouterr().out.splitlines() if "gain-sum variance" in line]
+        assert [line.split(":")[0] for line in lines] == [f"gain-sum variance (N={n})" for n in (1, 2, 3)]
 
     def test_cell_count_labels_print_whole(self, tmp_path, capsys):
         doc = _v2v_doc(outputs=["asc_exact"], mc={"trials": 1, "seed": 42},
