@@ -44,40 +44,27 @@ def _as_arguments(s, name: str):
 def _mgf_dbl(s):
     # Elementary Laplace transform of g*K0(g) (Gradshteyn & Ryzhik 6.611):
     # (s*A(s) - 1)/(s^2 - 1) with A = acosh(s)/sqrt(s^2-1) for s > 1 and
-    # acos(s)/sqrt(1-s^2) for s < 1.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = s * s - 1.0
-        a = np.where(s < 1.0, np.arccos(np.minimum(s, 1.0)), np.arccosh(np.maximum(s, 1.0)))
-        out = (s * a / np.sqrt(np.abs(u)) - 1.0) / u
-        x = (s - 1.0) / (s + 1.0)
+    # acos(s)/sqrt(1-s^2) for s < 1; the series and the tail take the
+    # arguments near 1 and past 1e8, and each form sees only its own.
+    s = np.minimum(s, 1e300)  # the MGF underflows to 0 past here; x stays finite at inf
+    x = (s - 1.0) / (s + 1.0)
     near = np.abs(x) <= _SERIES_X
-    if near.any():
-        xn = x[near]
-        out[near] = (4.0 / 3.0) * np.polyval(_SERIES, xn) / ((1.0 + s[near]) ** 2)
     far = s > _TAIL_S
-    if far.any():
-        sf = np.minimum(s[far], 1e300)  # the MGF underflows to 0 past here
-        out[far] = (np.log(2.0 * sf) - 1.0) / sf / sf
+    mid = ~(near | far)
+    out = np.empty(s.shape)
+    sm = s[mid]
+    u = sm * sm - 1.0
+    a = np.where(sm < 1.0, np.arccos(np.minimum(sm, 1.0)), np.arccosh(np.maximum(sm, 1.0)))
+    out[mid] = (sm * a / np.sqrt(np.abs(u)) - 1.0) / u
+    out[near] = (4.0 / 3.0) * np.polyval(_SERIES, x[near]) / ((1.0 + s[near]) ** 2)
+    sf = s[far]
+    out[far] = (np.log(2.0 * sf) - 1.0) / sf / sf
     return out
 
 
 # Below this argument 1 - M_dbl has its own closed form; above it
 # M_dbl <= 0.53, so 1 - M loses no digits.
 _COMPLEMENT_S = 0.5
-
-
-def _one_minus_mgf_dbl(s):
-    # 1 - M_dbl(s) without forming M near 1: for s < 1,
-    # 1 - M = s*(acos(s) - s*sqrt(1-s^2))/(1-s^2)^(3/2), and for s < 0.5 the
-    # difference stays above pi/3 - 0.44, so no digits cancel.
-    with np.errstate(invalid="ignore", over="ignore"):
-        r2 = 1.0 - s * s
-        r = np.sqrt(r2)
-        out = s * (np.arccos(s) - s * r) / (r2 * r)
-    high = s >= _COMPLEMENT_S
-    if high.any():
-        out[high] = 1.0 - _mgf_dbl(s[high])
-    return out
 
 
 def one_minus_mgf_double_rayleigh(s):
@@ -87,8 +74,17 @@ def one_minus_mgf_double_rayleigh(s):
     Accepts a scalar (returns a float) or an array (returns an array).
     """
     arr = _as_arguments(s, "one_minus_mgf_double_rayleigh")
-    out = _one_minus_mgf_dbl(np.atleast_1d(arr))
-    return float(out[0]) if arr.ndim == 0 else out
+    out = np.empty(arr.shape)
+    # below 0.5, 1 - M = s*(acos(s) - s*sqrt(1-s^2))/(1-s^2)^(3/2) without
+    # forming M near 1: the difference stays above pi/3 - 0.44, so no digits
+    # cancel
+    low = arr < _COMPLEMENT_S
+    sl = arr[low]
+    r2 = 1.0 - sl * sl
+    r = np.sqrt(r2)
+    out[low] = sl * (np.arccos(sl) - sl * r) / (r2 * r)
+    out[~low] = 1.0 - _mgf_dbl(arr[~low])
+    return float(out) if arr.ndim == 0 else out
 
 
 # The triple-cascade complement q(s) = 1 - M_T(s) in three ranges of s:
@@ -225,13 +221,10 @@ def one_minus_mgf_triple_cascade(s):
     array).
     """
     arr = _as_arguments(s, "one_minus_mgf_triple_cascade")
-    flat = arr.ravel()
-    out = np.ones(flat.shape)
-    low = flat < _TRIPLE_S_LO
-    if low.any():
-        sl = flat[low]
-        out[low] = sl * np.polyval(_TRIPLE_SERIES, sl)
-    mid = ~low & (flat < _TRIPLE_S_HI)
-    if mid.any():
-        out[mid] = np.exp(_log_one_minus_mgf_triple(np.log(flat[mid])))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    out = np.ones(arr.shape)
+    low = arr < _TRIPLE_S_LO
+    sl = arr[low]
+    out[low] = sl * np.polyval(_TRIPLE_SERIES, sl)
+    mid = ~low & (arr < _TRIPLE_S_HI)
+    out[mid] = np.exp(_log_one_minus_mgf_triple(np.log(arr[mid])))
+    return float(out) if arr.ndim == 0 else out

@@ -222,7 +222,10 @@ def _rows(cfg: RunConfig):
         index, param = exc.component, cfg.sweep.param
         raise QuadratureError(f"sweep row {index} ({param}={getattr(points[index], param)!r}) failed: {exc}",
                               component=index) from exc
-    mc_results = mc_points(points, cfg.mc) if _wants_mc(cfg.outputs) else [None] * len(points)
+    try:
+        mc_results = mc_points(points, cfg.mc) if _wants_mc(cfg.outputs) else [None] * len(points)
+    except ValueError as exc:  # a cell count too large for the random stream
+        raise ConfigError(str(exc)) from None
     return points, [_row(report, res) for report, res in zip(reports, mc_results)]
 
 

@@ -100,7 +100,7 @@ def sample_gain_sums(params: SystemParams, seq: np.random.SeedSequence, n: int):
     whatever n_cells is.
     """
     n_cells = params.n_cells
-    k = 4 if params.model is Model.V2V_RIS_AP else 5
+    k = _factor_count(params.model)
     cursors = [np.random.Generator(np.random.PCG64(seq).advance(j * n * n_cells)) for j in range(k)]
     cols = min(n_cells, _CHUNK_BYTES // (8 * k))
     rows = max(1, min(n, _CHUNK_BYTES // (8 * k * n_cells)))
@@ -130,6 +130,11 @@ def sample_gain_sums(params: SystemParams, seq: np.random.SeedSequence, n: int):
     sum_d *= 2.0  # exact: doubling commutes with every rounding above
     sum_e *= 2.0
     return sum_d, sum_e
+
+
+def _factor_count(model: Model) -> int:
+    """The uniforms a trial draws per cell: four for v2v, five for the relay."""
+    return 4 if model is Model.V2V_RIS_AP else 5
 
 
 def _blocks(trials: int):
@@ -162,6 +167,8 @@ def mc_points(points, cfg: McConfig) -> list:
     points are grouped by (model, n_cells) and each group is one pass that
     draws every block once and only rescales and reduces it per point: the
     points of a group see the same channels (common random numbers).
+    Raises ValueError, before any draw, where a group's cell count is too
+    large for its block's factor stretches to fit in the PCG64 period.
     """
     points = list(points)
     if not points:
@@ -169,6 +176,15 @@ def mc_points(points, cfg: McConfig) -> list:
     groups = {}
     for k, params in enumerate(points):
         groups.setdefault((params.model, params.n_cells), []).append(k)
+    # a cursor advanced past PCG64's period, 2**128, wraps onto the start of
+    # the stream, so the factor stretches of the largest block, n*N outputs
+    # each, would overlap
+    n = min(cfg.trials, _BLOCK_TRIALS)
+    for model, n_cells in groups:
+        factors = _factor_count(model)
+        if factors * n * n_cells > 2 ** 128:
+            raise ValueError(f"n_cells={n_cells:.6g} is above {2 ** 128 // (factors * n):.6g}: the {factors} factor "
+                             f"stretches of a {n}-trial Monte-Carlo block must fit in the stream's 2**128 period")
     results = [None] * len(points)
     for members in groups.values():
         for k, res in zip(members, _mc_pass([points[k] for k in members], cfg)):

@@ -185,7 +185,11 @@ class TestMgfComplements:
     """1 - M evaluated without forming M, so it stays accurate where M is near 1."""
 
     def test_double_against_mpmath(self):
-        grid = np.concatenate((np.geomspace(1e-12, 1e4, 61), [0.5 - 1e-12, 0.5, 0.9, 1.0, 1.0 + 1e-9]))
+        # both sides of each switch point: the complement's closed form below
+        # 0.5, the series on 9/11 <= s <= 11/9 and the tail past 1e8; and
+        # 1e300, where the tail's cap takes over
+        edges = [np.nextafter(s, direction) for s in (0.5, 9 / 11, 11 / 9, 1e8) for direction in (0.0, math.inf)]
+        grid = np.concatenate((np.geomspace(1e-12, 1e4, 61), [0.5 - 1e-12, 0.5, 0.9, 1.0, 1.0 + 1e-9, 1e300], edges))
         got = one_minus_mgf_double_rayleigh(grid)
         for s, v in zip(grid, got):
             assert v == pytest.approx(reference.one_minus_mgf_double_mp(float(s)), rel=2e-15, abs=0.0)
@@ -233,6 +237,7 @@ class TestMgfComplements:
     def test_limits_shapes_and_domain(self, one_minus_mgf):
         assert one_minus_mgf(0.0) == 0.0
         assert one_minus_mgf(1e301) == 1.0
+        assert one_minus_mgf(math.inf) == 1.0  # where s e^v overflows in a capacity run
         s = np.array([[0.0, 1e-9, 0.3], [2.0, 1e6, 1e301]])
         arr = one_minus_mgf(s)
         assert arr.shape == s.shape

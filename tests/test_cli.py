@@ -228,6 +228,22 @@ class TestEval:
         cfg = _write(tmp_path, _v2v_doc(outputs=["mc_asc"]))
         assert main(["eval", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command", ["eval", "validate"])
+    def test_cell_count_beyond_the_stream_period_is_a_config_error(self, tmp_path, monkeypatch, capsys, command):
+        # the relay's five factor stretches of 1e300 outputs each wrap the
+        # random stream's 2**128 period: refused before any block is drawn,
+        # where the draw would walk its column pieces without end
+        def draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", draw)
+        doc = {"base": {"model": "vanet_ris_relay", "n_cells": 1e300}, "mc": {"trials": 1, "seed": 1},
+               "outputs": ["mc_asc"]}
+        assert main([command, "--config", _write(tmp_path, doc)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("config error: n_cells=1e+300 is above 6.80565e+37: ") and err.count("\n") == 1
+
     def test_sweep_point_outside_domain_is_a_config_error(self, tmp_path):
         # the SNR scale overflows at the last sweep value
         doc = _v2v_doc(base={"model": "v2v_ris_ap", "r_d": 1e-10},

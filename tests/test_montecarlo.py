@@ -2,6 +2,7 @@
 consistency and the analytic cross-checks."""
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -329,6 +330,31 @@ class TestSinglePassEngine:
         with pytest.raises(ValueError):
             mc_points([SystemParams(model=Model.V2V_RIS_AP, **fields) for fields in points],
                       McConfig(trials=10, seed=1))
+
+    @pytest.mark.parametrize("model,r_s,factors", [(Model.V2V_RIS_AP, None, 4), (Model.VANET_RIS_RELAY, 10.0, 5)])
+    @pytest.mark.parametrize("trials,n", [(1, 1), (8192, 8192), (10 ** 6, 8192)])
+    def test_cell_count_beyond_the_stream_period_is_refused_before_any_draw(self, model, r_s, factors, trials, n,
+                                                                            monkeypatch):
+        # PCG64 wraps after 2**128 outputs, so the factor stretches of an
+        # n-trial block, n*N outputs each, overlap once factors*n*N exceeds
+        # it. The largest count that fits reaches the draw; one more is
+        # refused before the draw of any group, and so is the 1e300 that
+        # would otherwise walk its column pieces without end
+        class Drew(Exception):
+            pass
+
+        def draw(*args):
+            raise Drew
+
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", draw)
+        base = SystemParams(model=model, r_s=r_s)
+        limit = 2 ** 128 // (factors * n)
+        cfg = McConfig(trials=trials, seed=1)
+        with pytest.raises(Drew):
+            mc_points([replace(base, n_cells=limit)], cfg)
+        for n_cells in (limit + 1, 10 ** 300):
+            with pytest.raises(ValueError, match=re.escape(f"n_cells={n_cells:.6g} is above {limit:.6g}")):
+                mc_points([base, replace(base, n_cells=n_cells)], cfg)
 
     def test_pass_memory_does_not_grow_with_blocks(self):
         # 100 points over 40 blocks: the pass holds one block's sums plus the
