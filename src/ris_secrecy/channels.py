@@ -34,6 +34,11 @@ _SERIES = tuple(3.0 * (n + 1) / ((2 * n + 1) * (2 * n + 3)) for n in range(16, -
 _TAIL_S = 1e8
 
 
+def gain_moment(k: int, factors: int) -> float:
+    """E[g^k] of a product of ``factors`` unit Rayleigh factors."""
+    return (2.0 ** (0.5 * k) * math.gamma(1.0 + 0.5 * k)) ** factors
+
+
 def _as_arguments(s, name: str):
     arr = np.asarray(s, dtype=float)
     if not np.all(arr >= 0.0):
@@ -89,16 +94,14 @@ def one_minus_mgf_double_rayleigh(s):
 
 # The triple-cascade complement q(s) = 1 - M_T(s) in three ranges of s:
 # - below e^-7, its moment series: q/s = sum_{k=1..7} (-1)^(k+1) E[g^k] s^(k-1)/k!
-#   with E[g^k] = (2^(k/2) Gamma(1 + k/2))^3, whose first omitted term is
-#   below 1e-18 of q there;
+#   with E[g^k] from ``gain_moment``, whose first omitted term is below 1e-18 of q there;
 # - on [e^-7, e^23], a Chebyshev expansion of ln q in u = ln s on each of
 #   15 pieces of width 2, stored below;
 # - from e^23 up, exactly 1, since M_T(e^23) = 2.7e-18 is below half an ulp of 1.
 _TRIPLE_LOG_S = (-7.0, 23.0)
 _TRIPLE_PIECE = 2.0
 _TRIPLE_S_LO, _TRIPLE_S_HI = (math.exp(u) for u in _TRIPLE_LOG_S)
-_TRIPLE_SERIES = tuple((-1.0) ** (k + 1) * (2.0 ** (0.5 * k) * math.gamma(1.0 + 0.5 * k)) ** 3
-                       / math.factorial(k) for k in range(7, 0, -1))
+_TRIPLE_SERIES = tuple((-1.0) ** (k + 1) * gain_moment(k, 3) / math.factorial(k) for k in range(7, 0, -1))
 
 # Chebyshev coefficients of ln q on each piece, in T_0, T_1, ... order, from
 # tools/fit_triple_cascade.py: it fits mpmath values of the conditioning

@@ -261,15 +261,16 @@ def run_validate(cfg: RunConfig, out) -> int:
     """Compare analytic metrics against Monte-Carlo at every point.
 
     The ASC check allows three MC standard errors; the SOP check of
-    ``sop_corrected`` allows ``SOP_TOL`` plus three. For the relay model the
+    ``sop_corrected`` = p0 allows ``SOP_TOL`` plus three of the binomial
+    sqrt(p0 (1 - p0)/n), the spread under the null. For the relay model the
     variance of the summed gains, checked against both closed-form constants
     once for each cell count the run draws, judges the relay constants. Every
     check uses the rows of the run: its analytic reports and its one
-    Monte-Carlo pass, which the outputs ``mc_asc`` and ``mc_sop`` switch on.
-    Returns 0 when every check concludes and passes, 1 otherwise.
+    Monte-Carlo pass. Returns 0 when every check concludes and passes, 1
+    otherwise.
     """
     points, rows = _rows(replace(cfg, outputs=("mc_asc", "mc_sop")))
-    too_few = _TOO_FEW if cfg.mc.trials < 2 else None  # a mean's std error needs two trials
+    too_few = _TOO_FEW if cfg.mc.trials < 2 else None  # a std error, or a sample variance, needs two trials
     all_ok = True
     for point, row in zip(points, rows):
         value = getattr(point, cfg.sweep.param) if cfg.sweep is not None else None
@@ -280,14 +281,14 @@ def run_validate(cfg: RunConfig, out) -> int:
         all_ok = _check(out, f"{label}: asc_exact", analytic, row["mc_asc_diff"], se, "3se", 3.0 * se,
                         inconclusive=too_few or (_TOO_WIDE if 3.0 * se > 0.1 * max(abs(analytic), 1e-6)
                                                  else None)) and all_ok
-        se = row["mc_sop_se"]
+        se = math.sqrt(row["sop_corrected"] * (1.0 - row["sop_corrected"]) / cfg.mc.trials)
         all_ok = _check(out, f"{label}: sop[corrected]", row["sop_corrected"], row["mc_sop"], se,
                         f"{SOP_TOL:g}+3se", SOP_TOL + 3.0 * se,
                         inconclusive=too_few or (_TOO_WIDE if se > 0.5 * SOP_TOL else None)) and all_ok
     if cfg.base.model is Model.VANET_RIS_RELAY:
         # the points of one cell count share their gain-sum estimates
         for n_cells, (_mean, var_est) in {p.n_cells: row["gain_sum"] for p, row in zip(points, rows)}.items():
-            all_ok = _adjudicate_gain_variance(out, n_cells, var_est) and all_ok
+            all_ok = _adjudicate_gain_variance(out, n_cells, var_est, too_few) and all_ok
     out.write("VALIDATION: %s\n" % ("PASS" if all_ok else "FAIL"))
     return 0 if all_ok else 1
 
@@ -312,22 +313,20 @@ def _check(out, name: str, analytic: float, mc: float, se: float, tol_name: str,
     return status == "PASS"
 
 
-def _adjudicate_gain_variance(out, n_cells: int, var_est: McEstimate) -> bool:
+def _adjudicate_gain_variance(out, n_cells: int, var_est: McEstimate, too_few: str | None) -> bool:
     """Print the measured variance of the summed relay gains at ``n_cells``
-    next to both closed-form candidates (the report always shows the two
-    constants); True when it is PASS. The line says INCONCLUSIVE below four
-    trials, where the variance has no standard error; otherwise FAIL when the
-    corrected constant is more than 4 standard errors off, and INCONCLUSIVE
-    when the paper_literal one is also within 4, so the run cannot tell them
-    apart."""
+    next to both closed-form candidates, each with its distance in standard
+    errors of the variance under the corrected cell law; True when it is
+    PASS. The line says INCONCLUSIVE, with the reason ``too_few``, when that
+    is given (below two trials); otherwise FAIL when the corrected constant
+    is more than 4 standard errors off, and INCONCLUSIVE when the
+    paper_literal one is also within 4, so the run cannot tell them apart."""
     corrected = n_cells * channels.TRIPLE_CASCADE_VARIANCE
     literal = n_cells * channels.PAPER_LITERAL_TRIPLE_VARIANCE
-    too_few = var_est.trials < 4
-    se = max(var_est.std_error, 1e-300)
     # distances in standard errors; nan where there is none
-    z_corr = math.nan if too_few else abs(var_est.value - corrected) / se
-    z_lit = math.nan if too_few else abs(var_est.value - literal) / se
-    status = (f"INCONCLUSIVE ({_TOO_FEW})" if too_few
+    z_corr = math.nan if too_few else abs(var_est.value - corrected) / var_est.std_error
+    z_lit = math.nan if too_few else abs(var_est.value - literal) / var_est.std_error
+    status = (f"INCONCLUSIVE ({too_few})" if too_few
               else "FAIL" if not z_corr <= 4.0
               else f"INCONCLUSIVE ({_TOO_WIDE})" if z_lit <= 4.0 else "PASS")
     out.write(

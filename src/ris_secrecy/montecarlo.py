@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import channels
 from .secrecy import Model, SystemParams, _cell_mean, _index
 
 _BLOCK_TRIALS = 8192  # randomness granularity, and the trials drawn at a time
@@ -149,8 +150,8 @@ class McPointResult:
     ``asc_diff`` averages log2(1+gamma_d) - log2(1+gamma_e) (can be negative,
     matches the analytic difference form), ``asc_pos`` averages max(.., 0);
     ``sop`` is Pr[max(Cs, 0) < c_th] at the point's c_th.
-    ``gain_sum`` is the (mean, variance) estimate pair of the destination
-    gain sum, shared by every point drawn in the same pass.
+    ``gain_sum`` is the destination gain sum's (mean, variance) estimate pair,
+    shared by the points of a pass, the variance's with its null std error.
     """
 
     asc_diff: McEstimate
@@ -194,12 +195,12 @@ def mc_points(points, cfg: McConfig) -> list:
 
 def _mc_pass(points, cfg: McConfig) -> list:
     """``mc_points`` for points that share model and n_cells: one pass over
-    the blocks, which also sums the first four powers of the destination
-    gain sum less its known mean N E[g], for the sum's (mean, variance)
-    estimates: powers of the raw sum would cancel by about N^2 1e-16. Each
-    block's array of sums (a row per point, then the gain-sum moments) is
-    added to the running totals as it is made, in block order: a pass holds
-    one block's sums at a time."""
+    the blocks, which also sums x and x^2 for the destination gain sum's
+    (mean, variance) estimates, x the sum less its known mean N E[g]: powers
+    of the raw sum would cancel by about N^2 1e-16. Each block's array of
+    sums (a row per point, then the gain sum's two) is added to the running
+    totals as it is made, in block order: a pass holds one block's sums at a
+    time."""
     lifts = [_lift(params) for params in points]
     centre = points[0].n_cells * _cell_mean(points[0].model)
 
@@ -217,13 +218,12 @@ def _mc_pass(points, cfg: McConfig) -> list:
             pos = np.maximum(cs, 0.0)
             row[:] = cs.sum(), np.dot(cs, cs), pos.sum(), np.dot(pos, pos), outages
         x = np.subtract(sum_d, centre, out=sum_d)
-        sq = x * x
-        sums[-1, :4] = x.sum(), sq.sum(), np.dot(sq, x), np.dot(sq, sq)
+        sums[-1, :2] = x.sum(), (x * x).sum()
         return sums
 
     totals = sum(work(i, n) for i, n in _blocks(cfg.trials))
     n = cfg.trials
-    gain_sum = _gain_sum_estimates(*totals[-1, :4].tolist(), n, centre)
+    gain_sum = _gain_sum_estimates(*totals[-1, :2].tolist(), n, centre, points[0])
     results = []
     for (sd, sd2, sp, sp2, outages), lift in zip(map(np.ndarray.tolist, totals[:-1]), lifts):
         p = outages / n
@@ -280,19 +280,17 @@ def _moment_estimate(total: float, total_sq: float, n: int, lift: float = 1.0) -
     return McEstimate(value=mean / lift, std_error=se / lift, trials=n)
 
 
-def _gain_sum_estimates(s1: float, s2: float, s3: float, s4: float, n: int, centre: float):
-    """(mean, variance) estimates of the gain sum X from the sums of x..x^4,
-    x = X - centre; the variance standard error uses the fourth central
-    moment. With ``centre`` the known mean, x is of the order of the spread
-    of X, so these sums keep the digits that sums of X..X^4 would lose."""
-    mean = s1 / n
-    m2 = s2 / n - mean ** 2
-    var = m2 * n / (n - 1) if n > 1 else 0.0
-    # central fourth moment from the sums about the centre
-    m4 = (s4 - 4.0 * mean * s3 + 6.0 * mean ** 2 * s2 - 3.0 * n * mean ** 4) / n
-    var_of_var = max(0.0, (m4 - (n - 3) / (n - 1) * m2 ** 2) / n) if n > 3 else 0.0
+def _gain_sum_estimates(s1: float, s2: float, n: int, centre: float, params: SystemParams):
+    """(mean, variance) estimates of the gain sum X of ``params``'s N cells
+    from the sums of x and x^2, x = X - centre: with ``centre`` the known
+    mean, they keep the digits that sums of X and X^2 would lose. The
+    variance's standard error is the exact one under the cell law (Cramer
+    1946), sqrt(N k4/n + 2 (N v)^2/(n - 1)), v and k4 the variance and fourth
+    cumulant of one cell's gain."""
+    m1, m2, m3, m4 = (channels.gain_moment(k, 2 if params.model is Model.V2V_RIS_AP else 3) for k in range(1, 5))
+    v, k4 = m2 - m1 * m1, m4 - 4.0 * m3 * m1 - 3.0 * m2 * m2 + 12.0 * m2 * m1 * m1 - 6.0 * m1 ** 4
     offset = _moment_estimate(s1, s2, n)
+    var = (s2 / n - offset.value ** 2) * n / (n - 1) if n > 1 else 0.0
+    var_se = math.sqrt(params.n_cells * k4 / n + 2.0 * (params.n_cells * v) ** 2 / (n - 1)) if n > 1 else 0.0
     mean_est = McEstimate(value=centre + offset.value, std_error=offset.std_error, trials=n)
-    var_est = McEstimate(value=var, std_error=math.sqrt(var_of_var), trials=n)
-    return mean_est, var_est
-
+    return mean_est, McEstimate(value=var, std_error=var_se, trials=n)

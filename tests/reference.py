@@ -7,6 +7,7 @@ model), and derives SNR scales and gain moments itself; a link is named by
 its distance, ``point.r_d`` or ``point.r_e``. A quadrature tolerance or a
 working precision that callers set differently is an argument.
 """
+import functools
 import math
 import warnings
 from fractions import Fraction
@@ -268,13 +269,35 @@ def sop_mp(point, constants="corrected") -> float:
 
 
 def sample_variance_exact(values):
-    """(mean, unbiased variance, standard error of that variance) of the
-    floats ``values``, in exact rational arithmetic before the final rounding.
-    The standard error is sqrt((m4 - (n - 3)/(n - 1) m2^2)/n) from the central
-    moments m2 and m4."""
+    """(mean, unbiased variance) of the floats ``values``, in exact rational
+    arithmetic before the final rounding."""
     xs = [Fraction(v) for v in values]
     n = len(xs)
     mean = sum(xs) / n
-    m2 = sum((x - mean) ** 2 for x in xs) / n
-    m4 = sum((x - mean) ** 4 for x in xs) / n
-    return float(mean), float(m2 * n / (n - 1)), math.sqrt((m4 - Fraction(n - 3, n - 1) * m2 ** 2) / n)
+    return float(mean), float(sum((x - mean) ** 2 for x in xs) / (n - 1))
+
+
+def rayleigh_moment_quad(k):
+    """E[R^k] of one unit Rayleigh factor, int_0^inf r^k r exp(-r^2/2) dr, by
+    mpmath quadrature at its working precision."""
+    return mp.quad(lambda r: r ** (k + 1) * mp.exp(-r * r / 2), [0, 2, 6, mp.inf])
+
+
+@functools.cache
+def cell_cumulants(order):
+    """(variance, fourth cumulant) of a product of ``order`` unit Rayleigh
+    factors at 30 digits, from its raw moments E[R^k]^order."""
+    with mp.workdps(30):
+        m1, m2, m3, m4 = (rayleigh_moment_quad(k) ** order for k in range(1, 5))
+        variance = m2 - m1 ** 2
+        return variance, m4 - 4 * m3 * m1 + 6 * m2 * m1 ** 2 - 3 * m1 ** 4 - 3 * variance ** 2
+
+
+def sample_variance_se(order, n_cells, n):
+    """The standard error of the unbiased sample variance of n independent
+    sums of ``n_cells`` cell gains, each a product of ``order`` unit Rayleigh
+    factors: sqrt(k4/n + 2 sigma^4/(n - 1)) of the sum (Cramer 1946), whose
+    cumulants are ``n_cells`` times the cell's. At 30 digits."""
+    variance, k4 = cell_cumulants(order)
+    with mp.workdps(30):
+        return float(mp.sqrt(n_cells * k4 / n + 2 * (n_cells * variance) ** 2 / (n - 1)))

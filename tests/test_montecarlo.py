@@ -131,10 +131,42 @@ class TestSnrSampling:
         sums = n_cells * mean + math.sqrt(n_cells * variance) * np.random.default_rng(12).standard_normal(16)
         monkeypatch.setattr(montecarlo, "sample_gain_sums", lambda _params, _seq, n: (sums[:n].copy(), sums[:n].copy()))
         mean_est, var_est = _one_point(params, McConfig(trials=16, seed=1)).gain_sum
-        exact_mean, exact_var, exact_se = reference.sample_variance_exact(sums.tolist())
+        exact_mean, exact_var = reference.sample_variance_exact(sums.tolist())
         assert mean_est.value == pytest.approx(exact_mean, rel=1e-15)
         assert var_est.value == pytest.approx(exact_var, rel=1e-12)
-        assert var_est.std_error == pytest.approx(exact_se, rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["relay", "v2v"])
+    def test_variance_std_error_is_the_exact_one_under_the_cell_law(self, model, monkeypatch):
+        # the standard error does not depend on the draws, so none are made
+        monkeypatch.setattr(montecarlo, "sample_gain_sums", lambda _params, _seq, n: (np.ones(n), np.ones(n)))
+        for n_cells in (1, 16, 10 ** 8):
+            params = replace(_MODELS[model], n_cells=n_cells)
+            for trials in (2, 3, 50, 200_000):
+                _mean, var_est = _one_point(params, McConfig(trials=trials, seed=1)).gain_sum
+                exact = reference.sample_variance_se(reference.cascade_order(params), n_cells, trials)
+                assert var_est.std_error == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_variance_rule_rejects_the_correct_relay_constant_at_most_once_in_a_hundred(self):
+        # validate's rule, more than 4 standard errors off, over seeds 1-200
+        # at 50 and 2,000 trials; at 20,000 trials (seeds 1-40) the correct
+        # constant always stays and the paper-literal one is always out
+        for n_cells in (1, 3, 16):
+            for trials in (50, 2000):
+                assert _variance_rejections(n_cells, trials, range(1, 201))[0] <= 2
+            assert _variance_rejections(n_cells, 20_000, range(1, 41)) == (0, 40)
+
+
+def _variance_rejections(n_cells, trials, seeds):
+    """(corrected, paper-literal): how many of the seeds' relay runs put each
+    constant's gain-sum variance more than 4 standard errors from the
+    estimate."""
+    params = SystemParams(model=Model.VANET_RIS_RELAY, r_s=10.0, n_cells=n_cells)
+    corrected = literal = 0
+    for seed in seeds:
+        _mean, var_est = _one_point(params, McConfig(trials=trials, seed=seed)).gain_sum
+        corrected += abs(var_est.value - n_cells * TRIPLE_CASCADE_VARIANCE) > 4.0 * var_est.std_error
+        literal += abs(var_est.value - n_cells * (8.0 - (math.pi / 2.0) ** 1.5)) > 4.0 * var_est.std_error
+    return corrected, literal
 
 
 class TestMcAsc:
@@ -212,7 +244,7 @@ def _reference_point(params, cfg):
     and reduces it on its own. Returns (diff, pos, sop) estimates and the
     gain-sum (mean, variance) estimates."""
     sd = sd2 = sp = sp2 = 0.0
-    g1 = g2 = g3 = g4 = 0.0
+    g1 = g2 = 0.0
     outages = 0
     scale_d, scale_e = params.scales
     centre = params.n_cells * (DOUBLE_RAYLEIGH_MEAN if params.model is Model.V2V_RIS_AP else TRIPLE_CASCADE_MEAN)
@@ -226,11 +258,8 @@ def _reference_point(params, cfg):
         sp2 += np.dot(pos, pos)
         outages += np.count_nonzero(cs < params.c_th)
         x = sum_d - centre
-        sq = x * x
         g1 += x.sum()
-        g2 += sq.sum()
-        g3 += np.dot(sq, x)
-        g4 += np.dot(sq, sq)
+        g2 += (x * x).sum()
     n = cfg.trials
 
     def estimate(total, total_sq):
@@ -240,7 +269,7 @@ def _reference_point(params, cfg):
 
     p = outages / n
     return (estimate(sd, sd2), estimate(sp, sp2), McEstimate(p, math.sqrt(p * (1.0 - p) / n), n),
-            montecarlo._gain_sum_estimates(g1, g2, g3, g4, n, centre))
+            montecarlo._gain_sum_estimates(g1, g2, n, centre, params))
 
 
 _MODELS = {"v2v": SystemParams(model=Model.V2V_RIS_AP),
