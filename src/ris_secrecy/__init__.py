@@ -7,14 +7,13 @@ average secrecy capacity and the secrecy outage probability analytically and
 by Monte-Carlo simulation, and sweeps system parameters from a CLI.
 """
 from .montecarlo import McConfig, McEstimate, mc_points
-from .secrecy import Model, QuadratureError, SecrecyReport, SopMode, SystemParams, asc_approx, secrecy_report, sop
+from .secrecy import Model, QuadratureError, SecrecyReport, SystemParams, secrecy_report
 
 __version__ = "0.1.0"
 
 __all__ = [
     "McConfig", "McEstimate", "mc_points",
-    "Model", "SecrecyReport", "SopMode", "SystemParams",
-    "asc_approx", "secrecy_report", "sop",
+    "Model", "SecrecyReport", "SystemParams", "secrecy_report",
     "QuadratureError",
     "__version__",
 ]

@@ -41,11 +41,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Point estimate with its standard error and the trial count behind it."""
+    """Point estimate with its standard error, from ``McConfig.trials`` trials."""
 
     value: float
     std_error: float
-    trials: int
 
     def __post_init__(self):
         if self.std_error < 0.0:
@@ -145,7 +144,8 @@ def _blocks(trials: int):
 
 @dataclass(frozen=True)
 class McPointResult:
-    """Estimates at one point of an ``mc_points`` run.
+    """Estimates at one point of an ``mc_points`` run, each over the run's
+    ``McConfig.trials`` trials.
 
     ``asc_diff`` averages log2(1+gamma_d) - log2(1+gamma_e) (can be negative,
     matches the analytic difference form), ``asc_pos`` averages max(.., 0);
@@ -228,7 +228,7 @@ def _mc_pass(points, cfg: McConfig) -> list:
     for (sd, sd2, sp, sp2, outages), lift in zip(map(np.ndarray.tolist, totals[:-1]), lifts):
         p = outages / n
         results.append(McPointResult(_moment_estimate(sd, sd2, n, lift), _moment_estimate(sp, sp2, n, lift),
-                                     McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n), trials=n),
+                                     McEstimate(value=p, std_error=math.sqrt(p * (1.0 - p) / n)),
                                      gain_sum))
     return results
 
@@ -277,7 +277,7 @@ def _moment_estimate(total: float, total_sq: float, n: int, lift: float = 1.0) -
         se = math.sqrt(var / n)
     else:
         se = 0.0
-    return McEstimate(value=mean / lift, std_error=se / lift, trials=n)
+    return McEstimate(value=mean / lift, std_error=se / lift)
 
 
 def _gain_sum_estimates(s1: float, s2: float, n: int, centre: float, params: SystemParams):
@@ -292,5 +292,4 @@ def _gain_sum_estimates(s1: float, s2: float, n: int, centre: float, params: Sys
     offset = _moment_estimate(s1, s2, n)
     var = (s2 / n - offset.value ** 2) * n / (n - 1) if n > 1 else 0.0
     var_se = math.sqrt(params.n_cells * k4 / n + 2.0 * (params.n_cells * v) ** 2 / (n - 1)) if n > 1 else 0.0
-    mean_est = McEstimate(value=centre + offset.value, std_error=offset.std_error, trials=n)
-    return mean_est, McEstimate(value=var, std_error=var_se, trials=n)
+    return McEstimate(value=centre + offset.value, std_error=offset.std_error), McEstimate(value=var, std_error=var_se)

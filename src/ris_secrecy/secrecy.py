@@ -33,11 +33,6 @@ class Model(Enum):
     VANET_RIS_RELAY = "vanet_ris_relay"
 
 
-class SopMode(Enum):
-    CORRECTED = "corrected"
-    PAPER_LITERAL = "paper_literal"
-
-
 @dataclass(frozen=True)
 class SystemParams:
     """One point of the analysis: the physical parameters of a scenario and
@@ -144,33 +139,29 @@ _TINY = 2.2250738585072014e-308
 
 def _snr_scale(params: SystemParams, distance: float) -> float:
     """SNR scale multiplying the summed gains of a link: p_s distance^-beta
-    / n_0, with an extra r_s^-beta hop loss for the relay model.
+    / n_0 times the r_s^-beta hop loss of the relay model. The access point
+    takes r_s = 1, whose hop loss (1), products and log (0) are exact.
 
     A scale above the double range is math.inf, and one below it is 0.0.
     """
-    relay = params.model is Model.VANET_RIS_RELAY
+    r_s = params.r_s if params.model is Model.VANET_RIS_RELAY else 1.0
     try:
         path = distance ** -params.beta
-        hop = params.r_s ** -params.beta if relay else 1.0
+        hop = r_s ** -params.beta
     except OverflowError:
         path = hop = math.inf
     power = params.p_s * path
-    scale = power / params.n_0
-    steps = [path, power, scale]
-    if relay:
-        scale *= hop
-        steps += [hop, scale]
-    if all(_TINY <= v < math.inf for v in steps):
+    per_hop = power / params.n_0
+    scale = per_hop * hop
+    if all(_TINY <= v < math.inf for v in (path, power, per_hop, hop, scale)):
         return scale
     # A step left the normal double range and lost digits (or overflowed):
     # the sum of the logs keeps them. The two relay path terms can each be
     # about 1e5 and cancel; the log of the product distance * r_s keeps the
     # digits their sum loses, wherever that product is a normal double.
-    log_path = -params.beta * math.log(distance)
-    if relay:
-        product = distance * params.r_s
-        log_path = (-params.beta * math.log(product) if _TINY <= product < math.inf
-                    else log_path - params.beta * math.log(params.r_s))
+    product = distance * r_s
+    log_path = (-params.beta * math.log(product) if _TINY <= product < math.inf
+                else -params.beta * math.log(distance) - params.beta * math.log(r_s))
     try:
         return math.exp(math.log(params.p_s) + log_path - math.log(params.n_0))
     except OverflowError:
@@ -308,51 +299,51 @@ def _path_ratio(params: SystemParams) -> float:
         return math.inf
 
 
-def sop(params: SystemParams, mode: SopMode = SopMode.CORRECTED) -> float:
+def sop(params: SystemParams) -> tuple:
     """Secrecy outage probability Pr(C_s < params.c_th) from the Gaussian
-    (CLT) gain-sum approximation.
+    (CLT) gain-sum approximation, as the pair (corrected, paper_literal).
 
     The random eavesdropper term is replaced by its mean, reproducing the
     closed erf form, evaluated as erfc; the Monte-Carlo module quantifies the
-    resulting bias.
-    For the relay model, ``mode`` selects the corrected per-element constants
-    (mean coefficient (pi/2)^1.5, variance 8-(pi/2)^3) or the paper_literal
-    variant (pi^3/(2 sqrt 2) and 8-(pi/2)^1.5). Both modes coincide for the
-    access-point model.
+    resulting bias. The relay's pair takes the corrected per-element
+    constants (mean coefficient (pi/2)^1.5, variance 8-(pi/2)^3), then the
+    paper's literal ones (pi^3/(2 sqrt 2), 8-(pi/2)^1.5); the access point
+    has one constant set and gives its one value twice.
     """
     try:
         nu = 2.0 ** params.c_th
     except OverflowError:  # drives the erf argument below to +inf
-        return 1.0
+        return 1.0, 1.0
     ratio = _path_ratio(params)
     noise_term = (nu - 1.0) / params.scales[0]  # n_0 (nu - 1) / (p_s r_d^-beta [r_s^-beta])
     if params.model is Model.V2V_RIS_AP:
-        mean, variance = channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE
-    elif mode is SopMode.CORRECTED:
-        mean, variance = channels.TRIPLE_CASCADE_MEAN, channels.TRIPLE_CASCADE_VARIANCE
-    else:
-        mean, variance = channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF, channels.PAPER_LITERAL_TRIPLE_VARIANCE
+        constants = [(channels.DOUBLE_RAYLEIGH_MEAN, channels.DOUBLE_RAYLEIGH_VARIANCE)]
+    else:  # the corrected set, then the paper's literal one
+        constants = [(channels.TRIPLE_CASCADE_MEAN, channels.TRIPLE_CASCADE_VARIANCE),
+                     (channels.PAPER_LITERAL_TRIPLE_MEAN_SUM_COEFF, channels.PAPER_LITERAL_TRIPLE_VARIANCE)]
     n = params.n_cells
     # x = (noise_term + N mean (nu ratio - 1)) / sqrt(2 N variance), with N
     # divided out of the sum and sqrt(N) taken alone, so that no term
-    # overflows at any cell count in the double range
-    x = (noise_term / n + mean * (nu * ratio - 1.0)) * (math.sqrt(n) / math.sqrt(2.0 * variance))
-    # 0.5 (1 + erf(x)) as 0.5 erfc(-x), which keeps its relative digits in the lower tail
-    return 0.5 * math.erfc(-x)
+    # overflows at any cell count in the double range; 0.5 (1 + erf(x)) as
+    # 0.5 erfc(-x), which keeps its relative digits in the lower tail
+    xs = [(noise_term / n + mean * (nu * ratio - 1.0)) * (math.sqrt(n) / math.sqrt(2.0 * variance))
+          for mean, variance in constants]
+    values = [0.5 * math.erfc(-x) for x in xs]
+    return values[0], values[-1]
 
 
 def secrecy_report(points) -> list:
-    """Every analytic metric at many points, one SecrecyReport per point in order.
+    """Every analytic metric at many points, one SecrecyReport per point in
+    order: the exact capacities and the closed forms, ``asc_approx`` and the
+    (corrected, paper_literal) pair of one ``sop`` call.
 
     ``points`` is a sequence of SystemParams sharing one model, as for
-    ``mc_points``; an empty sequence gives an empty list. The capacities of
-    all points come from one capacity run in which every link is computed on
-    its own, so a point's report is bit-identical whether it is computed alone
-    or in any list. The links go through the MGF in batches of at most
-    ``_BATCH_NODES`` nodes, so the working memory is about 1-2 MB at any
-    number of points; only the returned reports grow with it. Raises
-    QuadratureError, with ``component`` the index of the point, when a
-    capacity is not finite.
+    ``mc_points``; an empty sequence gives an empty list. Every link's
+    capacity is computed on its own in one capacity run, so a point's report
+    is bit-identical alone or in any list. The links go through the MGF in
+    batches of at most ``_BATCH_NODES`` nodes: about 1-2 MB of working
+    memory at any number of points. Raises QuadratureError, with
+    ``component`` the index of the point, when a capacity is not finite.
     """
     points = list(points)
     if not points:
@@ -363,7 +354,5 @@ def secrecy_report(points) -> list:
         index = int(np.argmax(bad))
         raise QuadratureError(f"the capacities of point {index} are not finite: {capacities[index].tolist()}",
                               component=index)
-    return [SecrecyReport(c_d=c_d, c_e=c_e, asc_exact=c_d - c_e, asc_approx=asc_approx(params),
-                          sop_corrected=sop(params, SopMode.CORRECTED),
-                          sop_paper_literal=sop(params, SopMode.PAPER_LITERAL))
+    return [SecrecyReport(c_d, c_e, c_d - c_e, asc_approx(params), *sop(params))
             for params, (c_d, c_e) in zip(points, capacities.tolist())]

@@ -18,6 +18,9 @@ def test_every_exported_name_resolves():
     assert len(set(ris_secrecy.__all__)) == len(ris_secrecy.__all__)
     missing = [name for name in ris_secrecy.__all__ if not hasattr(ris_secrecy, name)]
     assert missing == []
+    # the analytic engine's one door is secrecy_report; its closed forms are report fields
+    assert set(ris_secrecy.__all__) == {"McConfig", "McEstimate", "mc_points", "Model", "SecrecyReport",
+                                        "SystemParams", "secrecy_report", "QuadratureError", "__version__"}
 
 
 def test_readme_quickstart_runs(capsys):

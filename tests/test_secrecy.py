@@ -7,7 +7,9 @@ import sys
 import tracemalloc
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
+from types import SimpleNamespace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -18,7 +20,6 @@ from ris_secrecy import channels, cli, montecarlo, secrecy
 from ris_secrecy.secrecy import (
     Model,
     SecrecyReport,
-    SopMode,
     SystemParams,
     asc_approx,
     secrecy_report,
@@ -35,6 +36,10 @@ ASC_APPROX_RELAY_DEFAULT = 0.018014807560501453
 # cancel: the destination SNR scale is about 2.33.
 CANCELLING_RELAY = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1.0, n_0=1.0, n_cells=1, r_s=1e-300,
                                 r_d=math.exp(690.75), r_e=1e300, beta=math.exp(3.5))
+
+
+# ``reference.sop_mp``'s constant sets, in the order of the pair ``sop`` returns
+SOP_CONSTANTS = ("corrected", "paper_literal")
 
 
 def _capacities(points) -> np.ndarray:
@@ -107,6 +112,12 @@ class TestSystemParams:
             SystemParams(model=Model.VANET_RIS_RELAY, r_s=math.inf)
 
 
+# An exact SNR scale within the first bounds rounds to a positive finite
+# double; one outside the second rounds to 0 or overflows
+_SCALE_ACCEPTED = (mp.mpf(2) ** -1073, (1 - mp.mpf("1e-12")) * mp.mpf(sys.float_info.max))
+_SCALE_REJECTED = (mp.mpf(2) ** -1076, (1 + mp.mpf("1e-12")) * mp.mpf(sys.float_info.max))
+
+
 class TestSnrScale:
     def test_default_arithmetic(self, v2v_params):
         assert v2v_params.scales[0] == pytest.approx(SNR_SCALE_V2V_D, rel=1e-14)
@@ -138,6 +149,25 @@ class TestSnrScale:
             if ref < sys.float_info.min:
                 continue  # a subnormal scale cannot hold 12 digits
             assert abs(scale - ref) <= 1e-12 * ref
+
+    @pytest.mark.parametrize("model", list(Model))
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_accepts_exactly_the_points_whose_exact_scales_are_doubles(self, model, data):
+        # accepted where both exact scales round to a positive finite double,
+        # rejected where one rounds to 0 or overflows; within 1e-12 of those
+        # ends, or between 2^-1076 and 2^-1073, rounding decides
+        fields = data.draw(_domain_fields(model))
+        exact = [reference.snr_scale_mp(SimpleNamespace(**{"r_s": None, **fields}), fields[r]) for r in ("r_d", "r_e")]
+        try:
+            SystemParams(model=model, **fields)
+            accepted = True
+        except ValueError:
+            accepted = False
+        if all(_SCALE_ACCEPTED[0] <= scale <= _SCALE_ACCEPTED[1] for scale in exact):
+            assert accepted
+        elif any(scale < _SCALE_REJECTED[0] or scale > _SCALE_REJECTED[1] for scale in exact):
+            assert not accepted
 
     def test_overflowing_power_step_is_a_valid_point(self):
         # p_s r_d^-beta overflows, but the scale p_s r_d^-beta / n_0 is 1e27
@@ -427,8 +457,8 @@ class TestMonotonicity:
         louder = _valid_point(replace, p, p_s=p.p_s * data.draw(_log_uniform(1.0, 1e3)))
         c_th = data.draw(st.floats(min_value=0.05, max_value=5.0))
         p, louder = replace(p, c_th=c_th), replace(louder, c_th=c_th)
-        for mode in SopMode:
-            assert sop(louder, mode) <= sop(p, mode)
+        for loud, quiet in zip(sop(louder), sop(p)):
+            assert loud <= quiet
 
 
 def _asc_exact(params: SystemParams) -> float:
@@ -500,7 +530,7 @@ class TestSop:
         b = n * (math.pi / 2.0) * (nu * ratio - 1.0)
         p_star = (nu - 1.0) / (r_d ** -beta) / (-b)
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=p_star, r_d=r_d, r_e=r_e, n_cells=n, c_th=c_th)
-        assert sop(p) == pytest.approx(0.5, abs=1e-9)
+        assert sop(p) == pytest.approx((0.5, 0.5), abs=1e-9)
 
     def test_one_ulp_more_power_never_raises_outage(self):
         # the quotient of the two rounded SNR scales rose by one ulp from p_s
@@ -508,19 +538,19 @@ class TestSop:
         p = SystemParams(model=Model.VANET_RIS_RELAY, p_s=390428.44810981676, beta=2.0, n_cells=1,
                          r_d=1.4549914146182013, r_e=1.2840254166877414, r_s=1.0)
         louder = replace(p, p_s=math.nextafter(p.p_s, math.inf))
-        for mode in SopMode:
-            assert sop(louder, mode) <= sop(p, mode)
+        for loud, quiet in zip(sop(louder), sop(p)):
+            assert loud <= quiet
 
     def test_far_eavesdropper_drives_outage_down(self):
         p = SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0, c_th=0.5)
-        assert sop(p) < 0.01
+        assert sop(p)[0] < 0.01
 
     def test_monotone_in_threshold(self, v2v_params):
-        vals = [sop(replace(v2v_params, c_th=c)) for c in (0.5, 1.0, 1.5, 2.0)]
+        vals = [sop(replace(v2v_params, c_th=c))[0] for c in (0.5, 1.0, 1.5, 2.0)]
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
     def test_monotone_in_power(self):
-        vals = [sop(SystemParams(model=Model.V2V_RIS_AP, p_s=p)) for p in (1.0, 2.0, 5.0, 10.0, 30.0)]
+        vals = [sop(SystemParams(model=Model.V2V_RIS_AP, p_s=p))[0] for p in (1.0, 2.0, 5.0, 10.0, 30.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_bounds(self, v2v_params, relay_params):
@@ -528,16 +558,16 @@ class TestSop:
         extreme = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1e-200, n_0=1e-200, r_s=1e55)
         for p in (v2v_params, relay_params, extreme):
             for c_th in (0.1, 1.0, 5.0):
-                for mode in SopMode:
-                    assert 0.0 <= sop(replace(p, c_th=c_th), mode) <= 1.0
+                for value in sop(replace(p, c_th=c_th)):
+                    assert 0.0 <= value <= 1.0
 
     def test_modes_coincide_for_access_point_model(self, v2v_params):
-        assert sop(v2v_params, SopMode.CORRECTED) == sop(v2v_params, SopMode.PAPER_LITERAL)
+        corrected, literal = sop(v2v_params)
+        assert corrected == literal
 
     def test_modes_differ_for_relay_interior_point(self):
         p = SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0)
-        corrected = sop(p, SopMode.CORRECTED)
-        literal = sop(p, SopMode.PAPER_LITERAL)
+        corrected, literal = sop(p)
         assert 0.05 < corrected < 0.95
         assert abs(corrected - literal) > 0.2
 
@@ -557,21 +587,27 @@ class TestSop:
         (SystemParams(model=Model.V2V_RIS_AP, p_s=1e200, r_d=1e-200, r_e=1e200, beta=0.5), 800.0),
     ])
     def test_overflowing_terms_give_certain_outage(self, params, c_th):
-        for mode in SopMode:
-            assert sop(replace(params, c_th=c_th), mode) == 1.0
+        assert sop(replace(params, c_th=c_th)) == (1.0, 1.0)
 
-    @pytest.mark.parametrize("params,c_th,mode", [
+    # the ids are the ones these cases had when sop took its constant set as an argument
+    @pytest.mark.parametrize("params,c_th,constants", [
         # fig8's relay base point, where 0.5 (1 + erf(x)) rounds to 0 or
         # keeps no digit: 6e-46, 9e-25 and 3e-17
-        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 0.25, SopMode.PAPER_LITERAL),
-        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.0, SopMode.PAPER_LITERAL),
-        (SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.25, SopMode.PAPER_LITERAL),
-        (SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0), 0.5, SopMode.CORRECTED),  # 3e-7
-        (SystemParams(model=Model.V2V_RIS_AP, p_s=1e4, n_cells=256), 1.0, SopMode.CORRECTED),  # 4e-45
+        pytest.param(SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 0.25, "paper_literal",
+                     id="params0-0.25-SopMode.PAPER_LITERAL"),
+        pytest.param(SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.0, "paper_literal",
+                     id="params1-1.0-SopMode.PAPER_LITERAL"),
+        pytest.param(SystemParams(model=Model.VANET_RIS_RELAY, p_s=1000.0, r_s=10.0), 1.25, "paper_literal",
+                     id="params2-1.25-SopMode.PAPER_LITERAL"),
+        pytest.param(SystemParams(model=Model.V2V_RIS_AP, p_s=50.0, r_e=100.0), 0.5, "corrected",  # 3e-7
+                     id="params3-0.5-SopMode.CORRECTED"),
+        pytest.param(SystemParams(model=Model.V2V_RIS_AP, p_s=1e4, n_cells=256), 1.0, "corrected",  # 4e-45
+                     id="params4-1.0-SopMode.CORRECTED"),
     ])
-    def test_lower_tail_against_mpmath(self, params, c_th, mode):
+    def test_lower_tail_against_mpmath(self, params, c_th, constants):
         params = replace(params, c_th=c_th)
-        assert sop(params, mode) == pytest.approx(reference.sop_mp(params, mode.value), rel=1e-12, abs=0.0)
+        assert sop(params)[SOP_CONSTANTS.index(constants)] == pytest.approx(reference.sop_mp(params, constants),
+                                                                            rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("params", [
         # N mean or N variance overflows here; the erfc argument is about
@@ -581,8 +617,7 @@ class TestSop:
         SystemParams(model=Model.V2V_RIS_AP, n_cells=10 ** 308),
     ])
     def test_huge_cell_counts(self, params):
-        for mode in SopMode:
-            assert sop(params, mode) == 0.0
+        assert sop(params) == (0.0, 0.0)
 
 
 def _wide(lo, hi):
@@ -595,6 +630,13 @@ def _domain_points(draw, model):
     """A valid point anywhere in the domain: every float field over many
     decades, and the cell count up to the top of the double range, so terms
     of the closed forms overflow or underflow."""
+    return _valid_point(SystemParams, model=model, **draw(_domain_fields(model)))
+
+
+@st.composite
+def _domain_fields(draw, model):
+    """The fields of a ``_domain_points`` point, before the point is made:
+    some of them give an SNR scale outside the double range."""
     kwargs = {
         "p_s": draw(_wide(1e-300, 1e300)),
         "n_0": draw(_wide(1e-300, 1e300)),
@@ -606,7 +648,7 @@ def _domain_points(draw, model):
     }
     if model is Model.VANET_RIS_RELAY:
         kwargs["r_s"] = draw(_wide(1e-300, 1e300))
-    return _valid_point(SystemParams, model=model, **kwargs)
+    return kwargs
 
 
 class TestClosedFormDomain:
@@ -620,8 +662,7 @@ class TestClosedFormDomain:
         p = data.draw(_domain_points(model))
         c_th = data.draw(st.one_of(_log_uniform(1e-300, 1e308),
                                    st.floats(min_value=0.0, max_value=1e308, exclude_min=True)))
-        for mode in SopMode:
-            value = sop(replace(p, c_th=c_th), mode)
+        for value in sop(replace(p, c_th=c_th)):
             assert math.isfinite(value) and 0.0 <= value <= 1.0
 
     @pytest.mark.parametrize("model", list(Model))
@@ -690,8 +731,8 @@ class TestRecipePoints:
 
     def test_sop(self):
         for name, p in _recipe_points():
-            for mode in SopMode:
-                assert sop(p, mode) == pytest.approx(reference.sop_mp(p, mode.value), rel=1e-12, abs=0.0), name
+            for constants, value in zip(SOP_CONSTANTS, sop(p)):
+                assert value == pytest.approx(reference.sop_mp(p, constants), rel=1e-12, abs=0.0), name
 
 
 class TestCapacityDomain:
@@ -734,8 +775,7 @@ class TestSecrecyReport:
             assert (rep.c_d, rep.c_e) == (c_d, c_e)
             assert rep.asc_exact == rep.c_d - rep.c_e
             assert rep.asc_approx == asc_approx(params)
-            assert rep.sop_corrected == sop(params, SopMode.CORRECTED)
-            assert rep.sop_paper_literal == sop(params, SopMode.PAPER_LITERAL)
+            assert (rep.sop_corrected, rep.sop_paper_literal) == sop(params)
             assert rep.c_d >= 0.0 and rep.c_e >= 0.0
             (alone,) = secrecy_report([params])
             assert np.array(astuple(alone)).tobytes() == np.array(astuple(rep)).tobytes()
